@@ -38,8 +38,11 @@ writes" invariant counts).  ``multicast(groups, payload)`` addresses several
 groups atomically.  ``deliveries(group)`` returns a stream that can be
 iterated synchronously or with ``async for``.
 
-The live backend currently drives the Multi-Ring stack directly (its node
-set fixes the TCP topology before the loop starts); engines advertise
+Both backends build through the engine: ``ring()`` hands the same
+:class:`~repro.engines.base.EngineSpec` to the engine, whose nodes are placed
+on the simulated world or on the live cluster's per-node runtimes.  On the
+live backend rings are declared before entering the context (the node set
+fixes the TCP topology).  Engines advertise
 :attr:`~repro.engines.base.OrderingEngine.supports_live` and the facade
 refuses unsupported combinations up front.
 """
@@ -50,10 +53,11 @@ import asyncio
 import concurrent.futures
 import threading
 import time
-import warnings
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from repro import engines as engine_registry
 from repro.config import MultiRingConfig, RingConfig
+from repro.engines import EngineSpec
 from repro.errors import ConfigurationError, MulticastError
 from repro.runtime.interfaces import StorageMode
 from repro.types import GroupId, Value
@@ -135,7 +139,7 @@ class AtomicMulticast:
 
     def __init__(
         self,
-        *args: str,
+        *,
         backend: str = "sim",
         engine: str = "multiring",
         seed: int = 0,
@@ -147,23 +151,8 @@ class AtomicMulticast:
         host: str = "127.0.0.1",
         storage_dir: Optional[str] = None,
     ) -> None:
-        if args:
-            if len(args) > 1 or not isinstance(args[0], str):
-                raise TypeError(
-                    "AtomicMulticast() takes only keyword arguments "
-                    "(backend=..., engine=...)"
-                )
-            warnings.warn(
-                "passing the backend positionally is deprecated; "
-                'use AtomicMulticast(backend="sim"/"live", ...)',
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            backend = args[0]
         if backend not in _BACKENDS:
             raise ConfigurationError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-
-        from repro import engines as engine_registry
 
         # Unknown engine names raise ConfigurationError listing the registry.
         self.engine = engine_registry.create(engine)
@@ -180,8 +169,6 @@ class AtomicMulticast:
         self.config = config or MultiRingConfig.datacenter()
         self._streams: Dict[GroupId, DeliveryStream] = {}
         self._pending: Dict[int, concurrent.futures.Future] = {}
-        self._witness_hooked: Dict[GroupId, str] = {}
-        self._entered = False
 
         if backend == "sim":
             from repro.sim.world import World
@@ -193,26 +180,24 @@ class AtomicMulticast:
                 trace_enabled=trace,
                 default_site=default_site,
             )
-            self.deployment = self.engine.build(self.world, self.config)
+            self._cluster = self.world
         else:
             if topology is not None or network_config is not None:
                 raise ConfigurationError(
                     "topology / network_config model simulated networks; "
                     "the live backend uses the real one"
                 )
+            from repro.runtime.live import LiveDeployment
+
             self.world = None
-            self.deployment = None
-            self._host = host
-            self._storage_dir = storage_dir
-            self._live_specs: List[Any] = []
-            self._live = None
-            self._proposer_rr: Dict[GroupId, int] = {}
+            self._cluster = LiveDeployment(host=host, seed=seed, storage_dir=storage_dir)
             self._loop: Optional[asyncio.AbstractEventLoop] = None
             self._thread: Optional[threading.Thread] = None
             self._main_task: Optional["asyncio.Task"] = None
             self._ready = threading.Event()
             self._stop_event: Optional[asyncio.Event] = None
             self._startup_error: Optional[BaseException] = None
+        self.deployment = self.engine.build(self._cluster, self.config)
 
     # ------------------------------------------------------------------
     # deployment building
@@ -248,45 +233,24 @@ class AtomicMulticast:
             ]
         if proposers is None and acceptors is not None:
             proposers = list(acceptors)
-        if self._backend == "sim":
-            from repro.engines.base import EngineSpec
-
-            options: Dict[str, Any] = {}
-            if ring_config is not None:
-                options["ring_config"] = ring_config
-            if multi_group_route:
-                options["multi_group_route"] = True
-            self.engine.add_group(
-                EngineSpec(
-                    group=group,
-                    members=list(members),
-                    acceptors=list(acceptors) if acceptors is not None else None,
-                    proposers=list(proposers) if proposers is not None else None,
-                    learners=list(learners) if learners is not None else None,
-                    coordinator=coordinator,
-                    storage_mode=storage,
-                    sites=sites,
-                    options=options,
-                )
+        options: Dict[str, Any] = {}
+        if ring_config is not None:
+            options["ring_config"] = ring_config
+        if multi_group_route:
+            options["multi_group_route"] = True
+        self.engine.add_group(
+            EngineSpec(
+                group=group,
+                members=list(members),
+                acceptors=list(acceptors) if acceptors is not None else None,
+                proposers=list(proposers) if proposers is not None else None,
+                learners=list(learners) if learners is not None else None,
+                coordinator=coordinator,
+                storage_mode=storage,
+                sites=sites,
+                options=options,
             )
-        else:
-            if self._entered:
-                raise ConfigurationError(
-                    "live rings must be declared before entering the context"
-                )
-            from repro.runtime.live import LiveRingSpec
-
-            self._live_specs.append(
-                LiveRingSpec(
-                    group=group,
-                    members=list(members),
-                    acceptors=list(acceptors) if acceptors is not None else None,
-                    proposers=list(proposers) if proposers is not None else None,
-                    learners=list(learners) if learners is not None else None,
-                    coordinator=coordinator,
-                    storage_mode=storage,
-                )
-            )
+        )
 
     # -- service builders (simulator backend) ----------------------------
     def _require_sim(self, what: str):
@@ -327,11 +291,12 @@ class AtomicMulticast:
     # lifecycle
     # ------------------------------------------------------------------
     def __enter__(self) -> "AtomicMulticast":
-        self._entered = True
         if self._backend == "sim":
             return self
-        if not self._live_specs:
-            raise ConfigurationError("declare at least one ring before entering live mode")
+        # Hooked before the loop thread exists, so each stream sees its
+        # group's deliveries from the first one.
+        for group in self.engine.groups():
+            self._hook_witness(group)
         self._thread = threading.Thread(
             target=self._live_thread_main, name="repro-live", daemon=True
         )
@@ -340,7 +305,7 @@ class AtomicMulticast:
         if self._startup_error is not None:
             self._abort_live()
             raise self._startup_error
-        if not ready or self._live is None:
+        if not ready:
             self._abort_live()
             raise ConfigurationError(
                 f"live backend failed to start within {self._STARTUP_TIMEOUT:g}s"
@@ -365,6 +330,11 @@ class AtomicMulticast:
             self._thread = None
         for stream in self._streams.values():
             stream._close()
+        # The loop is gone: nothing can deliver what is still outstanding.
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(MulticastError("deployment closed before delivery"))
+        self._pending.clear()
 
     def _abort_live(self) -> None:
         """Tear down a live loop thread after a failed startup.
@@ -398,72 +368,30 @@ class AtomicMulticast:
             self._ready.set()
 
     async def _live_main(self) -> None:
-        from repro.runtime.live import LiveDeployment
-
         self._loop = asyncio.get_running_loop()
         self._main_task = asyncio.current_task()
         self._stop_event = asyncio.Event()
-        deployment = LiveDeployment(
-            self._live_specs,
-            config=self.config,
-            host=self._host,
-            seed=self.seed,
-            storage_dir=self._storage_dir,
-            record_deliveries=False,
-        )
-        async with deployment:
-            self._live = deployment
-            # Hook every ring's witness learner while on the loop thread.
-            for spec in self._live_specs:
-                self._hook_witness(spec.group)
+        async with self._cluster:
             self._ready.set()
             await self._stop_event.wait()
 
     # ------------------------------------------------------------------
     # traffic
     # ------------------------------------------------------------------
-    def _ring_descriptor(self, group: GroupId):
-        if self._backend == "sim":
-            return self.engine.descriptor(group)
-        if self._live is None:
-            raise ConfigurationError("enter the live context before submitting traffic")
-        for live in self._live.nodes.values():
-            if live.registry.has_ring(group):
-                return live.registry.ring(group)
-        raise MulticastError(f"unknown group {group!r}")
-
-    def _witness_of(self, group: GroupId) -> str:
-        descriptor = self._ring_descriptor(group)
-        if not descriptor.learners:
-            raise MulticastError(f"group {group!r} has no learners to ack deliveries")
-        return descriptor.learners[0]
-
-    def _node(self, name: str):
-        if self._backend == "sim":
-            return self.engine.node(name)
-        return self._live.node(name).node
-
     def node(self, name: str):
         """The engine's protocol node object named ``name``."""
-        if self._backend == "live" and self._live is None:
-            raise ConfigurationError("enter the context before accessing live nodes")
-        return self._node(name)
+        return self.engine.node(name)
 
     def coordinator_of(self, group: GroupId):
         """The node currently coordinating (leading) ``group``."""
-        return self.node(self._ring_descriptor(group).coordinator)
+        return self.engine.node(self.engine.descriptor(group).coordinator)
 
     def _hook_witness(self, group: GroupId) -> None:
-        if group in self._witness_hooked:
+        if group in self._streams:
             return
-        stream = self._streams.setdefault(group, DeliveryStream(self, group))
-        callback = lambda d: self._on_witness_delivery(stream, d)  # noqa: E731
-        if self._backend == "sim":
-            self._witness_hooked[group] = self.engine.on_deliver(group, callback)
-        else:
-            witness = self._witness_of(group)
-            self._live.node(witness).node.on_deliver(callback, group=group)
-            self._witness_hooked[group] = witness
+        stream = DeliveryStream(self, group)
+        self.engine.on_deliver(group, lambda d: self._on_witness_delivery(stream, d))
+        self._streams[group] = stream
 
     def _on_witness_delivery(self, stream: DeliveryStream, delivery) -> None:
         stream._push(delivery)
@@ -492,19 +420,15 @@ class AtomicMulticast:
             value = self.engine.submit(group, payload, size_bytes)
             self._pending[value.uid] = future
         else:
-            descriptor = self._ring_descriptor(group)
-            proposers = descriptor.proposers or descriptor.acceptors
-            index = self._proposer_rr.get(group, 0)
-            self._proposer_rr[group] = index + 1
-            proposer = proposers[index % len(proposers)]
-            live = self._live.node(proposer)
-            value = Value.create(
-                payload, size_bytes, proposer=proposer, created_at=live.runtime.now
-            )
+            if self._loop is None:
+                raise ConfigurationError("enter the live context before submitting traffic")
+            # The value is created here, on the caller's thread, and handed
+            # to its proposer on the loop thread through the node's clock.
+            node = self.engine.node(self.engine.next_proposer(group))
+            clock = node.world.sim
+            value = Value.create(payload, size_bytes, proposer=node.name, created_at=clock.now)
             self._pending[value.uid] = future
-            self._loop.call_soon_threadsafe(
-                live.runtime.sim.post, live.node.propose_value, group, value
-            )
+            self._loop.call_soon_threadsafe(clock.post, node.propose_value, group, value)
         return future
 
     def multicast(
@@ -598,19 +522,11 @@ class AtomicMulticast:
         return self.now
 
     def run_for(self, duration: float) -> float:
-        if self._backend == "sim":
-            return self.world.run_for(duration)
-        time.sleep(max(0.0, duration))
-        return self.now
+        return self.run(until=self.now + duration)
 
     @property
     def now(self) -> float:
-        if self._backend == "sim":
-            return self.world.now
-        if self._live is None:
-            return 0.0
-        first = next(iter(self._live.nodes.values()))
-        return first.runtime.now
+        return self._cluster.now
 
     @property
     def backend(self) -> str:
@@ -623,7 +539,6 @@ class AtomicMulticast:
 
     def engine_stats(self) -> Dict[str, Any]:
         """The ordering engine's counters (see :meth:`OrderingEngine.stats`)."""
-        self._require_sim("engine_stats()")
         return self.engine.stats()
 
     @property

@@ -140,6 +140,8 @@ class OrderingEngine(ABC):
     def build(self, runtime, config) -> Any:
         """Bind the engine to ``runtime`` and return its deployment object.
 
+        ``runtime`` is the :class:`~repro.runtime.interfaces.Cluster` the
+        nodes are placed on: the simulated world, or the live cluster.
         Must be called exactly once, before any group is added.  The returned
         object is engine-specific (the Multi-Ring engine returns its
         :class:`~repro.multiring.deployment.Deployment`) and is exposed by the
@@ -173,6 +175,15 @@ class OrderingEngine(ABC):
                via: Optional[str] = None) -> Value:
         """Single-group convenience over :meth:`multicast`."""
         return self.multicast((group,), payload, size_bytes, via=via)
+
+    def next_proposer(self, group: GroupId) -> str:
+        """The node the next submission to ``group`` goes through (round-robin).
+
+        Engines with :attr:`supports_live` implement it: the live facade
+        creates the value on the caller's thread and hands it to this node
+        on the loop thread, instead of calling :meth:`submit`.
+        """
+        raise NotImplementedError(f"engine {self.name!r} does not expose its proposer choice")
 
     @abstractmethod
     def on_deliver(self, group: GroupId, callback: DeliveryCallback,

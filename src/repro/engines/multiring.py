@@ -112,6 +112,9 @@ class MultiRingEngine(OrderingEngine):
             )
         return self.deployment.multicast(self._multi_route, payload, size_bytes, via=via)
 
+    def next_proposer(self, group: GroupId) -> str:
+        return self.deployment.next_proposer(group)
+
     def on_deliver(self, group: GroupId, callback: DeliveryCallback,
                    node: Optional[str] = None) -> str:
         descriptor = self.descriptor(group)

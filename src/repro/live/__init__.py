@@ -22,9 +22,10 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MultiRingConfig
+from repro.multiring.deployment import Deployment, RingSpec
 from repro.obs.metrics import merge_snapshots
 from repro.runtime.interfaces import StorageMode
-from repro.runtime.live import LiveDeployment, LiveRingSpec
+from repro.runtime.live import LiveDeployment
 from repro.services.dlog.state import DLogStateMachine
 
 __all__ = ["run_live_dlog", "run_live"]
@@ -86,25 +87,18 @@ async def run_live_dlog(
         raise ValueError("the live deployment needs at least one node")
     mode = StorageMode.MEMORY if storage == "memory" else StorageMode(storage)
     names = [f"n{i}" for i in range(nodes)]
-    spec = LiveRingSpec(
-        group=GROUP,
-        members=names,
-        coordinator=names[0],
-        storage_mode=mode,
-    )
-    # Rate leveling only matters when merging multiple rings; on the single
-    # smoke ring it would stream λ·Δ skip instances over TCP for nothing.
-    config = MultiRingConfig.datacenter(rate_leveling=False)
-
-    deployment = LiveDeployment(
-        [spec],
-        config=config,
+    cluster = LiveDeployment(
         seed=seed,
         storage_dir=storage_dir,
-        record_deliveries=False,
         tracing=tracing,
         trace_sample=trace_sample,
         serve_http=serve_http,
+    )
+    # Rate leveling only matters when merging multiple rings; on the single
+    # smoke ring it would stream λ·Δ skip instances over TCP for nothing.
+    deployment = Deployment(cluster, MultiRingConfig.datacenter(rate_leveling=False))
+    deployment.add_ring(
+        RingSpec(group=GROUP, members=names, coordinator=names[0], storage_mode=mode)
     )
 
     loop = asyncio.get_running_loop()
@@ -124,9 +118,9 @@ async def run_live_dlog(
             if future is not None and not future.done():
                 future.set_result(tag)
 
-    async with deployment:
+    async with cluster:
         for name in names:
-            deployment.node(name).node.on_deliver(
+            deployment.node(name).on_deliver(
                 lambda d, name=name: on_delivery(name, d), group=GROUP
             )
 
@@ -147,8 +141,10 @@ async def run_live_dlog(
             future = loop.create_future()
             pending[tag] = future
             operation = ("append", LOG, value_size, tag)
-            deployment.multicast(
-                names[index % nodes], GROUP, operation, 64 + value_size
+            via = names[index % nodes]
+            # Submitted from that node's pump, like any other of its events.
+            cluster.node(via).runtime.sim.post(
+                deployment.multicast, GROUP, operation, 64 + value_size, via
             )
             outstanding.add(future)
             if len(outstanding) >= window:
@@ -169,10 +165,10 @@ async def run_live_dlog(
         wall_seconds = time.perf_counter() - started_at
 
         wire_frames = sum(
-            live.runtime.network.frames_sent for live in deployment.nodes.values()
+            live.runtime.network.frames_sent for live in cluster.nodes.values()
         )
         wire_bytes = sum(
-            live.runtime.network.wire_bytes_sent for live in deployment.nodes.values()
+            live.runtime.network.wire_bytes_sent for live in cluster.nodes.values()
         )
 
         # ------------------------------------------------------------------
@@ -182,7 +178,7 @@ async def run_live_dlog(
         endpoints: Dict[str, Dict[str, object]] = {}
         if serve_http:
             for name in names:
-                live = deployment.node(name)
+                live = cluster.node(name)
                 if live.obs_address is None:
                     continue
                 host, port = live.obs_address
@@ -203,7 +199,7 @@ async def run_live_dlog(
         spans: List[Dict[str, object]] = []
         snapshots: Dict[str, Dict[str, object]] = {}
         for name in names:
-            runtime = deployment.node(name).runtime
+            runtime = cluster.node(name).runtime
             spans.extend(runtime.obs.tracer.as_dicts())
             snapshots[name] = runtime.obs.snapshot()
 

@@ -26,7 +26,7 @@ from repro.coordination.registry import Registry, RingDescriptor
 from repro.errors import ConfigurationError, MulticastError
 from repro.multiring.node import MultiRingNode
 from repro.runtime.cpu import CPUConfig
-from repro.runtime.interfaces import Runtime, StableStore, StorageMode
+from repro.runtime.interfaces import Cluster, StableStore, StorageMode
 from repro.types import GroupId, Value
 
 __all__ = ["RingSpec", "Deployment"]
@@ -65,17 +65,23 @@ class RingSpec:
 
 
 class Deployment:
-    """A set of Multi-Ring Paxos nodes and the rings connecting them."""
+    """A set of Multi-Ring Paxos nodes and the rings connecting them.
+
+    The one place a ring declaration becomes a registry entry, nodes and
+    ``join_ring`` calls, on either backend: ``world`` is the
+    :class:`~repro.runtime.interfaces.Cluster` the nodes are placed on (the
+    simulated world, or the live cluster with one runtime per node).
+    """
 
     def __init__(
         self,
-        world: Runtime,
+        world: Cluster,
         config: Optional[MultiRingConfig] = None,
-        registry: Optional[Registry] = None,
     ) -> None:
         self.world = world
         self.config = config or MultiRingConfig.datacenter()
-        self.registry = registry or Registry()
+        #: The one coordination registry every node of this deployment reads.
+        self.registry = Registry()
         self.nodes: Dict[str, MultiRingNode] = {}
         self.rings: Dict[GroupId, RingDescriptor] = {}
         self.ring_specs: Dict[GroupId, RingSpec] = {}
@@ -94,13 +100,14 @@ class Deployment:
         """Create a node (idempotent: an existing node with that name is returned)."""
         if name in self.nodes:
             return self.nodes[name]
+        runtime = self.world.runtime_of(name)
         node = MultiRingNode(
-            self.world,
+            runtime,
             self.registry,
             name,
             config=self.config,
             site=site,
-            cpu_config=cpu_config,
+            cpu_config=cpu_config or runtime.cpu_config,
         )
         self.nodes[name] = node
         return node
@@ -136,6 +143,9 @@ class Deployment:
             raise ConfigurationError(f"ring {spec.group!r} already exists")
         deferred = set(defer_learners or ())
         acceptors = spec.resolved_acceptors()
+        # Placed before the registry is touched: a started live cluster
+        # refuses (its node set fixed the TCP topology).
+        runtimes = [self.world.runtime_of(member) for member in spec.members]
         descriptor = self.registry.register_ring(
             spec.group,
             members_in_ring_order=spec.members,
@@ -146,14 +156,14 @@ class Deployment:
         )
         config = ring_config or self.config.ring.with_storage(spec.storage_mode)
 
-        shared_disk = self.world.new_store(spec.storage_mode) if spec.share_disk else None
+        shared_disk = runtimes[0].new_store(spec.storage_mode) if spec.share_disk else None
         disks: Dict[str, StableStore] = {}
-        for member in spec.members:
+        for member, runtime in zip(spec.members, runtimes):
             site = sites.get(member) if sites else None
             node = self.add_node(member, site=site)
             disk = None
             if member in acceptors:
-                disk = shared_disk if spec.share_disk else self.world.new_store(spec.storage_mode)
+                disk = shared_disk if spec.share_disk else runtime.new_store(spec.storage_mode)
                 if disk is not None:
                     disks[member] = disk
             node.join_ring(
@@ -185,19 +195,17 @@ class Deployment:
     # ------------------------------------------------------------------
     def multicast(self, group: GroupId, payload, size_bytes: int, via: Optional[str] = None) -> Value:
         """Multicast through a proposer of ``group`` (round-robin unless ``via`` is given)."""
-        if group not in self.rings:
-            raise MulticastError(f"unknown group {group!r}")
-        proposer = via or next(self._proposer_rr[group])
-        return self.node(proposer).multicast(group, payload, size_bytes)
+        return self.node(via or self.next_proposer(group)).multicast(group, payload, size_bytes)
+
+    def next_proposer(self, group: GroupId) -> str:
+        """The proposer the next submission to ``group`` goes through (round-robin)."""
+        try:
+            return next(self._proposer_rr[group])
+        except KeyError:
+            raise MulticastError(f"unknown group {group!r}") from None
 
     def learners_of(self, group: GroupId) -> List[MultiRingNode]:
         return [self.node(name) for name in self.ring(group).learners]
 
     def coordinator_of(self, group: GroupId) -> MultiRingNode:
         return self.node(self.ring(group).coordinator)
-
-    def start(self) -> None:
-        self.world.start()
-
-    def run(self, until: Optional[float] = None) -> float:
-        return self.world.run(until=until)

@@ -11,7 +11,7 @@ asynchronous writes.  :class:`AcceptorStorage` models exactly that surface:
 
 * it records promises and votes per instance,
 * persisting a record takes time according to the configured
-  :class:`~repro.sim.disk.StorageMode` (nothing for in-memory, a write-back
+  :class:`~repro.runtime.interfaces.StorageMode` (nothing for in-memory, a write-back
   write for asynchronous modes, a forced write for synchronous modes),
 * it serves retransmission requests for recovering replicas, and
 * it can be trimmed up to an instance; reading a trimmed instance raises
@@ -58,14 +58,8 @@ class AcceptorStorage:
     ) -> None:
         self.sim = sim
         self.mode = mode
-        if disk is None and mode is not StorageMode.MEMORY:
-            # Convenience fallback for direct construction (tests, tools):
-            # deployments resolve the store through ``Runtime.new_store``
-            # before reaching this point.  Imported late so the paxos layer
-            # has no static dependency on the simulator backend.
-            from repro.sim.disk import disk_for_mode
-
-            disk = disk_for_mode(sim, mode)
+        #: Resolved by the caller through ``Runtime.new_store``; ``None``
+        #: persists nothing (in-memory rings).
         self.disk = disk
         self._records: Dict[InstanceId, InstanceRecord] = {}
         self._trimmed_up_to: Optional[InstanceId] = None

@@ -41,6 +41,7 @@ __all__ = [
     "Transport",
     "StableStore",
     "Runtime",
+    "Cluster",
 ]
 
 
@@ -177,6 +178,10 @@ class Runtime(Protocol):
     rng: Any
     trace: Any
     default_site: str
+    #: CPU cost model of the processes this runtime hosts (``None`` = the
+    #: :class:`~repro.runtime.cpu.CPUConfig` defaults; the live backend
+    #: charges nothing, the real CPU charges for itself).
+    cpu_config: Any
 
     @property
     def now(self) -> float: ...
@@ -199,3 +204,16 @@ class Runtime(Protocol):
 
     # -- storage factory -------------------------------------------------
     def new_store(self, mode: StorageMode) -> Optional[Any]: ...
+
+
+@runtime_checkable
+class Cluster(Protocol):
+    """What a deployment builder builds on: named nodes placed on runtimes.
+
+    The simulator's :class:`~repro.sim.world.World` hosts every node itself
+    and answers with itself; the live cluster
+    (:class:`~repro.runtime.live.LiveDeployment`) answers with that node's
+    own :class:`~repro.runtime.live.LiveNodeRuntime`.
+    """
+
+    def runtime_of(self, name: str) -> Runtime: ...

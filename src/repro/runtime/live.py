@@ -27,10 +27,11 @@ Key pieces:
   :class:`~repro.runtime.interfaces.StableStore` surface (``fsync`` for the
   synchronous modes).  Record *content* persistence/recovery in live mode is
   an open item; the store provides real durability timing and accounting.
-* :class:`LiveDeployment` -- builds an N-node deployment in one OS process
-  (every node still talks TCP to every other through its own server socket;
-  ports are ephemeral, so parallel runs never collide).  One node per OS
-  process is the documented open item on the ROADMAP.
+* :class:`LiveDeployment` -- the N-node cluster in one OS process (every
+  node still talks TCP to every other through its own server socket; ports
+  are ephemeral, so parallel runs never collide).  It only places nodes on
+  runtimes and runs them; rings are built on it by the same
+  :class:`~repro.multiring.deployment.Deployment` as on the simulator.
 """
 
 from __future__ import annotations
@@ -41,17 +42,14 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.config import MultiRingConfig, RingConfig
-from repro.coordination.registry import Registry
 from repro.errors import ConfigurationError, NetworkError
-from repro.multiring.node import MultiRingNode
 from repro.obs import Observability
 from repro.obs.http import ObsHTTPServer
 from repro.obs.metrics import Histogram
-from repro.runtime.codec import frame_message, iter_frames
+from repro.runtime.codec import CodecError, frame_message, iter_frames
 from repro.runtime.cpu import CPUConfig
 from repro.runtime.interfaces import StorageMode
 from repro.sim.engine import Simulator
@@ -65,7 +63,6 @@ __all__ = [
     "LiveNodeRuntime",
     "LiveFileStore",
     "RemotePeer",
-    "LiveRingSpec",
     "LiveDeployment",
 ]
 
@@ -212,6 +209,8 @@ class LiveTransport:
         self.messages_delivered = 0
         self.messages_received = 0
         self.messages_dropped = 0
+        #: Inbound connections closed on a malformed frame.
+        self.frames_rejected = 0
         self.bytes_sent = 0
         self.frames_sent = 0
         self.wire_bytes_sent = 0
@@ -314,6 +313,10 @@ class LiveTransport:
                     self._clock.post(process.deliver_message, src, payload)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             return
+        except CodecError:
+            # Whoever sent this does not speak the protocol: drop the
+            # connection, keep serving the others.
+            self.frames_rejected += 1
         finally:
             writer.close()
 
@@ -397,6 +400,9 @@ class LiveFileStore:
 
 class LiveNodeRuntime:
     """The :class:`~repro.runtime.interfaces.Runtime` of one live node."""
+
+    #: The real CPU charges for itself.
+    cpu_config = CPUConfig.free()
 
     def __init__(
         self,
@@ -537,6 +543,7 @@ class LiveNodeRuntime:
             ("mrp_transport_messages_delivered_total", network.messages_delivered),
             ("mrp_transport_messages_received_total", network.messages_received),
             ("mrp_transport_messages_dropped_total", network.messages_dropped),
+            ("mrp_transport_frames_rejected_total", network.frames_rejected),
             ("mrp_transport_bytes_sent_total", network.bytes_sent),
             ("mrp_transport_frames_sent_total", network.frames_sent),
             ("mrp_transport_wire_bytes_sent_total", network.wire_bytes_sent),
@@ -550,73 +557,45 @@ class LiveNodeRuntime:
 
 
 # ----------------------------------------------------------------------
-# deployment builder
+# the live cluster
 # ----------------------------------------------------------------------
 @dataclass
-class LiveRingSpec:
-    """Declarative description of one ring for the live backend."""
-
-    group: str
-    members: List[str]
-    acceptors: Optional[List[str]] = None
-    proposers: Optional[List[str]] = None
-    learners: Optional[List[str]] = None
-    coordinator: Optional[str] = None
-    storage_mode: StorageMode = StorageMode.MEMORY
-
-    def resolved(self, role: str) -> List[str]:
-        explicit = getattr(self, role)
-        return list(explicit) if explicit is not None else list(self.members)
-
-
-@dataclass
 class _LiveNode:
-    """One live node: runtime + server + its MultiRingNode."""
+    """One live node: its runtime and its listeners."""
 
     name: str
     runtime: LiveNodeRuntime
-    registry: Registry
-    node: MultiRingNode
     server: Optional[asyncio.AbstractServer] = None
     address: Optional[Tuple[str, int]] = None
     pump_task: Optional[asyncio.Task] = None
-    deliveries: List[Any] = field(default_factory=list)
     obs_server: Optional[ObsHTTPServer] = None
     obs_address: Optional[Tuple[str, int]] = None
 
 
 class LiveDeployment:
-    """An N-node live deployment inside one OS process.
+    """An N-node live cluster inside one OS process.
 
-    Every node gets its own runtime (clock pump, TCP server, peers) and its
-    own :class:`Registry` built from the shared ring specs -- no in-memory
-    state is shared between nodes, so the same wiring works when nodes later
-    move to separate OS processes (ROADMAP open item).  All inter-node
-    traffic crosses real localhost TCP.
+    The :class:`~repro.runtime.interfaces.Cluster` of the live backend: it
+    places every node on its own runtime (clock pump, TCP server, peers), so
+    all inter-node traffic crosses real localhost TCP.  What runs on the
+    nodes is declared through the same
+    :class:`~repro.multiring.deployment.Deployment` the simulator uses,
+    built on this cluster *before* it starts: the node set fixes the TCP
+    topology.
     """
 
     def __init__(
         self,
-        rings: Sequence[LiveRingSpec],
-        config: Optional[MultiRingConfig] = None,
-        ring_config: Optional[RingConfig] = None,
         host: str = "127.0.0.1",
         seed: int = 0,
         storage_dir: Optional[str] = None,
-        record_deliveries: bool = True,
         tracing: bool = False,
         trace_sample: int = 64,
         serve_http: bool = False,
     ) -> None:
-        if not rings:
-            raise ConfigurationError("a live deployment needs at least one ring")
-        self.rings = list(rings)
-        self.config = config or MultiRingConfig.datacenter()
-        self.ring_config = ring_config
         self.host = host
         self.seed = seed
         self.storage_dir = storage_dir
-        self.record_deliveries = record_deliveries
         self.tracing = tracing
         self.trace_sample = trace_sample
         #: When set, each node serves /metrics, /healthz and /spans/<id> on
@@ -626,29 +605,15 @@ class LiveDeployment:
         self._started = False
 
     # ------------------------------------------------------------------
-    def node_names(self) -> List[str]:
-        names: List[str] = []
-        for spec in self.rings:
-            for member in spec.members:
-                if member not in names:
-                    names.append(member)
-        return names
-
-    def node(self, name: str) -> _LiveNode:
-        try:
-            return self.nodes[name]
-        except KeyError:
-            raise ConfigurationError(f"unknown live node {name!r}") from None
-
-    async def start(self) -> None:
-        """Build every node, bind its server, connect peers, start pumps."""
+    def runtime_of(self, name: str) -> LiveNodeRuntime:
+        """Place node ``name`` (once) and return the runtime hosting it."""
         if self._started:
-            return
-        self._started = True
-        loop = asyncio.get_running_loop()
-        epoch = loop.time()
-
-        for name in self.node_names():
+            raise ConfigurationError(
+                "live rings must be declared before entering the context "
+                "(the node set fixes the TCP topology)"
+            )
+        live = self.nodes.get(name)
+        if live is None:
             runtime = LiveNodeRuntime(
                 name,
                 seed=self.seed,
@@ -656,33 +621,35 @@ class LiveDeployment:
                 tracing=self.tracing,
                 trace_sample=self.trace_sample,
             )
+            live = self.nodes[name] = _LiveNode(name=name, runtime=runtime)
+        return live.runtime
+
+    def node(self, name: str) -> _LiveNode:
+        try:
+            return self.nodes[name]
+        except KeyError:
+            raise ConfigurationError(f"unknown live node {name!r}") from None
+
+    @property
+    def now(self) -> float:
+        """Wall seconds since :meth:`start`, the epoch every node's clock shares."""
+        if not self._started:
+            return 0.0
+        return next(iter(self.nodes.values())).runtime.sim._wall()
+
+    async def start(self) -> None:
+        """Bind every node's server, connect peers, start pumps."""
+        if self._started:
+            return
+        if not self.nodes:
+            raise ConfigurationError("declare at least one ring before starting live nodes")
+        self._started = True
+        loop = asyncio.get_running_loop()
+        epoch = loop.time()
+
+        for live in self.nodes.values():
+            runtime = live.runtime
             runtime.sim.attach(loop, epoch)
-            registry = Registry()
-            for spec in self.rings:
-                registry.register_ring(
-                    spec.group,
-                    members_in_ring_order=spec.members,
-                    proposers=spec.resolved("proposers"),
-                    acceptors=spec.resolved("acceptors"),
-                    learners=spec.resolved("learners"),
-                    coordinator=spec.coordinator,
-                )
-            node = MultiRingNode(
-                runtime,
-                registry,
-                name,
-                config=self.config,
-                cpu_config=CPUConfig.free(),
-            )
-            live = _LiveNode(name=name, runtime=runtime, registry=registry, node=node)
-            for spec in self.rings:
-                if name in spec.members:
-                    ring_config = self.ring_config or self.config.ring.with_storage(
-                        spec.storage_mode
-                    )
-                    node.join_ring(spec.group, ring_config=ring_config)
-            if self.record_deliveries:
-                node.on_deliver(live.deliveries.append)
             server = await asyncio.start_server(
                 runtime.network.handle_connection, self.host, 0
             )
@@ -690,10 +657,9 @@ class LiveDeployment:
             live.address = server.sockets[0].getsockname()[:2]
             if self.serve_http:
                 live.obs_server = ObsHTTPServer(
-                    runtime.obs, name, now=lambda rt=runtime: rt.now
+                    runtime.obs, live.name, now=lambda rt=runtime: rt.now
                 )
                 live.obs_address = await live.obs_server.start(self.host, 0)
-            self.nodes[name] = live
 
         # Everyone knows everyone: process name -> hosting node's address.
         for live in self.nodes.values():
@@ -728,13 +694,6 @@ class LiveDeployment:
             if live.server is not None:
                 await live.server.wait_closed()
         self._started = False
-
-    # ------------------------------------------------------------------
-    def multicast(self, via: str, group: str, payload: Any, size_bytes: int) -> None:
-        """Submit ``payload`` on ``group`` through node ``via`` (thread-unsafe:
-        call from the running event loop, e.g. :meth:`LiveClock.post` bridges)."""
-        live = self.node(via)
-        live.runtime.sim.post(live.node.multicast, group, payload, size_bytes)
 
     async def __aenter__(self) -> "LiveDeployment":
         await self.start()

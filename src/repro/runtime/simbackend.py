@@ -28,7 +28,7 @@ __all__ = ["SimRuntime", "as_runtime"]
 
 #: Attributes a Runtime must expose beyond what ``isinstance`` against the
 #: (non-runtime_checkable-data) protocol can verify.
-_REQUIRED_ATTRS = ("sim", "network", "monitor", "rng", "trace", "default_site")
+_REQUIRED_ATTRS = ("sim", "network", "monitor", "rng", "trace", "default_site", "cpu_config")
 
 
 def as_runtime(world: object) -> Runtime:

@@ -14,47 +14,19 @@ series name (e.g. ``"ring-1"`` or ``"us-west-2"``) so a single run can report
 per-ring or per-region results.
 
 The statistics primitives (:class:`LatencyStats`, :class:`ThroughputTimeline`,
-:func:`percentile`) moved to :mod:`repro.obs.stats` with the observability
-layer.  Importing them through this module still works for one release but
-emits a :class:`DeprecationWarning`; import them from :mod:`repro.obs.stats`.
+:func:`percentile`) live in :mod:`repro.obs.stats`.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.stats import (
-    LatencyStats as _LatencyStats,
-    ThroughputTimeline as _ThroughputTimeline,
-    percentile as _percentile,
-)
+from repro.obs.stats import LatencyStats, ThroughputTimeline, percentile
 
 __all__ = ["Monitor"]
-
-#: One-release deprecation aliases (PEP 562): resolved on attribute access so
-#: merely importing this module stays warning-free.
-_MOVED_TO_OBS_STATS = {
-    "LatencyStats": _LatencyStats,
-    "ThroughputTimeline": _ThroughputTimeline,
-    "percentile": _percentile,
-}
-
-
-def __getattr__(name):
-    moved = _MOVED_TO_OBS_STATS.get(name)
-    if moved is not None:
-        warnings.warn(
-            f"repro.sim.monitor.{name} is deprecated; import it from repro.obs.stats",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return moved
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class Monitor:
     """Collects operation samples for one simulation run.
@@ -70,7 +42,7 @@ class Monitor:
 
     def __init__(self, timeline_window: float = 1.0) -> None:
         self._samples: Dict[str, List[Tuple[float, float, int]]] = defaultdict(list)
-        self._timelines: Dict[str, _ThroughputTimeline] = {}
+        self._timelines: Dict[str, ThroughputTimeline] = {}
         #: Per-series count of samples already folded into the timeline.
         self._timeline_counts: Dict[str, int] = {}
         self._timeline_window = timeline_window
@@ -98,11 +70,11 @@ class Monitor:
         """Record a time-stamped gauge value (e.g. CPU utilization, queue length)."""
         self._gauges[gauge].append((time, value))
 
-    def timeline(self, series: str) -> _ThroughputTimeline:
+    def timeline(self, series: str) -> ThroughputTimeline:
         """The (lazily materialized) throughput timeline for ``series``."""
         timeline = self._timelines.get(series)
         if timeline is None:
-            timeline = _ThroughputTimeline(self._timeline_window)
+            timeline = ThroughputTimeline(self._timeline_window)
             self._timelines[series] = timeline
             self._timeline_counts[series] = 0
         samples = self._samples.get(series)
@@ -145,8 +117,8 @@ class Monitor:
             merged.extend(latency for _, latency, _ in samples)
         return merged
 
-    def latency_stats(self, series: Optional[str] = None) -> _LatencyStats:
-        return _LatencyStats.from_samples(self.latencies(series))
+    def latency_stats(self, series: Optional[str] = None) -> LatencyStats:
+        return LatencyStats.from_samples(self.latencies(series))
 
     def latency_cdf(self, series: Optional[str] = None, points: int = 100) -> List[Tuple[float, float]]:
         """Return ``(latency_seconds, cumulative_fraction)`` pairs."""
@@ -156,7 +128,7 @@ class Monitor:
         cdf = []
         for index in range(points + 1):
             fraction = index / points
-            cdf.append((_percentile(samples, fraction), fraction))
+            cdf.append((percentile(samples, fraction), fraction))
         return cdf
 
     def fraction_below(self, threshold: float, series: Optional[str] = None) -> float:
@@ -235,7 +207,7 @@ class Monitor:
             return 0.0
         return total_bytes * 8 / 1e6 / duration
 
-    def _materialized(self, series: str) -> Optional[_ThroughputTimeline]:
+    def _materialized(self, series: str) -> Optional[ThroughputTimeline]:
         """The series' timeline, or ``None`` for a series never recorded."""
         if series not in self._samples and series not in self._timelines:
             return None

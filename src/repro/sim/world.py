@@ -31,8 +31,12 @@ class World:
     :class:`~repro.runtime.interfaces.Clock`, ``.network`` its
     :class:`~repro.runtime.interfaces.Transport`, and :meth:`new_store`
     builds the timing-model disks behind the
-    :class:`~repro.runtime.interfaces.StableStore` surface.
+    :class:`~repro.runtime.interfaces.StableStore` surface.  It is also its
+    own :class:`~repro.runtime.interfaces.Cluster`: every node runs here.
     """
+
+    #: Hosted processes use the default CPU cost model.
+    cpu_config = None
 
     def __init__(
         self,
@@ -97,6 +101,10 @@ class World:
 
     def process_names(self) -> List[str]:
         return list(self._processes)
+
+    def runtime_of(self, name: str) -> "World":
+        """The runtime hosting node ``name``: the one world hosts them all."""
+        return self
 
     # ------------------------------------------------------------------
     # storage factory (Runtime protocol)

@@ -8,8 +8,9 @@ import threading
 
 import pytest
 
-from repro import AtomicMulticast
-from repro.errors import ConfigurationError
+from repro import AtomicMulticast, engines
+from repro.engines.multiring import MultiRingEngine
+from repro.errors import ConfigurationError, MulticastError
 from repro.runtime.interfaces import StorageMode
 
 
@@ -126,14 +127,6 @@ def test_unknown_engine_error_names_the_registered_ones():
         AtomicMulticast(engine="flexcast")
 
 
-def test_positional_backend_is_deprecated_but_works():
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        am = AtomicMulticast("sim")
-    assert am.backend == "sim"
-    with pytest.raises(TypeError, match="keyword arguments"):
-        AtomicMulticast("sim", "live")  # type: ignore[call-arg]
-
-
 def test_live_backend_refuses_sim_only_engines():
     with pytest.raises(ConfigurationError, match="does not support the live backend"):
         AtomicMulticast(backend="live", engine="whitebox")
@@ -216,3 +209,56 @@ def test_wedged_live_startup_times_out_and_reaps_the_thread(monkeypatch):
     # The wedged deployment was cancelled, not abandoned: no thread survives.
     assert am._thread is None
     assert not _live_threads()
+
+
+# ----------------------------------------------------------------------
+# both backends reach the protocol only through the engine seam
+# ----------------------------------------------------------------------
+class RecordingEngine(MultiRingEngine):
+    """Multi-Ring Paxos with every seam call noted by name."""
+
+    name = "recording"
+    RECORDED = ("add_group", "descriptor", "node", "on_deliver", "submit", "next_proposer")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = set()
+
+    def __getattribute__(self, name):
+        if name in RecordingEngine.RECORDED:
+            object.__getattribute__(self, "calls").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("backend", ["sim", "live"])
+def test_both_backends_build_and_run_through_the_engine_seam(backend):
+    engines.register(RecordingEngine.name, RecordingEngine)
+    try:
+        am = AtomicMulticast(backend=backend, engine=RecordingEngine.name, seed=5)
+        am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
+        assert "add_group" in am.engine.calls
+        with am:
+            future = am.submit("g", "through-the-seam", size_bytes=128)
+            if backend == "sim":
+                am.run_for(1.0)
+            assert future.result(timeout=10.0).value.payload == "through-the-seam"
+            assert [d.value.payload for d in am.deliveries("g")] == ["through-the-seam"]
+            assert am.coordinator_of("g") is am.node("n0")
+        assert {"add_group", "descriptor", "node", "on_deliver"} <= am.engine.calls
+        # The hand-off differs (time is the backend's), the seam does not.
+        assert ("submit" if backend == "sim" else "next_proposer") in am.engine.calls
+    finally:
+        engines.unregister(RecordingEngine.name)
+
+
+def test_live_exit_fails_futures_that_can_no_longer_be_delivered(monkeypatch):
+    from repro.ringpaxos.node import RingHost
+
+    # Proposers that swallow the value: no instance is ever started for it.
+    monkeypatch.setattr(RingHost, "propose_value", lambda self, group, value: value)
+    am = AtomicMulticast(backend="live")
+    am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
+    with am:
+        stranded = am.submit("g", "never-delivered", size_bytes=64)
+    with pytest.raises(MulticastError, match="closed before delivery"):
+        stranded.result(timeout=5.0)

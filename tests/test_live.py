@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import re
+import socket
+from pathlib import Path
 
 import pytest
 
+from repro import AtomicMulticast
+from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.actor import Process
 from repro.runtime.interfaces import StorageMode
 from repro.runtime.live import (
@@ -13,7 +18,6 @@ from repro.runtime.live import (
     LiveDeployment,
     LiveFileStore,
     LiveNodeRuntime,
-    LiveRingSpec,
     RemotePeer,
 )
 from repro.runtime.simbackend import as_runtime
@@ -254,23 +258,59 @@ def test_live_dlog_smoke_with_file_storage(tmp_path):
     assert all(path.stat().st_size > 0 for path in logs)
 
 
-def test_live_deployment_builds_isolated_registries():
+def test_live_nodes_share_nothing_but_tcp():
     async def scenario():
-        deployment = LiveDeployment(
-            [LiveRingSpec(group="g", members=["n0", "n1", "n2"], coordinator="n0")]
-        )
-        async with deployment:
-            registries = [deployment.node(f"n{i}").registry for i in range(3)]
-            assert len({id(registry) for registry in registries}) == 3
-            for registry in registries:
-                descriptor = registry.ring("g")
-                assert descriptor.coordinator == "n0"
-                assert descriptor.quorum_size == 2
-            # Remote members resolve to always-alive peer stubs.
-            runtime = deployment.node("n0").runtime
-            assert isinstance(runtime.get_process("n1"), RemotePeer)
+        cluster = LiveDeployment()
+        deployment = Deployment(cluster)
+        deployment.add_ring(RingSpec(group="g", members=["n0", "n1", "n2"], coordinator="n0"))
+        runtimes = [cluster.node(f"n{i}").runtime for i in range(3)]
+        # Each node runs on its own runtime and clock ...
+        assert len({id(runtime) for runtime in runtimes}) == 3
+        assert len({id(runtime.sim) for runtime in runtimes}) == 3
+        assert [deployment.node(f"n{i}").world for i in range(3)] == runtimes
+        delivered = asyncio.get_running_loop().create_future()
+        async with cluster:
+            # ... where the other members are peer stubs, not objects ...
+            assert isinstance(runtimes[0].get_process("n1"), RemotePeer)
+            deployment.node("n2").on_deliver(delivered.set_result, group="g")
+            runtimes[1].sim.post(deployment.multicast, "g", "append", 64, "n1")
+            assert (await asyncio.wait_for(delivered, 10.0)).value.payload == "append"
+            # ... so everything between them crossed a socket.
+            assert all(runtime.network.frames_sent > 0 for runtime in runtimes)
 
     _run(scenario())
+
+
+def test_malformed_frame_closes_that_connection_only():
+    am = AtomicMulticast(backend="live")
+    am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
+    with am:
+        target = am._cluster.node("n0")
+        with socket.create_connection(target.address, timeout=5.0) as raw:
+            raw.sendall(b"\xff\xff\xff\xffnot a frame")  # length prefix past the cap
+            assert raw.recv(1) == b""  # the node hung up on us
+        assert target.runtime.network.frames_rejected == 1
+        assert am.submit("g", "still serving", size_bytes=64).result(timeout=10.0)
+
+
+# ----------------------------------------------------------------------
+# layering: protocol packages are written against repro.runtime only
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "package", ["paxos", "ringpaxos", "multiring", "smr", "services", "recovery"]
+)
+def test_protocol_package_never_imports_the_simulator(package):
+    import repro
+
+    sim_import = re.compile(
+        r"^\s*(from|import)\s+repro\.sim\b|^\s*from\s+repro\s+import\s+sim\b", re.M
+    )
+    offenders = [
+        str(path)
+        for path in (Path(repro.__file__).parent / package).rglob("*.py")
+        if sim_import.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
 
 
 @pytest.mark.slow

@@ -144,18 +144,6 @@ class TestStats:
         assert stats.p50 == pytest.approx(percentile(samples, 0.50))
         assert stats.maximum == pytest.approx(0.1)
 
-    def test_monitor_stats_aliases_warn_but_resolve(self):
-        import repro.sim.monitor as monitor_module
-
-        with pytest.warns(DeprecationWarning, match="repro.obs.stats"):
-            shim_stats = monitor_module.LatencyStats
-        with pytest.warns(DeprecationWarning, match="repro.obs.stats"):
-            shim_percentile = monitor_module.percentile
-        assert shim_stats is LatencyStats
-        assert shim_percentile is percentile
-        with pytest.raises(AttributeError):
-            monitor_module.no_such_name
-
 
 # ----------------------------------------------------------------------
 # tracer

@@ -7,7 +7,7 @@ from repro.errors import StorageError
 from repro.paxos.single_decree import run_single_decree
 from repro.paxos.storage import AcceptorStorage
 from repro.paxos.types import Ballot, InstanceRecord
-from repro.sim.disk import StorageMode
+from repro.sim.disk import StorageMode, disk_for_mode
 from repro.sim.engine import Simulator
 from repro.sim.world import World
 from repro.types import Value, skip_value
@@ -109,7 +109,8 @@ class TestAcceptorStorage:
 
     def test_sync_disk_mode_delays_callback(self):
         sim = Simulator()
-        storage = AcceptorStorage(sim, mode=StorageMode.SYNC_HDD)
+        mode = StorageMode.SYNC_HDD
+        storage = AcceptorStorage(sim, mode=mode, disk=disk_for_mode(sim, mode))
         times = []
         storage.log_vote(0, Ballot(1, "c"), Value.create("v", 1024), callback=lambda: times.append(sim.now))
         sim.run()

@@ -10,6 +10,11 @@ of 32 KB) and uses Berkeley DB for disk persistence, with synchronous or
 asynchronous writes.  :class:`AcceptorStorage` models exactly that surface:
 
 * it records promises and votes per instance,
+* in :attr:`~repro.runtime.interfaces.StorageMode.MEMORY` mode the log *is*
+  that ring of ``memory_slots`` (``RingConfig.memory_slots``): recording
+  instance ``i`` overwrites the slot of instance ``i - memory_slots``, which
+  from then on reads as trimmed; disk-backed modes keep everything until
+  :meth:`AcceptorStorage.trim`,
 * persisting a record takes time according to the configured
   :class:`~repro.runtime.interfaces.StorageMode` (nothing for in-memory, a write-back
   write for asynchronous modes, a forced write for synchronous modes),
@@ -44,6 +49,7 @@ class AcceptorStorage:
         "mode",
         "disk",
         "_records",
+        "_slots",
         "_trimmed_up_to",
         "_highest_instance",
         "bytes_logged",
@@ -55,12 +61,18 @@ class AcceptorStorage:
         sim: Clock,
         mode: StorageMode = StorageMode.MEMORY,
         disk: Optional[StableStore] = None,
+        memory_slots: Optional[int] = None,
     ) -> None:
+        if memory_slots is not None and memory_slots < 1:
+            raise StorageError("an in-memory log needs at least one slot")
         self.sim = sim
         self.mode = mode
         #: Resolved by the caller through ``Runtime.new_store``; ``None``
         #: persists nothing (in-memory rings).
         self.disk = disk
+        #: Size of the in-memory ring; ``None`` (always, for the disk-backed
+        #: modes) never evicts.
+        self._slots = memory_slots if mode is StorageMode.MEMORY else None
         self._records: Dict[InstanceId, InstanceRecord] = {}
         self._trimmed_up_to: Optional[InstanceId] = None
         self._highest_instance: Optional[InstanceId] = None
@@ -86,8 +98,21 @@ class AcceptorStorage:
             raise StorageError(f"instance {instance} has been trimmed")
         record = self._records.get(instance)
         if record is None:
-            record = InstanceRecord(instance)
-            self._records[instance] = record
+            record = self._new_record(instance)
+        return record
+
+    def _new_record(self, instance: InstanceId) -> InstanceRecord:
+        """Take a slot for ``instance``, evicting the one ``memory_slots`` behind it."""
+        record = self._records[instance] = InstanceRecord(instance)
+        slots = self._slots
+        if slots is not None and instance >= slots:
+            evicted = instance - slots
+            self._records.pop(evicted, None)
+            if self._trimmed_up_to is None or evicted > self._trimmed_up_to:
+                self._trimmed_up_to = evicted
+            if len(self._records) > slots:
+                # A jump in the instance sequence left records below the floor.
+                self.trim(evicted)
         return record
 
     def has_instance(self, instance: InstanceId) -> bool:
@@ -204,8 +229,7 @@ class AcceptorStorage:
         record = self._records.get(instance)
         if record is None or record.accepted_value is None:
             if record is None:
-                record = InstanceRecord(instance)
-                self._records[instance] = record
+                record = self._new_record(instance)
             record.accept(ballot, value)
             if self._highest_instance is None or instance > self._highest_instance:
                 self._highest_instance = instance

@@ -94,7 +94,10 @@ class RingRole:
                 # real append log (or nothing for in-memory rings).
                 disk = host.world.new_store(self.config.storage_mode)
             self.storage = AcceptorStorage(
-                host.world.sim, mode=self.config.storage_mode, disk=disk
+                host.world.sim,
+                mode=self.config.storage_mode,
+                disk=disk,
+                memory_slots=self.config.memory_slots,
             )
 
         # Coordinator state.
@@ -739,7 +742,11 @@ class RingRole:
         if self.storage is not None and self.storage.mode is StorageMode.MEMORY:
             # In-memory acceptor state does not survive a crash.
             trimmed = self.storage.trimmed_up_to
-            self.storage = AcceptorStorage(self.host.world.sim, mode=StorageMode.MEMORY)
+            self.storage = AcceptorStorage(
+                self.host.world.sim,
+                mode=StorageMode.MEMORY,
+                memory_slots=self.config.memory_slots,
+            )
             if trimmed is not None:
                 self.storage.trim(trimmed)
         # Volatile coordinator state: the pending batch, the queue of starts

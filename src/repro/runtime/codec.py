@@ -32,8 +32,10 @@ types take fresh ids, so two builds sharing a version byte agree on every id.
 from __future__ import annotations
 
 import struct
-from dataclasses import fields, is_dataclass
-from typing import Any, Dict, Tuple, Type
+from dataclasses import fields
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
 
 from repro.errors import ReproError
 
@@ -43,8 +45,6 @@ __all__ = [
     "WIRE_TYPES",
     "encode_value",
     "decode_value",
-    "encode_frame",
-    "decode_frame",
     "frame_message",
     "iter_frames",
 ]
@@ -143,25 +143,27 @@ def _wire_types() -> Dict[int, Type]:
     }
 
 
-_BY_ID: Dict[int, Type] = {}
-_BY_CLS: Dict[Type, int] = {}
-_FIELDS: Dict[Type, Tuple[str, ...]] = {}
+#: class id -> (class, number of fields); class -> (tag + id header, fields getter).
+_BY_ID: Dict[int, Tuple[Type, int]] = {}
+_BY_CLS: Dict[Type, Tuple[bytes, Callable[[Any], Tuple[Any, ...]]]] = {}
 
 
 def _ensure_registry() -> None:
     if _BY_ID:
         return
-    table = _wire_types()
-    for class_id, cls in table.items():
-        _BY_ID[class_id] = cls
-        _BY_CLS[cls] = class_id
-        _FIELDS[cls] = tuple(f.name for f in fields(cls))
+    for class_id, cls in _wire_types().items():
+        names = [f.name for f in fields(cls)]
+        getter = attrgetter(*names)
+        if len(names) == 1:  # attrgetter of one name returns the bare value
+            getter = lambda value, _get=getter: (_get(value),)  # noqa: E731
+        _BY_ID[class_id] = (cls, len(names))
+        _BY_CLS[cls] = (_pack_BH(_T_DATACLASS, class_id), getter)
 
 
 def WIRE_TYPES() -> Dict[int, Type]:
     """The registered ``class id -> dataclass`` table (for tests and tools)."""
     _ensure_registry()
-    return dict(_BY_ID)
+    return {class_id: cls for class_id, (cls, _) in _BY_ID.items()}
 
 
 # ----------------------------------------------------------------------
@@ -182,89 +184,92 @@ _T_SET = 0x0B
 _T_FROZENSET = 0x0C
 _T_DATACLASS = 0x0D
 
-_pack_q = struct.Struct("!q").pack
-_pack_d = struct.Struct("!d").pack
+# One tag byte packed together with what always follows it.
+_pack_Bq = struct.Struct("!Bq").pack
+_pack_Bd = struct.Struct("!Bd").pack
+_pack_BI = struct.Struct("!BI").pack
+_pack_BH = struct.Struct("!BH").pack
 _pack_I = struct.Struct("!I").pack
-_pack_H = struct.Struct("!H").pack
+_pack_I_into = struct.Struct("!I").pack_into
 _unpack_q = struct.Struct("!q").unpack_from
 _unpack_d = struct.Struct("!d").unpack_from
 _unpack_I = struct.Struct("!I").unpack_from
 _unpack_H = struct.Struct("!H").unpack_from
 
+#: Tag of a counted run of items -> what collects the decoded items.
+_COLLECTIONS = {_T_TUPLE: tuple, _T_LIST: list, _T_SET: set, _T_FROZENSET: frozenset}
+
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
+#: What a decoder can hit on bytes no encoder produced (truncated body, bad
+#: UTF-8, a field count that does not fit the class, nesting without end).
+_MALFORMED = (IndexError, struct.error, UnicodeDecodeError, TypeError, ValueError, RecursionError)
 
-def _encode_into(out: bytearray, value: Any) -> None:
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is int:
-        if _INT64_MIN <= value <= _INT64_MAX:
-            out.append(_T_INT64)
-            out += _pack_q(value)
+
+def _encode_run(out: bytearray, values: Iterable[Any]) -> None:
+    """Append the encoding of each of ``values`` to ``out``.
+
+    One call encodes a whole run -- the fields of a dataclass, the items of
+    a tuple -- with the leaf types handled in the loop, so a ring message
+    costs one call per container instead of one per node.
+    """
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            raw = value.encode("utf-8")
+            out += _pack_BI(_T_STR, len(raw))
+            out += raw
+        elif kind is int:
+            if _INT64_MIN <= value <= _INT64_MAX:
+                out += _pack_Bq(_T_INT64, value)
+            else:
+                raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+                out += _pack_BI(_T_BIGINT, len(raw))
+                out += raw
+        elif value is None:
+            out.append(_T_NONE)
+        elif kind is float:
+            out += _pack_Bd(_T_FLOAT, value)
+        elif kind is bool:
+            out.append(_T_TRUE if value else _T_FALSE)
+        elif (registered := _BY_CLS.get(kind)) is not None:
+            header, fields_of = registered
+            out += header
+            _encode_run(out, fields_of(value))
+        elif kind is tuple:
+            out += _pack_BI(_T_TUPLE, len(value))
+            _encode_run(out, value)
+        elif kind is list:
+            out += _pack_BI(_T_LIST, len(value))
+            _encode_run(out, value)
+        elif kind is frozenset or kind is set:
+            out += _pack_BI(_T_SET if kind is set else _T_FROZENSET, len(value))
+            if len(value) < 2:
+                _encode_run(out, value)
+            else:
+                # Sorted by encoding for byte stability.
+                for raw in sorted(_encode_value_bytes(item) for item in value):
+                    out += raw
+        elif kind is dict:
+            out += _pack_BI(_T_DICT, len(value))
+            items = value.items()
+            if all(type(key) is str for key in value):
+                # Sorted for byte stability (wire dicts are string-keyed).
+                items = sorted(items)
+            _encode_run(out, chain.from_iterable(items))
+        elif kind is bytes or kind is bytearray:
+            out += _pack_BI(_T_BYTES, len(value))
+            out += value
         else:
-            raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-            out.append(_T_BIGINT)
-            out += _pack_I(len(raw))
-            out += raw
-    elif type(value) is float:
-        out.append(_T_FLOAT)
-        out += _pack_d(value)
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        out += _pack_I(len(raw))
-        out += raw
-    elif type(value) is bytes or type(value) is bytearray:
-        out.append(_T_BYTES)
-        out += _pack_I(len(value))
-        out += value
-    elif type(value) is tuple:
-        out.append(_T_TUPLE)
-        out += _pack_I(len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif type(value) is list:
-        out.append(_T_LIST)
-        out += _pack_I(len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        out += _pack_I(len(value))
-        items = value.items()
-        if all(type(k) is str for k in value):
-            # Sorted for byte stability (wire dicts are string-keyed).
-            items = sorted(items)
-        for key, item in items:
-            _encode_into(out, key)
-            _encode_into(out, item)
-    elif type(value) is set or type(value) is frozenset:
-        out.append(_T_SET if type(value) is set else _T_FROZENSET)
-        encoded = sorted(_encode_value_bytes(item) for item in value)
-        out += _pack_I(len(encoded))
-        for raw in encoded:
-            out += raw
-    else:
-        cls = type(value)
-        class_id = _BY_CLS.get(cls)
-        if class_id is None:
             raise CodecError(
-                f"cannot encode {cls.__module__}.{cls.__qualname__}: not a registered wire type"
+                f"cannot encode {kind.__module__}.{kind.__qualname__}: not a registered wire type"
             )
-        out.append(_T_DATACLASS)
-        out += _pack_H(class_id)
-        for name in _FIELDS[cls]:
-            _encode_into(out, getattr(value, name))
 
 
 def _encode_value_bytes(value: Any) -> bytes:
     buf = bytearray()
-    _encode_into(buf, value)
+    _encode_run(buf, (value,))
     return bytes(buf)
 
 
@@ -274,143 +279,141 @@ def encode_value(value: Any) -> bytes:
     return _encode_value_bytes(value)
 
 
-def _decode_from(data: bytes, offset: int) -> Tuple[Any, int]:
-    tag = data[offset]
-    offset += 1
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_INT64:
-        return _unpack_q(data, offset)[0], offset + 8
-    if tag == _T_BIGINT:
-        (length,) = _unpack_I(data, offset)
-        offset += 4
-        return int.from_bytes(data[offset : offset + length], "big", signed=True), offset + length
-    if tag == _T_FLOAT:
-        return _unpack_d(data, offset)[0], offset + 8
-    if tag == _T_STR:
-        (length,) = _unpack_I(data, offset)
-        offset += 4
-        return data[offset : offset + length].decode("utf-8"), offset + length
-    if tag == _T_BYTES:
-        (length,) = _unpack_I(data, offset)
-        offset += 4
-        return bytes(data[offset : offset + length]), offset + length
-    if tag == _T_TUPLE or tag == _T_LIST:
-        (count,) = _unpack_I(data, offset)
-        offset += 4
-        items = []
-        for _ in range(count):
-            item, offset = _decode_from(data, offset)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), offset
-    if tag == _T_DICT:
-        (count,) = _unpack_I(data, offset)
-        offset += 4
-        result = {}
-        for _ in range(count):
-            key, offset = _decode_from(data, offset)
-            item, offset = _decode_from(data, offset)
-            result[key] = item
-        return result, offset
-    if tag == _T_SET or tag == _T_FROZENSET:
-        (count,) = _unpack_I(data, offset)
-        offset += 4
-        items = []
-        for _ in range(count):
-            item, offset = _decode_from(data, offset)
-            items.append(item)
-        return (set(items) if tag == _T_SET else frozenset(items)), offset
-    if tag == _T_DATACLASS:
-        (class_id,) = _unpack_H(data, offset)
-        offset += 2
-        cls = _BY_ID.get(class_id)
-        if cls is None:
-            raise CodecError(f"unknown wire class id {class_id}")
-        values = []
-        for _ in _FIELDS[cls]:
-            item, offset = _decode_from(data, offset)
-            values.append(item)
-        return cls(*values), offset
-    raise CodecError(f"unknown value tag 0x{tag:02x} at offset {offset - 1}")
+def _decode_run(data, offset: int, count: int) -> Tuple[List[Any], int]:
+    """Decode ``count`` consecutive values of ``data`` starting at ``offset``.
+
+    The mirror of :func:`_encode_run`: returns the values and the offset
+    after the last one.  ``data`` may be ``bytes`` or the receive
+    ``bytearray``; nothing decoded aliases it.
+    """
+    items: List[Any] = []
+    append = items.append
+    for _ in range(count):
+        tag = data[offset]
+        if tag == _T_STR:
+            start = offset + 5
+            offset = start + _unpack_I(data, offset + 1)[0]
+            append(str(data[start:offset], "utf-8"))
+        elif tag == _T_INT64:
+            append(_unpack_q(data, offset + 1)[0])
+            offset += 9
+        elif tag == _T_NONE:
+            append(None)
+            offset += 1
+        elif tag == _T_DATACLASS:
+            class_id = _unpack_H(data, offset + 1)[0]
+            entry = _BY_ID.get(class_id)
+            if entry is None:
+                raise CodecError(f"unknown wire class id {class_id}")
+            values, offset = _decode_run(data, offset + 3, entry[1])
+            append(entry[0](*values))
+        elif tag == _T_FLOAT:
+            append(_unpack_d(data, offset + 1)[0])
+            offset += 9
+        elif tag == _T_FALSE:
+            append(False)
+            offset += 1
+        elif tag == _T_TRUE:
+            append(True)
+            offset += 1
+        elif (collect := _COLLECTIONS.get(tag)) is not None:
+            values, offset = _decode_run(data, offset + 5, _unpack_I(data, offset + 1)[0])
+            append(collect(values))
+        elif tag == _T_DICT:
+            values, offset = _decode_run(data, offset + 5, 2 * _unpack_I(data, offset + 1)[0])
+            append(dict(zip(values[0::2], values[1::2])))
+        elif tag == _T_BYTES:
+            start = offset + 5
+            offset = start + _unpack_I(data, offset + 1)[0]
+            append(bytes(data[start:offset]))
+        elif tag == _T_BIGINT:
+            start = offset + 5
+            offset = start + _unpack_I(data, offset + 1)[0]
+            append(int.from_bytes(data[start:offset], "big", signed=True))
+        else:
+            raise CodecError(f"unknown value tag 0x{tag:02x} at offset {offset}")
+    return items, offset
+
+
+def _decode_exactly(data, offset: int, end: int, count: int) -> List[Any]:
+    """The ``count`` values that occupy ``data[offset:end]`` exactly."""
+    try:
+        values, offset = _decode_run(data, offset, count)
+    except _MALFORMED as exc:
+        raise CodecError(f"malformed value: {exc!r}") from exc
+    if offset != end:
+        raise CodecError(f"trailing garbage after value: {end - offset} bytes")
+    return values
 
 
 def decode_value(data: bytes) -> Any:
     """Decode one value produced by :func:`encode_value` (must consume all bytes)."""
     _ensure_registry()
-    value, offset = _decode_from(data, 0)
-    if offset != len(data):
-        raise CodecError(f"trailing garbage after value: {len(data) - offset} bytes")
-    return value
+    return _decode_exactly(data, 0, len(data), 1)[0]
 
 
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def encode_frame(body: bytes) -> bytes:
-    """Wrap ``body`` in a length prefix and the codec version byte."""
-    return _pack_I(len(body) + 1) + bytes([CODEC_VERSION]) + body
+#: How the body of a transport frame starts: the tuple header of
+#: ``(src, dst, payload)``; and the same behind a length placeholder and the
+#: version byte.
+_TRIPLE = _pack_BI(_T_TUPLE, 3)
+_MESSAGE_PREFIX = b"\x00\x00\x00\x00" + bytes([CODEC_VERSION]) + _TRIPLE
 
 
-def decode_frame(data, offset: int = 0) -> Tuple[bytes, int]:
-    """Extract one frame from ``data`` starting at ``offset``.
+def _frame_end(data, offset: int) -> int:
+    """Where the frame starting at ``offset`` ends; 0 while it is incomplete.
 
-    Returns ``(body, consumed)``; ``(b"", 0)`` when ``data`` does not yet
-    hold a complete frame.  The length prefix covers version byte + body --
-    the *encoded length contract* the framing tests pin down.  ``data`` may
-    be ``bytes`` or a ``bytearray`` (the receive buffer); only the body is
-    copied out.
+    The length prefix covers version byte + body -- the *encoded length
+    contract* the framing tests pin down.
     """
-    if len(data) - offset < 4:
-        return b"", 0
+    available = len(data) - offset
+    if available < 4:
+        return 0
     (length,) = _unpack_I(data, offset)
     if length > MAX_FRAME_BYTES:
         raise CodecError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap")
     if length < 1:
         raise CodecError("empty frame (missing version byte)")
-    if len(data) - offset < 4 + length:
-        return b"", 0
+    if available < 4 + length:
+        return 0
     version = data[offset + 4]
     if version != CODEC_VERSION:
         raise CodecError(
             f"codec version mismatch: peer speaks v{version}, this build speaks v{CODEC_VERSION}"
         )
-    return bytes(data[offset + 5 : offset + 4 + length]), 4 + length
+    return offset + 4 + length
 
 
 def frame_message(src: str, dst: str, payload: Any) -> bytes:
     """Encode one transport message (sender, receiver, payload) as a frame."""
-    return encode_frame(encode_value((src, dst, payload)))
+    _ensure_registry()
+    out = bytearray(_MESSAGE_PREFIX)
+    _encode_run(out, (src, dst, payload))
+    _pack_I_into(out, 0, len(out) - 4)
+    return bytes(out)
 
 
 def iter_frames(buffer: bytearray):
     """Yield ``(src, dst, payload)`` for every complete frame in ``buffer``.
 
-    Consumed bytes are removed from ``buffer`` in place; a trailing partial
-    frame is left for the next read.  Frames are parsed at an advancing
-    offset and the buffer trimmed once per call (a 64 KiB read full of
-    small frames would otherwise recopy the whole buffer per frame).
+    Frames are decoded in place at an advancing offset and the consumed
+    bytes removed from ``buffer`` once per call; a trailing partial frame is
+    left for the next read.
     """
+    _ensure_registry()
     offset = 0
     try:
         while True:
-            body, consumed = decode_frame(buffer, offset)
-            if not consumed:
+            end = _frame_end(buffer, offset)
+            if not end:
                 return
-            offset += consumed
-            value = decode_value(body)
-            if not (isinstance(value, tuple) and len(value) == 3):
+            if not buffer.startswith(_TRIPLE, offset + 5):
                 raise CodecError("malformed transport frame: expected (src, dst, payload)")
-            yield value
+            values = _decode_exactly(buffer, offset + 10, end, 3)
+            offset = end
+            yield tuple(values)
     finally:
         if offset:
             del buffer[:offset]
-
-
-def is_registered(value: Any) -> bool:
-    """True when ``value``'s type is a registered wire dataclass."""
-    _ensure_registry()
-    return is_dataclass(value) and type(value) in _BY_CLS

@@ -1,13 +1,32 @@
-"""Live runtime backend: asyncio tasks over real localhost TCP.
+"""Live runtime backend: asyncio callbacks over real localhost TCP.
 
 This is the second implementation of the runtime protocols
 (:mod:`repro.runtime.interfaces`).  Where the simulator runs the whole
-deployment inside one virtual clock, the live backend runs **each node as an
-asyncio task set** -- a clock pump, a TCP server, and one writer task per
-peer connection -- and ships every protocol message through the versioned
-:mod:`repro.runtime.codec` over length-prefixed TCP.  The protocol stack
+deployment inside one virtual clock, the live backend gives **each node** a
+clock pump, a TCP server and one outbound connection per peer, and ships
+every protocol message through the versioned :mod:`repro.runtime.codec`
+over length-prefixed TCP.  The protocol stack
 (:class:`~repro.multiring.node.MultiRingNode` and everything beneath it)
 runs **unchanged**.
+
+A message crossing TCP costs one decode, one handler run and one encode,
+with no task woken per message and nothing awaited on the way:
+
+1. the server side's ``data_received`` appends the chunk to that
+   connection's receive buffer, decodes every complete frame in it and
+   hands ``deliver_message`` to :meth:`LiveClock.post` for each;
+2. the clock pump runs the handlers; what they send to a remote process is
+   encoded into that peer's send buffer;
+3. the first frame buffered in an event-loop turn arms one ``call_soon``
+   flush, which hands each filled buffer to its socket in a **single**
+   ``write``: a burst of handlers costs one ``send(2)`` per peer, and a lone
+   message leaves in the turn that produced it.
+
+What bounds the buffers: a receive buffer holds one partial frame (at most
+``MAX_FRAME_BYTES``) beyond the chunk being decoded; a send buffer holds one
+turn's frames -- or, while its connection is being (re)dialled or the kernel
+pushes back, what the ring's pipeline window lets the node send before it
+stalls on the missing replies.
 
 Key pieces:
 
@@ -16,9 +35,9 @@ Key pieces:
   that push heap entries directly keep working.  An asyncio pump executes
   due events and sleeps until the next deadline.
 * :class:`LiveTransport` -- FIFO-per-channel messaging: local processes are
-  delivered through the clock, remote ones through one ordered TCP stream
-  per peer (one writer task each, mirroring the paper's per-ring TCP
-  connections).
+  delivered through the clock, remote ones over one ordered TCP connection
+  per peer node (mirroring the paper's per-ring TCP connections), dialled on
+  first use and dialled again when it is lost.
 * :class:`LiveNodeRuntime` -- the per-node :class:`Runtime`: clock +
   transport + monitor/rng/trace + the process registry.  Remote ring members
   appear as always-alive :class:`RemotePeer` stubs (live failure detection
@@ -69,10 +88,6 @@ __all__ = [
 #: How many due events the clock pump executes before yielding to the event
 #: loop so socket reads/writes make progress under bursty load.
 _PUMP_BATCH = 512
-
-#: Sentinel closing a peer writer task.
-_CLOSE = object()
-
 
 class LiveClock(Simulator):
     """Wall-clock event pacer sharing the simulator's scheduling contract.
@@ -187,30 +202,133 @@ class RemotePeer:
         return f"RemotePeer({self.name!r})"
 
 
+class _PeerLink(asyncio.Protocol):
+    """The one ordered outbound connection to a peer node.
+
+    Frames wait in ``buffer`` until the transport's flush hands the whole
+    buffer to the socket: while the connection is being dialled, while the
+    kernel pushes back (``pause_writing``), and after a lost connection
+    until the redial succeeds.  A buffer is only ever appended to and
+    written whole, which is what keeps the channel FIFO.
+    """
+
+    def __init__(self, network: "LiveTransport", address: Tuple[str, int]) -> None:
+        self.network = network
+        self.address = address
+        self.buffer = bytearray()
+        self.transport: Optional[asyncio.Transport] = None
+        self.paused = False
+        self.dial: Optional[asyncio.Task] = None
+
+    def flush(self) -> None:
+        if self.transport is None:
+            if self.dial is None and not self.network.closed:
+                self.dial = asyncio.get_running_loop().create_task(self._dial())
+        elif self.buffer and not self.paused and not self.transport.is_closing():
+            # Ownership of the bytearray moves to the socket transport.  (A
+            # transport that is already closing would drop it: keep it for
+            # the redial its ``connection_lost`` is about to start.)
+            self.transport.write(self.buffer)
+            self.buffer = bytearray()
+
+    async def _dial(self) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                await loop.create_connection(lambda: self, *self.address)
+                return
+            except OSError:
+                await asyncio.sleep(0.05)  # peer server not up (again) yet
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.dial = None  # a later loss starts a fresh one
+        self.flush()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+        self.paused = False
+        if self.network.closed:
+            return
+        self.network.connections_lost += 1
+        if self.buffer:
+            self.flush()  # no send may come to arm one
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.flush()
+
+    def close(self) -> None:
+        if self.dial is not None:
+            self.dial.cancel()
+        if self.transport is not None:
+            self.transport.close()  # sends what it was handed, then FIN
+
+
+class _Inbound(asyncio.Protocol):
+    """Server side of one peer's connection: decode frames, deliver locally."""
+
+    def __init__(self, network: "LiveTransport") -> None:
+        self.network = network
+        self.buffer = bytearray()
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        network = self.network
+        processes = network._processes
+        self.buffer += data
+        try:
+            for src, dst, payload in iter_frames(self.buffer):
+                network.messages_received += 1
+                process = processes.get(dst)
+                if process is None or not process.alive:
+                    network.messages_dropped += 1
+                    continue
+                network._clock.post(process.deliver_message, src, payload)
+        except CodecError:
+            # Whoever sent this does not speak the protocol: drop the
+            # connection, keep serving the others.
+            network.frames_rejected += 1
+            self.transport.close()
+
+
 class LiveTransport:
     """FIFO-per-channel transport over localhost TCP.
 
     Local destinations are delivered through the clock (preserving FIFO via
     the calendar queue's tie-break); remote destinations are framed by the
-    codec and written to one ordered connection per peer node, so every
-    ``(src, dst)`` channel is FIFO end to end -- the same guarantee the
-    simulator's network model provides and TCP gives the paper's system.
+    codec into one buffer per peer node, and every buffer filled during an
+    event-loop turn leaves in a single write on that peer's one ordered
+    connection, so every ``(src, dst)`` channel is FIFO end to end -- the
+    same guarantee the simulator's network model provides and TCP gives the
+    paper's system.
     """
 
     def __init__(self, clock: LiveClock) -> None:
         self._clock = clock
         self._processes: Dict[str, Any] = {}
         self._sites: Dict[str, str] = {}
-        #: Remote process name -> (host, port) of its node's server.
-        self._addresses: Dict[str, Tuple[str, int]] = {}
-        self._send_queues: Dict[Tuple[str, int], asyncio.Queue] = {}
-        self._writer_tasks: Dict[Tuple[str, int], asyncio.Task] = {}
+        #: Node server address -> the one connection to it; remote process
+        #: name -> the link of its node.
+        self._peers: Dict[Tuple[str, int], _PeerLink] = {}
+        self._links: Dict[str, _PeerLink] = {}
+        #: Links whose buffer went non-empty since the last flush.
+        self._dirty: List[_PeerLink] = []
+        self.closed = False
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_received = 0
         self.messages_dropped = 0
         #: Inbound connections closed on a malformed frame.
         self.frames_rejected = 0
+        #: Outbound connections that went away under us (each is redialled).
+        self.connections_lost = 0
         self.bytes_sent = 0
         self.frames_sent = 0
         self.wire_bytes_sent = 0
@@ -238,99 +356,45 @@ class LiveTransport:
             else:
                 self.messages_dropped += 1
             return
-        address = self._addresses.get(dst)
-        if address is None:
+        link = self._links.get(dst)
+        if link is None:
             self.messages_dropped += 1
             return
         frame = frame_message(src, dst, payload)
         self.frames_sent += 1
         self.wire_bytes_sent += len(frame)
-        self._queue_for(address).put_nowait(frame)
+        if not link.buffer:
+            if not self._dirty:
+                # Not through the clock: the flush is no protocol event, and
+                # it must also run for sends made outside a pump callback.
+                asyncio.get_running_loop().call_soon(self._flush)
+            self._dirty.append(link)
+        link.buffer += frame
+
+    def _flush(self) -> None:
+        """Hand every buffer filled this loop turn to its socket, one write each."""
+        dirty, self._dirty = self._dirty, []
+        for link in dirty:
+            link.flush()
 
     # -- peer wiring ------------------------------------------------------
     def set_peer(self, name: str, address: Tuple[str, int]) -> None:
-        self._addresses[name] = address
+        """Route ``name`` over the (lazily dialled) connection to ``address``."""
+        link = self._peers.get(address)
+        if link is None:
+            link = self._peers[address] = _PeerLink(self, address)
+        self._links[name] = link
 
-    def peer_names(self) -> List[str]:
-        return list(self._addresses)
+    def accept(self) -> asyncio.Protocol:
+        """Protocol factory for this node's server (``loop.create_server``)."""
+        return _Inbound(self)
 
-    def _queue_for(self, address: Tuple[str, int]) -> asyncio.Queue:
-        queue = self._send_queues.get(address)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._send_queues[address] = queue
-            self._writer_tasks[address] = asyncio.get_running_loop().create_task(
-                self._writer(address, queue)
-            )
-        return queue
-
-    async def _writer(self, address: Tuple[str, int], queue: asyncio.Queue) -> None:
-        """Drain ``queue`` onto one ordered connection to ``address``."""
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            while True:
-                frame = await queue.get()
-                if frame is _CLOSE:
-                    return
-                while writer is None:
-                    try:
-                        _, writer = await asyncio.open_connection(*address)
-                    except OSError:
-                        await asyncio.sleep(0.05)  # peer server not up yet
-                writer.write(frame)
-                # Coalesce whatever queued up while awaiting: one syscall.
-                closing = False
-                while not queue.empty():
-                    extra = queue.get_nowait()
-                    if extra is _CLOSE:
-                        closing = True
-                        break
-                    writer.write(extra)
-                await writer.drain()
-                if closing:
-                    return
-        finally:
-            if writer is not None:
-                writer.close()
-
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Server side: decode frames and deliver to local processes."""
-        buffer = bytearray()
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                buffer += chunk
-                for src, dst, payload in iter_frames(buffer):
-                    self.messages_received += 1
-                    process = self._processes.get(dst)
-                    if process is None or not process.alive:
-                        self.messages_dropped += 1
-                        continue
-                    self._clock.post(process.deliver_message, src, payload)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            return
-        except CodecError:
-            # Whoever sent this does not speak the protocol: drop the
-            # connection, keep serving the others.
-            self.frames_rejected += 1
-        finally:
-            writer.close()
-
-    async def close(self) -> None:
-        for queue in self._send_queues.values():
-            queue.put_nowait(_CLOSE)
-        tasks = list(self._writer_tasks.values())
-        for task in tasks:
-            try:
-                await asyncio.wait_for(task, timeout=1.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                task.cancel()
-        self._send_queues.clear()
-        self._writer_tasks.clear()
+    def close(self) -> None:
+        """Write out what is buffered and close every connection."""
+        self.closed = True  # from here on nothing is dialled
+        self._flush()
+        for link in self._peers.values():
+            link.close()
 
 
 class LiveFileStore:
@@ -544,6 +608,7 @@ class LiveNodeRuntime:
             ("mrp_transport_messages_received_total", network.messages_received),
             ("mrp_transport_messages_dropped_total", network.messages_dropped),
             ("mrp_transport_frames_rejected_total", network.frames_rejected),
+            ("mrp_transport_connections_lost_total", network.connections_lost),
             ("mrp_transport_bytes_sent_total", network.bytes_sent),
             ("mrp_transport_frames_sent_total", network.frames_sent),
             ("mrp_transport_wire_bytes_sent_total", network.wire_bytes_sent),
@@ -650,9 +715,7 @@ class LiveDeployment:
         for live in self.nodes.values():
             runtime = live.runtime
             runtime.sim.attach(loop, epoch)
-            server = await asyncio.start_server(
-                runtime.network.handle_connection, self.host, 0
-            )
+            server = await loop.create_server(runtime.network.accept, self.host, 0)
             live.server = server
             live.address = server.sockets[0].getsockname()[:2]
             if self.serve_http:
@@ -681,7 +744,7 @@ class LiveDeployment:
                 live.server.close()
             if live.obs_server is not None:
                 await live.obs_server.close()
-            await live.runtime.network.close()
+            live.runtime.network.close()
         for live in self.nodes.values():
             live.runtime.sim.stop()
             if live.pump_task is not None:

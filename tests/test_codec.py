@@ -12,6 +12,7 @@ Every registered wire dataclass must
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -52,9 +53,7 @@ from repro.runtime.codec import (
     CODEC_VERSION,
     CodecError,
     WIRE_TYPES,
-    decode_frame,
     decode_value,
-    encode_frame,
     encode_value,
     frame_message,
     iter_frames,
@@ -212,21 +211,20 @@ def test_every_registered_type_is_covered():
 def test_frame_length_contract():
     rng = random.Random(1)
     for message in _samples(rng):
-        body = encode_value(message)
-        frame = encode_frame(body)
+        frame = frame_message("a", "b", message)
         # !I prefix counts version byte + body, nothing more.
-        assert int.from_bytes(frame[:4], "big") == len(body) + 1
+        assert int.from_bytes(frame[:4], "big") == len(frame) - 4
         assert frame[4] == CODEC_VERSION
-        decoded_body, consumed = decode_frame(frame)
-        assert consumed == len(frame)
-        assert decoded_body == body
+        assert frame[5:] == encode_value(("a", "b", message))
+        buffer = bytearray(frame)
+        assert list(iter_frames(buffer)) == [("a", "b", message)] and not buffer
 
 
 def test_partial_frames_wait_for_more_bytes():
     frame = frame_message("a", "b", Value.create("x", 8))
     for cut in (0, 1, 3, 4, len(frame) - 1):
-        body, consumed = decode_frame(frame[:cut])
-        assert consumed == 0 and body == b""
+        buffer = bytearray(frame[:cut])
+        assert list(iter_frames(buffer)) == [] and len(buffer) == cut
     buffer = bytearray(frame + frame[: len(frame) // 2])
     messages = list(iter_frames(buffer))
     assert len(messages) == 1
@@ -238,7 +236,32 @@ def test_version_mismatch_is_loud():
     frame = bytearray(frame_message("a", "b", None))
     frame[4] = CODEC_VERSION + 1
     with pytest.raises(CodecError, match="version mismatch"):
-        decode_frame(bytes(frame))
+        list(iter_frames(frame))
+
+
+@pytest.mark.parametrize(
+    "body, complaint",
+    [
+        (b"", "expected \\(src, dst, payload\\)"),
+        (encode_value(("a", "b")), "expected \\(src, dst, payload\\)"),
+        (encode_value(("a", "b", None)) + b"\x00", "trailing garbage"),
+        (encode_value(("a", "b", None))[:-1] + b"\x7f", "unknown value tag"),
+        (b"\x08\x00\x00\x00\x03\x0d\xff\xff", "unknown wire class id"),
+        (b"\x08\x00\x00\x00\x03\x06\x00\x00\x00\x02\xff\xfe", "malformed value"),
+        (b"\x08\x00\x00\x00\x03\x03\x00", "malformed value"),
+    ],
+)
+def test_malformed_frames_raise_codec_error_only(body, complaint):
+    frame = len(body).to_bytes(4, "big")[:3] + bytes([len(body) + 1, CODEC_VERSION]) + body
+    with pytest.raises(CodecError, match=complaint):
+        list(iter_frames(bytearray(frame)))
+
+
+def test_impossible_length_prefixes_are_rejected_before_buffering():
+    with pytest.raises(CodecError, match="exceeds"):
+        list(iter_frames(bytearray(b"\xff\xff\xff\xff")))
+    with pytest.raises(CodecError, match="empty frame"):
+        list(iter_frames(bytearray(b"\x00\x00\x00\x00")))
 
 
 def test_unregistered_types_are_rejected():
@@ -292,3 +315,185 @@ def test_frozenset_encoding_is_order_independent():
     votes1 = frozenset(["n0", "n1", "n2"])
     votes2 = frozenset(["n2", "n0", "n1"])
     assert encode_value(votes1) == encode_value(votes2)
+
+
+# ----------------------------------------------------------------------
+# frozen wire format: golden digests computed at the parent of the codec
+# rewrite (PR 14).  A digest that moves means peers stop understanding
+# each other: bump CODEC_VERSION instead of editing the table.
+# ----------------------------------------------------------------------
+def _canonical():
+    """One fixed instance of every registered wire type, keyed by class id."""
+    value = Value(
+        uid=1001,
+        payload=("append", "log-0", 1024, 17),
+        size_bytes=1088,
+        proposer="n1",
+        created_at=1.25,
+    )
+    skip = Value(uid=1002, payload=None, size_bytes=0, proposer="n0", created_at=2.5, is_skip=True)
+    traced = Value(uid=1003, payload="héllo ⚙", size_bytes=16, proposer="n2", trace="n2-1003")
+    ballot = Ballot(3, "n0")
+    command = Command(
+        command_id=77,
+        client="client-1",
+        operation=("update", "key-9", 1024),
+        size_bytes=1100,
+        created_at=0.5,
+        expected_responses=2,
+    )
+    checkpoint = Checkpoint(
+        checkpoint_id=4,
+        replica="rep1",
+        cursor={"g1": 20, "g0": 10},
+        state={"tree": [("k", 3)], "epoch": 2, "blob": b"\x00\xff"},
+        state_size_bytes=4096,
+        taken_at=12.75,
+    )
+    splice = SpliceRing(group="g2", learners=("rep0", "rep1"))
+    return {
+        1: value,
+        2: ValueBatch(values=(value, skip, traced)),
+        3: ballot,
+        10: Proposal(group="ring-0", value=value),
+        11: Phase2(
+            group="ring-0",
+            instance=41,
+            count=1,
+            ballot=ballot,
+            value=value,
+            votes=frozenset({"n2", "n0", "n1"}),
+            origin="n0",
+            started_at=0.125,
+        ),
+        12: Decision(
+            group="ring-0", instance=42, count=7, value=skip, origin="n0", started_at=0.125, decided_at=0.25
+        ),
+        13: RetransmitRequest(group="g0", first=3, last=17, reply_to="rep0", token=-1),
+        14: RetransmitReply(group="g0", entries=((3, value), (4, skip)), trimmed_up_to=2, token=0),
+        20: command,
+        21: CommandBatch(commands=(command, command)),
+        22: SubmitCommand(group="g1", command=command),
+        23: Response(
+            command_id=77, replica="rep1", partition="p0", result=("ok", 2**70, -1.5, True, False), result_size_bytes=64
+        ),
+        30: CheckpointQuery(reply_to="rep0"),
+        31: CheckpointInfo(cursor={"g1": 7, "g0": 10}, checkpoint_id=3, state_size_bytes=4096),
+        32: CheckpointFetch(reply_to="rep0", checkpoint_id=3),
+        33: CheckpointData(checkpoint=checkpoint),
+        34: TrimQuery(group="g0", reply_to="coord"),
+        35: TrimReply(group="g0", replica="rep2", safe_instance=42),
+        36: TrimCommand(group="g0", up_to=41),
+        37: checkpoint,
+        40: splice,
+        41: MigrationPrepare(
+            migration_id=7, service="mrp-store", new_map={"p1": "g1", "p0": "g0"}, source="p0", dest="p1", designated="rep0"
+        ),
+        42: MigrationInstall(
+            migration_id=7,
+            service="mrp-store",
+            new_map={"p0": "g0"},
+            source="p0",
+            dest="p1",
+            entries={"key-2": (256, 4), "key-1": (128, 3)},
+        ),
+        43: ForwardedCommand(migration_id=7, dest="p1", command=command),
+        44: ProposeControl(group="g0", payload=splice, payload_bytes=256),
+        50: WbSubmit(group="g0", dests=("g0", "g1"), value=value),
+        51: WbAccept(group="g0", uid=1001, ballot=ballot, ts=9, dests=("g0", "g2"), value=value),
+        52: WbAccepted(group="g1", uid=1001, ballot=ballot, ts=9),
+        53: WbTimestamp(group="g1", origin="g0", uid=1001, ts=9),
+        54: WbCommit(group="g0", uid=1001, ts=9),
+    }
+
+
+def _hot_frames():
+    """The four frames of one append proposed at ``n2`` on the ring ``n0, n1, n2``.
+
+    Coordinator ``n0``: the proposal takes one hop, ``n1`` completes the
+    quorum and the decision travels on to ``n2`` and ``n0`` -- 595 bytes, the
+    benchmark's ``runtime.codec.bytes_per_op``.
+    """
+    value = Value(
+        uid=1001,
+        payload=("append", "log-0", 1024, 17),
+        size_bytes=1088,
+        proposer="n2",
+        created_at=1.25,
+    )
+    decision = Decision(group="ring-0", instance=41, count=1, value=value, origin="n1")
+    return [
+        ("n2", "n0", Proposal(group="ring-0", value=value)),
+        ("n0", "n1", Phase2("ring-0", 41, 1, Ballot(1, "n0"), value, frozenset({"n0"}), "n0")),
+        ("n1", "n2", decision),
+        ("n2", "n0", decision),
+    ]
+
+
+#: class id -> (encoded length, sha1 of ``encode_value(_canonical()[id])``).
+_GOLDEN_VALUES = {
+    1: (83, "6ace21a9ea789c3447d26de2d171cef226a51625"),
+    2: (196, "3533bcfb22b329b53e667c57aef9f4ee10aa5f17"),
+    3: (19, "e4a898a8d122e5b30a89516636eb508139e0201e"),
+    10: (97, "94ada3a1df814190432d6da688c9e31a4a6fd3dd"),
+    11: (176, "c03a99c796c43f41e46d0f1c083431513b81a399"),
+    12: (97, "345c648ea67b705b147386b63b27d1f7eb3f3ffb"),
+    13: (46, "497d3426587eb8714ef5bf38b26bcdf97d2cd721"),
+    14: (184, "afda8ed3257345942859db534085002307f43a30"),
+    20: (87, "f8da086172d2bb7c5be60531eb98e332e8151830"),
+    21: (182, "d66ff40c910c1c77bab7b1faba32588d925c55aa"),
+    22: (97, "3f6aa9fd1a1ba5214eaff572e2d5b3b5f7cf02d5"),
+    23: (74, "1a689819f56407cb3226ed4af110958b51240879"),
+    30: (12, "8a9bccb5d217c74826302bdd3859cc998cb90ab7"),
+    31: (58, "68e25625bc3b0efff366882630a9deb7ad475087"),
+    32: (21, "f2c81195a0c59dce5833db8bee99108669217e10"),
+    33: (153, "99a2a62d086f1f2a6ba335c0e809aa6975dffd2a"),
+    34: (20, "24eb14160ccd1e1260b3e1fe9c947b5e81cbb42b"),
+    35: (28, "ca81cd3078bca6c752aed7f3cd1646875c3addb8"),
+    36: (19, "7af080da541e3397d0f0a12fe223e7afcfd8cda3"),
+    37: (150, "882cb04373d0770baafa2414f9f6538a3bd99b46"),
+    40: (33, "46965065792fc718c0e0855b6f1f548198e546e0"),
+    41: (82, "d7bca56f9a06512ae819ddf6ff7555b0301faa3e"),
+    42: (130, "6b0ec16e1374f8405a0d8e559903341650e0bb5c"),
+    43: (106, "1beafa1299eec455228f6bff689bc6310161b62f"),
+    44: (52, "e4e30365330d738fbcc3b704801f5fa6dbbb7031"),
+    50: (112, "11bdc2db9497e6a0f923efbca28baf45862759db"),
+    51: (149, "593677ae89dd6d7b928180be3c567775461f6cd7"),
+    52: (47, "b6187638772546477689e358a156e771bb68fe5f"),
+    53: (35, "1fbb9c7baecdbf497fc4b93fdef4605fd52fd821"),
+    54: (28, "af17e28b1d41cfca48fb8e07358e8c926e177f46"),
+}
+
+#: (frame length, sha1 of ``frame_message(...)``) for ``_hot_frames()``, in order.
+_GOLDEN_HOT_FRAMES = [
+    (121, "839fa14df726efd1ca20f240c1cae93917aa20c0"),
+    (178, "db426ef44ac9a81e503474e730bb315444cc8320"),
+    (148, "3f08950cff6bc7096a5a62c269bab7fe327726ea"),
+    (148, "16526283aa6d87ea7fb05022b14687e515430402"),
+]
+
+
+def _digest(raw: bytes):
+    return len(raw), hashlib.sha1(raw).hexdigest()
+
+
+def test_golden_table_covers_exactly_the_registered_ids():
+    registered = WIRE_TYPES()
+    assert sorted(_GOLDEN_VALUES) == sorted(registered)
+    assert {cid: type(obj) for cid, obj in _canonical().items()} == registered
+
+
+@pytest.mark.parametrize("class_id", sorted(_GOLDEN_VALUES))
+def test_wire_bytes_of_every_registered_type_are_frozen(class_id):
+    message = _canonical()[class_id]
+    raw = encode_value(message)
+    assert _digest(raw) == _GOLDEN_VALUES[class_id]
+    assert decode_value(raw) == message
+
+
+def test_hot_frames_of_one_append_are_frozen():
+    frames = [frame_message(*hop) for hop in _hot_frames()]
+    assert [_digest(frame) for frame in frames] == _GOLDEN_HOT_FRAMES
+    assert sum(len(frame) for frame in frames) == 595
+    # ... and one receive buffer holding all four decodes back to the hops.
+    assert list(iter_frames(bytearray(b"".join(frames)))) == _hot_frames()

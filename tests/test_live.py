@@ -12,6 +12,7 @@ import pytest
 from repro import AtomicMulticast
 from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.actor import Process
+from repro.runtime.codec import frame_message
 from repro.runtime.interfaces import StorageMode
 from repro.runtime.live import (
     LiveClock,
@@ -99,50 +100,211 @@ def test_live_runtime_satisfies_runtime_protocol():
         runtime.new_store(StorageMode.SYNC_SSD)
 
 
+class _Recorder(Process):
+    """Appends ``(sender, payload)`` of every message it gets to ``received``."""
+
+    def __init__(self, runtime, name, received) -> None:
+        self.received = received
+        super().__init__(runtime, name)
+
+    def on_message(self, sender, payload):
+        self.received.append((sender, payload))
+
+
+class _Pair:
+    """Sender node ``a`` and recording receiver node ``b`` joined by real TCP."""
+
+    def __init__(self) -> None:
+        self.received = []
+        #: Server-side protocol objects of ``b``, one per accepted connection.
+        self.accepted = []
+        self.sender_rt = LiveNodeRuntime("node-a")
+        self.receiver_rt = LiveNodeRuntime("node-b")
+
+    async def __aenter__(self) -> "_Pair":
+        loop = asyncio.get_running_loop()
+        epoch = loop.time()
+
+        def accept():
+            self.accepted.append(self.receiver_rt.network.accept())
+            return self.accepted[-1]
+
+        for runtime in (self.sender_rt, self.receiver_rt):
+            runtime.sim.attach(loop, epoch)
+        self.server = await loop.create_server(accept, "127.0.0.1", 0)
+        self.address = self.server.sockets[0].getsockname()[:2]
+        self.sender = Process(self.sender_rt, "a")
+        _Recorder(self.receiver_rt, "b", self.received)
+        self.sender_rt.add_peer("b", self.address)
+        self.pumps = [
+            loop.create_task(self.sender_rt.sim.pump()),
+            loop.create_task(self.receiver_rt.sim.pump()),
+        ]
+        self.sender_rt.start()
+        self.receiver_rt.start()
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        self.server.close()
+        for runtime in (self.sender_rt, self.receiver_rt):
+            runtime.network.close()
+            runtime.sim.stop()
+        await asyncio.gather(*self.pumps)
+        await self.server.wait_closed()
+
+    def send(self, *indices: int) -> None:
+        for index in indices:
+            self.sender.send("b", ("seq", index), size_bytes=64)
+
+    async def until(self, condition, timeout: float = 10.0) -> None:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while not condition() and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        assert condition()
+
+    def payloads(self):
+        return [payload for _, payload in self.received]
+
+
 def test_live_transport_is_fifo_per_channel_over_tcp():
+    async def scenario():
+        async with _Pair() as pair:
+            # Sent from this coroutine, i.e. outside any pump callback, and
+            # before the connection exists: the flush still runs.
+            pair.send(*range(200))
+            await pair.until(lambda: len(pair.received) == 200)
+            return pair
+
+    pair = _run(scenario())
+    assert pair.payloads() == [("seq", i) for i in range(200)]
+    assert all(sender == "a" for sender, _ in pair.received)
+    assert pair.sender_rt.network.frames_sent == 200
+    assert pair.receiver_rt.network.messages_received == 200
+
+
+def test_sends_of_one_loop_turn_leave_in_one_write_per_peer():
+    class CountingTransport:
+        def __init__(self, inner):
+            self.inner = inner
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(len(data))
+            self.inner.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    async def scenario():
+        async with _Pair() as pair:
+            pair.send(0)  # dials
+            await pair.until(lambda: len(pair.received) == 1)
+            network = pair.sender_rt.network
+            (link,) = network._peers.values()
+            link.transport = counting = CountingTransport(link.transport)
+            wire_before = network.wire_bytes_sent
+            pair.send(*range(1, 201))  # one turn: nothing awaited in between
+            await pair.until(lambda: len(pair.received) == 201)
+            assert counting.writes == [network.wire_bytes_sent - wire_before]
+            # The next turn's sends are the next write, not appended to a
+            # buffer the socket already owns.
+            pair.send(201)
+            await pair.until(lambda: len(pair.received) == 202)
+            assert len(counting.writes) == 2
+            return pair
+
+    pair = _run(scenario())
+    assert pair.payloads() == [("seq", i) for i in range(202)]
+
+
+def test_lost_outbound_connection_is_redialled():
+    async def scenario():
+        async with _Pair() as pair:
+            network = pair.sender_rt.network
+            pair.send(*range(10))
+            await pair.until(lambda: len(pair.received) == 10)
+            assert network.connections_lost == 0
+            pair.accepted[0].transport.abort()  # the receiver's end goes away
+            await pair.until(lambda: network.connections_lost == 1)
+            pair.send(*range(10, 20))
+            await pair.until(lambda: len(pair.received) == 20)
+            assert len(pair.accepted) == 2 and network.connections_lost == 1
+            snapshot = dict(pair.sender_rt._transport_samples())
+            assert snapshot["mrp_transport_connections_lost_total"] == 1
+            return pair
+
+    pair = _run(scenario())
+    assert pair.payloads() == [("seq", i) for i in range(20)]
+
+
+def _feed(chunks, expect):
+    """Hand ``chunks`` to one accepted connection of a recording node.
+
+    Returns ``(payloads delivered, the node's transport, connection closed?)``.
+    """
     received = []
 
-    class Recorder(Process):
-        def on_message(self, sender, payload):
-            received.append((sender, payload))
+    class FakeSocketTransport:
+        closed = False
+
+        def close(self):
+            self.closed = True
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        epoch = loop.time()
-        sender_rt = LiveNodeRuntime("node-a")
-        receiver_rt = LiveNodeRuntime("node-b")
-        for runtime in (sender_rt, receiver_rt):
-            runtime.sim.attach(loop, epoch)
-        server = await asyncio.start_server(
-            receiver_rt.network.handle_connection, "127.0.0.1", 0
-        )
-        address = server.sockets[0].getsockname()[:2]
+        runtime = LiveNodeRuntime("node-b")
+        runtime.sim.attach(loop, loop.time())
+        _Recorder(runtime, "b", received)
+        pump = loop.create_task(runtime.sim.pump())
+        runtime.start()
+        connection = runtime.network.accept()
+        transport = FakeSocketTransport()
+        connection.connection_made(transport)
+        for chunk in chunks:
+            if transport.closed:
+                break  # a closed socket transport reads no more
+            connection.data_received(chunk)
+        deadline = loop.time() + 10.0
+        while len(received) < expect and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        await asyncio.sleep(0.02)  # anything beyond ``expect`` would show now
+        runtime.sim.stop()
+        await pump
+        return runtime.network, transport.closed
 
-        sender = Process(sender_rt, "a")
-        Recorder(receiver_rt, "b")
-        sender_rt.add_peer("b", address)
-        pumps = [
-            loop.create_task(sender_rt.sim.pump()),
-            loop.create_task(receiver_rt.sim.pump()),
-        ]
-        sender_rt.start()
-        receiver_rt.start()
-        for index in range(200):
-            sender.send("b", ("seq", index), size_bytes=64)
-        deadline = loop.time() + 10
-        while len(received) < 200 and loop.time() < deadline:
-            await asyncio.sleep(0.01)
-        await sender_rt.network.close()
-        await receiver_rt.network.close()
-        for runtime in (sender_rt, receiver_rt):
-            runtime.sim.stop()
-        await asyncio.gather(*pumps)
-        server.close()
-        await server.wait_closed()
+    network, closed = _run(scenario())
+    return [payload for _, payload in received], network, closed
 
-    _run(scenario())
-    assert [payload for _, payload in received] == [("seq", i) for i in range(200)]
-    assert all(sender == "a" for sender, _ in received)
+
+def test_frame_arriving_byte_by_byte_is_delivered_once():
+    frame = frame_message("a", "b", ("seq", 0))
+    received, network, closed = _feed([frame[i : i + 1] for i in range(len(frame))], expect=1)
+    assert received == [("seq", 0)] and not closed
+    assert network.messages_received == 1 and network.frames_rejected == 0
+
+
+def test_thousand_frames_in_one_chunk_are_delivered_in_order():
+    chunk = b"".join(frame_message("a", "b", ("seq", i)) for i in range(1000))
+    received, network, closed = _feed([chunk], expect=1000)
+    assert received == [("seq", i) for i in range(1000)] and not closed
+    assert network.messages_received == 1000
+
+
+def test_garbage_after_a_split_frame_closes_the_connection_after_delivering_it():
+    frame = frame_message("a", "b", ("seq", 0))
+    late = frame_message("a", "b", ("seq", 1))
+    chunks = [frame[:9], frame[9:] + b"\xff\xff\xff\xffnot a frame", late]
+    received, network, closed = _feed(chunks, expect=1)
+    assert received == [("seq", 0)] and closed
+    assert network.frames_rejected == 1 and network.messages_received == 1
+
+
+def test_frame_for_an_unknown_or_dead_process_is_counted_as_dropped():
+    frames = frame_message("a", "nobody", "x") + frame_message("a", "b", "y")
+    received, network, closed = _feed([frames], expect=1)
+    assert received == ["y"] and not closed
+    assert network.messages_received == 2 and network.messages_dropped == 1
 
 
 def test_live_file_store_appends_and_counts(tmp_path):

@@ -1,9 +1,13 @@
 """Tests for ballots, acceptor records, the stable log and single-decree Paxos."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import MultiRingConfig, RingConfig
 from repro.errors import StorageError
+from repro.multiring.deployment import Deployment, RingSpec
 from repro.paxos.single_decree import run_single_decree
 from repro.paxos.storage import AcceptorStorage
 from repro.paxos.types import Ballot, InstanceRecord
@@ -137,6 +141,134 @@ class TestAcceptorStorage:
         storage.mark_decided(0)
         assert storage.record(0).decided
         storage.mark_decided(99)  # unknown instance: no error
+
+
+class TestBoundedMemoryLog:
+    """MEMORY mode is the paper's ring of ``memory_slots`` pre-allocated slots."""
+
+    SLOTS = 8
+
+    def _storage(self, mode=StorageMode.MEMORY):
+        return AcceptorStorage(Simulator(), mode=mode, memory_slots=self.SLOTS)
+
+    @staticmethod
+    def _fill(storage, count, first=0):
+        for instance in range(first, first + count):
+            storage.log_vote(instance, Ballot(1, "c"), Value.create("v", 10))
+
+    def test_nothing_is_evicted_up_to_exactly_memory_slots(self):
+        storage = self._storage()
+        self._fill(storage, self.SLOTS)
+        assert len(storage) == self.SLOTS
+        assert storage.trimmed_up_to is None and not storage.is_trimmed(0)
+        assert [i for i, _ in storage.read_range(0, self.SLOTS - 1)] == list(range(self.SLOTS))
+
+    def test_the_next_instance_takes_the_oldest_slot(self):
+        storage = self._storage()
+        self._fill(storage, self.SLOTS + 1)
+        assert len(storage) == self.SLOTS
+        assert storage.instances() == list(range(1, self.SLOTS + 1))
+        assert storage.trimmed_up_to == 0 and storage.is_trimmed(0) and not storage.is_trimmed(1)
+        assert storage.highest_instance == self.SLOTS
+
+    def test_an_evicted_instance_reads_as_trimmed(self):
+        storage = self._storage()
+        self._fill(storage, self.SLOTS + 3)
+        with pytest.raises(StorageError):
+            storage.accepted_value(2)
+        with pytest.raises(StorageError):
+            storage.read_range(2, self.SLOTS)
+        with pytest.raises(StorageError):
+            storage.log_vote(2, Ballot(2, "c"), Value.create("late", 10))
+        assert [i for i, _ in storage.read_range(3, 100)] == list(range(3, self.SLOTS + 3))
+        storage.mark_decided(1)  # a decision for an evicted instance is ignored
+        storage.note_decided(1, Ballot(1, "c"), Value.create("late", 10))
+        assert len(storage) == self.SLOTS
+
+    def test_skip_ranges_evict_one_slot_per_instance(self):
+        storage = self._storage()
+        self._fill(storage, 5)
+        storage.log_votes_range(5, 20, Ballot(1, "c"), skip_value())
+        assert storage.instances() == list(range(25 - self.SLOTS, 25))
+        assert storage.trimmed_up_to == 24 - self.SLOTS
+        assert storage.writes == 6  # the range is still one persisted record
+
+    def test_decisions_passing_by_take_slots_too(self):
+        storage = self._storage()
+        for instance in range(self.SLOTS + 4):
+            storage.note_decided(instance, Ballot(1, "c"), Value.create("v", 10))
+        assert storage.instances() == list(range(4, self.SLOTS + 4))
+        assert all(storage.record(i).decided for i in storage.instances())
+
+    def test_a_jump_in_the_sequence_leaves_nothing_below_the_floor(self):
+        storage = self._storage()
+        self._fill(storage, 5)
+        self._fill(storage, self.SLOTS, first=1000)
+        assert storage.instances() == list(range(1000, 1000 + self.SLOTS))
+
+    def test_explicit_trim_and_eviction_compose(self):
+        storage = self._storage()
+        self._fill(storage, self.SLOTS)
+        storage.trim(5)
+        assert storage.trimmed_up_to == 5
+        self._fill(storage, 2, first=self.SLOTS)  # evicts 0 and 1: already gone
+        assert storage.trimmed_up_to == 5
+        assert storage.instances() == [6, 7, 8, 9]
+
+    @pytest.mark.parametrize("mode", [StorageMode.ASYNC_SSD, StorageMode.SYNC_SSD])
+    def test_disk_backed_modes_never_evict(self, mode):
+        sim = Simulator()
+        storage = AcceptorStorage(
+            sim, mode=mode, disk=disk_for_mode(sim, mode), memory_slots=self.SLOTS
+        )
+        self._fill(storage, 5 * self.SLOTS)
+        assert len(storage) == 5 * self.SLOTS and storage.trimmed_up_to is None
+        assert storage.accepted_value(0) is not None
+
+    def test_a_log_needs_at_least_one_slot(self):
+        with pytest.raises(StorageError):
+            AcceptorStorage(Simulator(), memory_slots=0)
+
+    @staticmethod
+    def _leveled_run(memory_slots):
+        """Two leveled rings on a LAN; returns the delivery trace and the acceptor logs."""
+        uid_base = Value.create(None, 0).uid
+        world = World(seed=7)
+        config = MultiRingConfig.datacenter()
+        config = replace(config, ring=replace(config.ring, memory_slots=memory_slots))
+        deployment = Deployment(world, config)
+        members = ["n0", "n1", "n2"]
+        for group in ("ring-a", "ring-b"):
+            deployment.add_ring(RingSpec(group=group, members=members))
+        trace = []
+        deployment.node("n2").on_deliver(
+            lambda d: trace.append((d.group, d.instance, d.value.uid - uid_base, world.sim.now.hex()))
+        )
+        world.start()
+        for index in range(40):
+            world.sim.call_at(
+                index * 2e-3, deployment.multicast, ("ring-a", "ring-b")[index % 2], ("op", index), 256
+            )
+        world.run(until=0.12)
+        logs = [
+            role.storage
+            for name in members
+            for role in deployment.node(name).roles.values()
+            if role.storage is not None
+        ]
+        return trace, logs, world.sim.processed_events
+
+    def test_leveled_rings_stay_within_memory_slots_with_the_same_delivery_trace(self):
+        reference, reference_logs, reference_events = self._leveled_run(RingConfig().memory_slots)
+        # Rate leveling skipped far past the small ring's size ...
+        assert min(log.highest_instance for log in reference_logs) > 10 * 64
+        assert all(log.trimmed_up_to is None for log in reference_logs)
+        bounded, logs, events = self._leveled_run(64)
+        # ... every acceptor held it, and nothing any learner saw moved.
+        assert len(logs) == 6
+        assert all(0 < len(log) <= 64 for log in logs)
+        assert all(log.trimmed_up_to == log.highest_instance - 64 for log in logs)
+        assert len(bounded) >= 40 and bounded == reference and events == reference_events
 
 
 class TestSingleDecreePaxos:

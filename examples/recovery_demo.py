@@ -22,9 +22,13 @@ from repro.runtime.interfaces import StorageMode
 from repro.sim.failure import FailureSchedule
 from repro.workloads.simple import UpdateWorkload
 
+# The timeline, in simulated seconds.  Read when main() runs, so a caller (the
+# test suite runs a tenth of it) can shorten the scenario without forking it.
 CRASH_AT = 20.0
 RECOVER_AT = 60.0
 END = 90.0
+CHECKPOINT_INTERVAL = 10.0
+TRIM_INTERVAL = 20.0
 
 
 def main() -> None:
@@ -35,7 +39,8 @@ def main() -> None:
             acceptors_per_partition=3,
             use_global_ring=False,
             storage_mode=StorageMode.ASYNC_SSD,
-            recovery_config=RecoveryConfig(checkpoint_interval=10.0, trim_interval=20.0,
+            recovery_config=RecoveryConfig(checkpoint_interval=CHECKPOINT_INTERVAL,
+                                           trim_interval=TRIM_INTERVAL,
                                            max_replay_instances=500),
             enable_recovery=True,
             key_space=1000,

@@ -38,13 +38,17 @@ writes" invariant counts).  ``multicast(groups, payload)`` addresses several
 groups atomically.  ``deliveries(group)`` returns a stream that can be
 iterated synchronously or with ``async for``.
 
-Both backends build through the engine: ``ring()`` hands the same
-:class:`~repro.engines.base.EngineSpec` to the engine, whose nodes are placed
-on the simulated world or on the live cluster's per-node runtimes.  On the
-live backend rings are declared before entering the context (the node set
+Both backends build through one path: ``ring()`` hands the same
+:class:`~repro.engines.base.EngineSpec` to the engine, and ``dlog()`` /
+``mrpstore()`` / ``client()`` hand the paper's services the facade's
+:class:`~repro.runtime.interfaces.Cluster` -- the simulated world, or the live
+cluster's per-node runtimes -- on which every acceptor, replica and client is
+placed the same way; ``monitor`` is that cluster's one monitor.  On the live
+backend all of them are declared before entering the context (the node set
 fixes the TCP topology).  Engines advertise
 :attr:`~repro.engines.base.OrderingEngine.supports_live` and the facade
-refuses unsupported combinations up front.
+refuses unsupported combinations up front; only ``inject_failures()`` is
+still limited to the simulator.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import asyncio
 import concurrent.futures
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import engines as engine_registry
 from repro.config import MultiRingConfig, RingConfig
@@ -252,34 +256,33 @@ class AtomicMulticast:
             )
         )
 
-    # -- service builders (simulator backend) ----------------------------
+    # -- service builders (live: before entering the context, like ring()) --
+    def dlog(self, **kwargs):
+        """Build a dLog service deployment on this backend's cluster."""
+        from repro.services.dlog import DLog
+
+        return DLog(self._cluster, config=kwargs.pop("config", self.config), **kwargs)
+
+    def mrpstore(self, **kwargs):
+        """Build an MRP-Store deployment on this backend's cluster."""
+        from repro.services.mrpstore import MRPStore
+
+        return MRPStore(self._cluster, config=kwargs.pop("config", self.config), **kwargs)
+
+    def client(self, name: str, workload, frontends, **kwargs):
+        """Attach a closed-loop client machine (its own node on the live backend)."""
+        from repro.smr.client import ClosedLoopClient
+
+        return ClosedLoopClient(
+            self._cluster.runtime_of(name), name, workload, frontends, **kwargs
+        )
+
     def _require_sim(self, what: str):
         if self._backend != "sim":
             raise ConfigurationError(f"{what} is only available on the sim backend (for now)")
 
-    def dlog(self, **kwargs):
-        """Build a dLog service deployment (sim backend)."""
-        self._require_sim("dlog()")
-        from repro.services.dlog import DLog
-
-        return DLog(self.world, config=kwargs.pop("config", self.config), **kwargs)
-
-    def mrpstore(self, **kwargs):
-        """Build an MRP-Store deployment (sim backend)."""
-        self._require_sim("mrpstore()")
-        from repro.services.mrpstore import MRPStore
-
-        return MRPStore(self.world, config=kwargs.pop("config", self.config), **kwargs)
-
-    def client(self, name: str, workload, frontends, **kwargs):
-        """Attach a closed-loop client machine (sim backend)."""
-        self._require_sim("client()")
-        from repro.smr.client import ClosedLoopClient
-
-        return ClosedLoopClient(self.world, name, workload, frontends, **kwargs)
-
     def inject_failures(self, schedule):
-        """Arm a failure schedule (sim backend chaos hook)."""
+        """Arm a failure schedule (sim backend chaos hook; live crash/restart is open)."""
         self._require_sim("inject_failures()")
         from repro.sim.failure import FailureInjector
 
@@ -410,26 +413,8 @@ class AtomicMulticast:
         backend it resolves from the node's event loop and can be awaited
         with ``future.result(timeout=...)``.
         """
-        if size_bytes is None:
-            from repro.net.message import estimate_size
-
-            size_bytes = estimate_size(payload)
         self._hook_witness(group)
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        if self._backend == "sim":
-            value = self.engine.submit(group, payload, size_bytes)
-            self._pending[value.uid] = future
-        else:
-            if self._loop is None:
-                raise ConfigurationError("enter the live context before submitting traffic")
-            # The value is created here, on the caller's thread, and handed
-            # to its proposer on the loop thread through the node's clock.
-            node = self.engine.node(self.engine.next_proposer(group))
-            clock = node.world.sim
-            value = Value.create(payload, size_bytes, proposer=node.name, created_at=clock.now)
-            self._pending[value.uid] = future
-            self._loop.call_soon_threadsafe(clock.post, node.propose_value, group, value)
-        return future
+        return self._send((group,), payload, size_bytes)
 
     def multicast(
         self,
@@ -440,22 +425,40 @@ class AtomicMulticast:
         """Atomically multicast ``payload`` to every group in ``groups``.
 
         The future resolves at the first witness delivery (any destination);
-        per-group streams via :meth:`deliveries` see every delivery.  Only
-        the sim backend supports multi-group addressing today.
+        per-group streams via :meth:`deliveries` see every delivery.  The
+        multiring engine sends a multi-group message through its
+        ``multi_group_route`` ring, on both backends.
         """
-        self._require_sim("multicast()")
         dests = tuple(groups)
         if not dests:
             raise MulticastError("multicast() needs at least one destination group")
+        for group in dests:
+            self._hook_witness(group)
+        return self._send(dests, payload, size_bytes)
+
+    def _send(
+        self, dests: Tuple[GroupId, ...], payload: Any, size_bytes: Optional[int]
+    ) -> "concurrent.futures.Future":
+        """Hand one value addressed to ``dests`` to the engine; future = its ack."""
         if size_bytes is None:
             from repro.net.message import estimate_size
 
             size_bytes = estimate_size(payload)
-        for group in dests:
-            self._hook_witness(group)
         future: concurrent.futures.Future = concurrent.futures.Future()
-        value = self.engine.multicast(dests, payload, size_bytes)
-        self._pending[value.uid] = future
+        if self._backend == "sim":
+            value = self.engine.multicast(dests, payload, size_bytes)
+            self._pending[value.uid] = future
+        else:
+            if self._loop is None:
+                raise ConfigurationError("enter the live context before submitting traffic")
+            # The value is created here, on the caller's thread, and handed
+            # to its proposer on the loop thread through the node's clock.
+            group = self.engine.route_of(dests)
+            node = self.engine.node(self.engine.next_proposer(group))
+            clock = node.world.sim
+            value = Value.create(payload, size_bytes, proposer=node.name, created_at=clock.now)
+            self._pending[value.uid] = future
+            self._loop.call_soon_threadsafe(clock.post, node.propose_value, group, value)
         return future
 
     def deliveries(self, group: GroupId) -> DeliveryStream:
@@ -543,9 +546,8 @@ class AtomicMulticast:
 
     @property
     def monitor(self):
-        """The metric monitor (sim backend)."""
-        self._require_sim("monitor")
-        return self.world.monitor
+        """The cluster's one metric monitor (clients and replicas record into it)."""
+        return self._cluster.monitor
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AtomicMulticast(backend={self._backend!r}, engine={self._engine_name!r})"

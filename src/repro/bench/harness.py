@@ -19,11 +19,11 @@ from repro.bench.figure5 import run_figure5
 from repro.bench.figure6 import run_figure6
 from repro.bench.figure7 import run_figure7
 from repro.bench.figure8 import run_figure8
-from repro.bench.live import run_live_bench
 from repro.bench.perf import run_perf
 from repro.bench.reconfig import run_reconfig
 from repro.bench.shootout import run_shootout
 from repro.bench.workload import run_workload
+from repro.live import run_live
 
 __all__ = ["run_experiment", "EXPERIMENTS", "SCALES"]
 
@@ -188,7 +188,7 @@ def run_experiment(name: str, scale: str = "quick") -> Dict:
             ),
         )
     if name == "live":
-        return run_live_bench(
+        return run_live(
             **_params(
                 scale,
                 # Wall-clock localhost TCP runs; scale bounds the append count.

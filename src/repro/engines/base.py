@@ -15,8 +15,7 @@ An engine's life cycle:
    configuration, returning the engine-specific deployment object,
 3. :meth:`OrderingEngine.add_group` declares multicast groups from
    :class:`EngineSpec` descriptions (group name, members, per-member roles),
-4. traffic flows through :meth:`OrderingEngine.submit` /
-   :meth:`OrderingEngine.multicast` and arrives via
+4. traffic flows through :meth:`OrderingEngine.multicast` and arrives via
    :meth:`OrderingEngine.on_deliver` callbacks as
    :class:`~repro.multiring.merge.Delivery` objects,
 5. :meth:`OrderingEngine.stats`, :meth:`OrderingEngine.observe` and
@@ -171,18 +170,18 @@ class OrderingEngine(ABC):
         first destination group's proposers.
         """
 
-    def submit(self, group: GroupId, payload: Any, size_bytes: int,
-               via: Optional[str] = None) -> Value:
-        """Single-group convenience over :meth:`multicast`."""
-        return self.multicast((group,), payload, size_bytes, via=via)
+    def route_of(self, dests: Tuple[GroupId, ...]) -> GroupId:
+        """The group whose proposers order a message addressed to ``dests``.
+
+        Engines with :attr:`supports_live` implement this and
+        :meth:`next_proposer`: the live facade creates the value on the
+        caller's thread and hands it to that group's next proposer on the
+        loop thread, instead of calling :meth:`multicast`.
+        """
+        raise NotImplementedError(f"engine {self.name!r} does not expose its routing")
 
     def next_proposer(self, group: GroupId) -> str:
-        """The node the next submission to ``group`` goes through (round-robin).
-
-        Engines with :attr:`supports_live` implement it: the live facade
-        creates the value on the caller's thread and hands it to this node
-        on the loop thread, instead of calling :meth:`submit`.
-        """
+        """The node the next submission to ``group`` goes through (round-robin)."""
         raise NotImplementedError(f"engine {self.name!r} does not expose its proposer choice")
 
     @abstractmethod

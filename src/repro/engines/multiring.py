@@ -102,15 +102,18 @@ class MultiRingEngine(OrderingEngine):
         size_bytes: int,
         via: Optional[str] = None,
     ) -> Value:
+        return self.deployment.multicast(self.route_of(dests), payload, size_bytes, via=via)
+
+    def route_of(self, dests: Tuple[GroupId, ...]) -> GroupId:
         if len(dests) == 1:
-            return self.deployment.multicast(dests[0], payload, size_bytes, via=via)
+            return dests[0]
         if self._multi_route is None:
             raise MulticastError(
                 "multi-group messages need a designated ring: declare one with "
                 "multi_group_route=True (or set_multi_group_route) whose learners "
                 "cover every destination"
             )
-        return self.deployment.multicast(self._multi_route, payload, size_bytes, via=via)
+        return self._multi_route
 
     def next_proposer(self, group: GroupId) -> str:
         return self.deployment.next_proposer(group)

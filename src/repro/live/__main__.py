@@ -2,13 +2,14 @@
 
 Examples::
 
-    python -m repro.live --smoke                  # 3-node dLog, 300 appends
+    python -m repro.live --smoke                  # client + 3 acceptors + 3 replicas, 300 appends
     python -m repro.live --nodes 5 --values 2000  # bigger in-process ring
     python -m repro.live --storage sync-ssd --storage-dir /tmp/repro-live
 
 Writes the result (wall-clock throughput, wire traffic, invariant verdicts)
-to ``BENCH_live.json`` and exits non-zero if any acked write was lost or the
-learners' delivery sequences diverged.
+to ``BENCH_live.json`` and exits non-zero if any acked append was not
+executed by every replica, or the replicas' delivery sequences or states
+diverged.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-sized run: 3 nodes, 300 appends (the defaults, made explicit)",
+        help="CI-sized run: --nodes 3 --values 300 (the defaults, made explicit)",
     )
-    parser.add_argument("--nodes", type=int, default=3, help="ring members (default 3)")
+    parser.add_argument("--nodes", type=int, default=3, help="acceptors, and replicas, of the ring (default 3)")
     parser.add_argument("--values", type=int, default=300, help="appends to submit")
     parser.add_argument("--value-size", type=int, default=1024, help="append payload bytes")
     parser.add_argument("--window", type=int, default=32, help="outstanding appends (closed loop)")
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--storage-dir",
         default=None,
-        help="directory for durable acceptor logs (required for non-memory modes)",
+        help="directory for acceptor logs and replica spill disks (required for non-memory modes)",
     )
     parser.add_argument(
         "--timeout", type=float, default=60.0, help="per-phase wall-clock timeout, seconds"

@@ -7,27 +7,14 @@ package provides the pieces shared by every layer above:
 
 * :mod:`repro.paxos.types` -- ballots and per-instance acceptor state,
 * :mod:`repro.paxos.storage` -- the acceptor's stable log (Berkeley-DB
-  substitute) with the paper's five storage modes and log trimming,
-* :mod:`repro.paxos.single_decree` -- a classic message-passing Paxos used to
-  validate the consensus core in isolation (and as an executable reference
-  for the optimized protocol).
+  substitute) with the paper's five storage modes and log trimming.
 """
 
 from repro.paxos.types import Ballot, InstanceRecord
 from repro.paxos.storage import AcceptorStorage
-from repro.paxos.single_decree import (
-    PaxosAcceptor,
-    PaxosLearner,
-    PaxosProposer,
-    run_single_decree,
-)
 
 __all__ = [
     "Ballot",
     "InstanceRecord",
     "AcceptorStorage",
-    "PaxosAcceptor",
-    "PaxosLearner",
-    "PaxosProposer",
-    "run_single_decree",
 ]

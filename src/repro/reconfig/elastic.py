@@ -4,7 +4,9 @@
 motivates, as a *runtime* event:
 
 1. build the new ring's acceptor processes and the replicas of the new
-   partitions (they start immediately -- the world supports late joiners);
+   partitions, each placed with ``cluster.runtime_of(name)`` (they start
+   immediately -- the simulated world supports late joiners; a started live
+   cluster refuses them, its node set fixed the TCP topology);
 2. add the ring through the :class:`~repro.coordination.reconfig.
    ReconfigController` (existing learners, if any, are spliced at a round
    boundary);
@@ -74,7 +76,7 @@ def scale_out(
             name = f"{new_partition}-rep{index}"
             machine = MRPStoreStateMachine(new_partition, current)
             replica = Replica(
-                world,
+                world.runtime_of(name),
                 deployment.registry,
                 name,
                 state_machine=machine,
@@ -86,7 +88,7 @@ def scale_out(
             deployment.nodes[name] = replica
             MigrationAgent(replica, service=SERVICE_NAME, awaiting_install=True)
             if recovery_enabled:
-                disk = world.new_store(StorageMode.SYNC_SSD)
+                disk = replica.world.new_store(StorageMode.SYNC_SSD)
                 replica.enable_recovery(store.recovery_config, checkpoint_disk=disk)
             replicas.append(replica)
             ring_replica_names.append(name)

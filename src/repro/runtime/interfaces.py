@@ -208,12 +208,21 @@ class Runtime(Protocol):
 
 @runtime_checkable
 class Cluster(Protocol):
-    """What a deployment builder builds on: named nodes placed on runtimes.
+    """What a deployment or service builder builds on: named nodes placed on runtimes.
 
     The simulator's :class:`~repro.sim.world.World` hosts every node itself
     and answers with itself; the live cluster
     (:class:`~repro.runtime.live.LiveDeployment`) answers with that node's
-    own :class:`~repro.runtime.live.LiveNodeRuntime`.
+    own :class:`~repro.runtime.live.LiveNodeRuntime`.  A builder places every
+    process it creates -- acceptor, replica, client -- on
+    ``runtime_of(process_name)``: a process's name **is** the name of the node
+    hosting it (the live peer table is keyed by it).  All a service reads from
+    its cluster besides is the one ``monitor`` its nodes record into, and ``now``.
     """
+
+    monitor: Any
+
+    @property
+    def now(self) -> float: ...
 
     def runtime_of(self, name: str) -> Runtime: ...

@@ -49,8 +49,8 @@ Key pieces:
 * :class:`LiveDeployment` -- the N-node cluster in one OS process (every
   node still talks TCP to every other through its own server socket; ports
   are ephemeral, so parallel runs never collide).  It only places nodes on
-  runtimes and runs them; rings are built on it by the same
-  :class:`~repro.multiring.deployment.Deployment` as on the simulator.
+  runtimes, with one monitor between them, and runs them; rings and services
+  are built on it by the same builders as on the simulator.
 """
 
 from __future__ import annotations
@@ -476,11 +476,12 @@ class LiveNodeRuntime:
         storage_dir: Optional[str] = None,
         tracing: bool = False,
         trace_sample: int = 64,
+        monitor: Optional[Monitor] = None,
     ) -> None:
         self.name = name
         self.sim = LiveClock()
         self.network = LiveTransport(self.sim)
-        self.monitor = Monitor()
+        self.monitor = monitor if monitor is not None else Monitor()
         self.rng = RandomStreams(seed)
         self.trace = Trace(enabled=False)
         # Per-node observability: each live node owns its tracer and metrics
@@ -644,9 +645,9 @@ class LiveDeployment:
     places every node on its own runtime (clock pump, TCP server, peers), so
     all inter-node traffic crosses real localhost TCP.  What runs on the
     nodes is declared through the same
-    :class:`~repro.multiring.deployment.Deployment` the simulator uses,
-    built on this cluster *before* it starts: the node set fixes the TCP
-    topology.
+    :class:`~repro.multiring.deployment.Deployment` and service builders the
+    simulator uses, built on this cluster *before* it starts: the node set
+    fixes the TCP topology.
     """
 
     def __init__(
@@ -666,6 +667,9 @@ class LiveDeployment:
         #: When set, each node serves /metrics, /healthz and /spans/<id> on
         #: an ephemeral localhost port (``node.obs_address``).
         self.serve_http = serve_http
+        #: The one monitor every node's runtime records into (all nodes share
+        #: one interpreter and one loop thread, so it needs no lock).
+        self.monitor = Monitor()
         self.nodes: Dict[str, _LiveNode] = {}
         self._started = False
 
@@ -674,7 +678,8 @@ class LiveDeployment:
         """Place node ``name`` (once) and return the runtime hosting it."""
         if self._started:
             raise ConfigurationError(
-                "live rings must be declared before entering the context "
+                "live rings, services and clients must be declared before "
+                "entering the context "
                 "(the node set fixes the TCP topology)"
             )
         live = self.nodes.get(name)
@@ -685,6 +690,7 @@ class LiveDeployment:
                 storage_dir=self.storage_dir,
                 tracing=self.tracing,
                 trace_sample=self.trace_sample,
+                monitor=self.monitor,
             )
             live = self.nodes[name] = _LiveNode(name=name, runtime=runtime)
         return live.runtime

@@ -12,13 +12,12 @@ used for atomic multi-log appends.  This mirrors the paper's deployments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import BatchingConfig, MultiRingConfig, RecoveryConfig
 from repro.errors import ConfigurationError, ServiceError
 from repro.multiring.deployment import Deployment, RingSpec
-from repro.runtime.interfaces import Runtime, StorageMode
+from repro.runtime.interfaces import Cluster, StorageMode
 from repro.smr.client import Request
 from repro.smr.frontend import ProposerFrontend
 from repro.smr.replica import Replica
@@ -35,7 +34,7 @@ class DLog:
 
     def __init__(
         self,
-        world: Runtime,
+        world: Cluster,
         logs: Sequence[str] = ("log-0",),
         replicas: int = 1,
         acceptors_per_log: int = 3,
@@ -88,14 +87,15 @@ class DLog:
         # ring in the vertical-scalability experiment).
         replica_names = [f"dlog-rep{i}" for i in range(replica_count)]
         for name in replica_names:
+            runtime = self.world.runtime_of(name)
             state_machine = DLogStateMachine(
                 logs=tuple(self.logs),
                 cache_bytes=replica_cache_bytes,
-                disk=self.world.new_store(StorageMode.ASYNC_SSD),
+                disk=runtime.new_store(StorageMode.ASYNC_SSD),
                 synchronous_disk=False,
             )
             replica = Replica(
-                self.world,
+                runtime,
                 self.deployment.registry,
                 name,
                 state_machine=state_machine,
@@ -143,7 +143,7 @@ class DLog:
 
         if enable_recovery:
             for replica in self.replica_nodes:
-                disk = self.world.new_store(StorageMode.SYNC_SSD)
+                disk = replica.world.new_store(StorageMode.SYNC_SSD)
                 replica.enable_recovery(self.recovery_config, checkpoint_disk=disk)
             # Acceptor side of the trim protocol (rounds run at ring coordinators,
             # TrimCommands executed by every acceptor).
@@ -220,6 +220,3 @@ class DLog:
         group = self._group_of(log)
         acceptor = self.frontends[group][acceptor_index]
         return self.deployment.ring_disk(group, acceptor)
-
-    def start(self) -> None:
-        self.world.start()

@@ -17,14 +17,14 @@ This module wires a complete MRP-Store deployment on top of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import BatchingConfig, MultiRingConfig, RecoveryConfig
 from repro.errors import ConfigurationError, CoordinationError, ServiceError
 from repro.multiring.deployment import Deployment, RingSpec
 from repro.reconfig.migration import MigrationAgent
-from repro.runtime.interfaces import Runtime, StableStore, StorageMode
+from repro.runtime.interfaces import Cluster, StorageMode
 from repro.smr.client import Request
 from repro.smr.command import Command
 from repro.smr.frontend import ProposerFrontend
@@ -58,7 +58,7 @@ class MRPStore:
 
     def __init__(
         self,
-        world: Runtime,
+        world: Cluster,
         partitions: int = 3,
         replicas_per_partition: int = 3,
         acceptors_per_partition: int = 3,
@@ -177,7 +177,7 @@ class MRPStore:
                     replica_name = f"{partition_name}-rep{index}"
                     state_machine = MRPStoreStateMachine(partition_name, self.partition_map)
                     replica = Replica(
-                        self.world,
+                        self.world.runtime_of(replica_name),
                         self.deployment.registry,
                         replica_name,
                         state_machine=state_machine,
@@ -246,7 +246,7 @@ class MRPStore:
         if enable_recovery:
             for partition in self.partitions.values():
                 for replica in partition.replicas:
-                    disk = self.world.new_store(StorageMode.SYNC_SSD)
+                    disk = replica.world.new_store(StorageMode.SYNC_SSD)
                     replica.enable_recovery(self.recovery_config, checkpoint_disk=disk)
             # The trim protocol also needs the acceptor side: ring coordinators
             # run the periodic trim rounds and every acceptor executes the
@@ -418,6 +418,3 @@ class MRPStore:
         if self.use_global_ring:
             groups.append(self.GLOBAL_GROUP)
         return groups
-
-    def start(self) -> None:
-        self.world.start()

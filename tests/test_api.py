@@ -5,13 +5,17 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
+import time
 
 import pytest
 
 from repro import AtomicMulticast, engines
 from repro.engines.multiring import MultiRingEngine
+from repro.config import MultiRingConfig
 from repro.errors import ConfigurationError, MulticastError
 from repro.runtime.interfaces import StorageMode
+from repro.sim.failure import FailureSchedule
+from repro.workloads.simple import AppendWorkload
 
 
 def _three_node_ring(am: AtomicMulticast, group: str = "ring-1") -> None:
@@ -160,16 +164,77 @@ def test_live_submit_and_stream_match_sim_semantics():
     assert len(list(am.deliveries("ring-1"))) >= 20
 
 
+def _wait_for(condition, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def test_live_dlog_client_and_monitor_serve_appends_end_to_end(tmp_path):
+    am = AtomicMulticast(
+        backend="live",
+        storage_dir=str(tmp_path),  # the replicas' spill disks
+        config=MultiRingConfig.datacenter(rate_leveling=False),
+    )
+    dlog = am.dlog(logs=("log-a",), replicas=2, acceptors_per_log=3,
+                   storage_mode=StorageMode.MEMORY, use_global_ring=False)
+    client = am.client(
+        "c0", AppendWorkload(dlog, ("log-a",), append_size=256), dlog.frontends_for_client(0),
+        threads=4,
+    )
+    # One construction path: the facade handed the service its cluster.
+    assert dlog.world is am._cluster and am.monitor is am._cluster.monitor
+    assert client.world is am._cluster.runtime_of("c0")
+    with am:
+        _wait_for(lambda: client.completed >= 100)
+        # Stopped on the loop thread through its node's clock, like submit().
+        am._loop.call_soon_threadsafe(client.world.sim.post, client.crash)
+        _wait_for(lambda: not client.alive)
+        _wait_for(lambda: all(r.commands_executed >= client.issued for r in dlog.replica_nodes))
+    tails = {r.state_machine.next_position("log-a") for r in dlog.replica_nodes}
+    assert tails == {client.issued}
+    # The client's latencies and the replicas' counters share one monitor.
+    assert len(am.monitor.latencies("append-log-a")) == client.completed >= 100
+    assert am.monitor.counter("executed/dlog") == 2 * client.issued
+
+
 def test_live_rejects_sim_only_features_and_late_rings():
     am = AtomicMulticast(backend="live")
     am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
+    # Live crash/restart is an open item: the chaos hook is the one guard left.
     with pytest.raises(ConfigurationError, match="sim backend"):
-        am.dlog()
-    with pytest.raises(ConfigurationError, match="sim backend"):
-        _ = am.monitor
+        am.inject_failures(FailureSchedule())
     with am:
+        # The node set fixed the TCP topology: nothing joins a started cluster.
         with pytest.raises(ConfigurationError, match="before entering"):
             am.ring("late", acceptors=["n0"], learners=["n0"])
+        with pytest.raises(ConfigurationError, match="before entering"):
+            am.dlog(storage_mode=StorageMode.MEMORY)
+        with pytest.raises(ConfigurationError, match="before entering"):
+            am.mrpstore(partitions=1, storage_mode=StorageMode.MEMORY)
+        with pytest.raises(ConfigurationError, match="before entering"):
+            am.client("late-client", workload=None, frontends={})
+
+
+def test_live_multicast_resolves_at_the_route_rings_witness():
+    am = AtomicMulticast(backend="live")
+    acceptors = ["a0", "a1", "a2"]
+    am.ring("r1", acceptors=acceptors, learners=["L1", "L3"])
+    am.ring("r2", acceptors=acceptors, learners=["L2", "L3"])
+    am.ring("both", acceptors=acceptors, learners=["L3", "L1", "L2"], multi_group_route=True)
+    with am:
+        future = am.multicast(("r1", "r2"), "to-both", size_bytes=64)
+        delivery = future.result(timeout=10.0)
+        # The multiring engine orders a multi-group message on its route
+        # ring; the ack is the delivery at that ring's witness.
+        assert (delivery.group, delivery.value.payload) == ("both", "to-both")
+        assert [d.value.payload for d in am.deliveries("both")] == ["to-both"]
+        assert am.node("L3").deliveries_count == 1
+        # A one-group multicast is submit().
+        assert am.multicast(("r1",), "one", size_bytes=64).result(timeout=10.0).group == "r1"
+    with pytest.raises(MulticastError, match="at least one destination"):
+        am.multicast((), "nowhere")
 
 
 def test_live_topology_arguments_are_rejected():
@@ -218,7 +283,7 @@ class RecordingEngine(MultiRingEngine):
     """Multi-Ring Paxos with every seam call noted by name."""
 
     name = "recording"
-    RECORDED = ("add_group", "descriptor", "node", "on_deliver", "submit", "next_proposer")
+    RECORDED = ("add_group", "descriptor", "node", "on_deliver", "multicast", "next_proposer")
 
     def __init__(self) -> None:
         super().__init__()
@@ -246,7 +311,7 @@ def test_both_backends_build_and_run_through_the_engine_seam(backend):
             assert am.coordinator_of("g") is am.node("n0")
         assert {"add_group", "descriptor", "node", "on_deliver"} <= am.engine.calls
         # The hand-off differs (time is the backend's), the seam does not.
-        assert ("submit" if backend == "sim" else "next_proposer") in am.engine.calls
+        assert ("multicast" if backend == "sim" else "next_proposer") in am.engine.calls
     finally:
         engines.unregister(RecordingEngine.name)
 

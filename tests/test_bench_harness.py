@@ -155,7 +155,7 @@ class TestRegressionGate:
         current = {"metrics": {"x/throughput_ops": 90.0}}
         assert compare_metrics(current, baseline, tolerance=0.2) == ([], [], [])
 
-    def test_scale_mismatch_refuses_to_compare(self, tmp_path):
+    def test_scale_mismatch_refuses_to_compare(self, tmp_path, monkeypatch):
         import json
 
         from repro.bench import regression
@@ -163,19 +163,23 @@ class TestRegressionGate:
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"scale": "smoke", "metrics": {}}))
         collected = {"scale": "quick", "metrics": {}}
-        original = regression.collect_smoke_metrics
-        regression.collect_smoke_metrics = lambda scale="smoke": collected
-        try:
-            code = regression.main(
-                [
-                    "--scale", "quick",
-                    "--baseline", str(baseline),
-                    "--output", str(tmp_path / "out.json"),
-                ]
-            )
-        finally:
-            regression.collect_smoke_metrics = original
+        # main() takes the collector from SUITES, which bound the function at
+        # import: replacing the module attribute would leave the real one in.
+        _collector, default_baseline, default_output = regression.SUITES["smoke"]
+        monkeypatch.setitem(
+            regression.SUITES,
+            "smoke",
+            (lambda scale="smoke": collected, default_baseline, default_output),
+        )
+        code = regression.main(
+            [
+                "--scale", "quick",
+                "--baseline", str(baseline),
+                "--output", str(tmp_path / "out.json"),
+            ]
+        )
         assert code == 2  # config error, not a benchmark regression
+        assert json.loads((tmp_path / "out.json").read_text()) == collected
 
     def test_missing_metric_is_a_regression(self):
         from repro.bench.regression import compare_metrics

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -45,7 +46,15 @@ def test_distributed_log_example_runs(capsys):
 
 def test_recovery_demo_example_runs(capsys):
     module = _load("recovery_demo.py")
+    # A tenth of the script's 90 simulated seconds (~29k operations each):
+    # the same crash, checkpoints, trims, state transfer and replay in ~40 s
+    # of wall time instead of seven minutes.
+    module.CRASH_AT, module.RECOVER_AT, module.END = 2.0, 6.0, 9.0
+    module.CHECKPOINT_INTERVAL, module.TRIM_INTERVAL = 1.0, 2.0
     module.main()
     output = capsys.readouterr().out
     assert "Recoveries completed:                  1" in output
+    assert "Remote state transfers during recovery: 1" in output
     assert "matches an operational replica: True" in output
+    assert re.search(r"Checkpoints written \(all replicas\): +[1-9]", output)
+    assert re.search(r"Acceptor log records trimmed: +[1-9]", output)

@@ -1,14 +1,12 @@
-"""Tests for ballots, acceptor records, the stable log and single-decree Paxos."""
+"""Tests for ballots, acceptor records and the stable log."""
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.config import MultiRingConfig, RingConfig
 from repro.errors import StorageError
 from repro.multiring.deployment import Deployment, RingSpec
-from repro.paxos.single_decree import run_single_decree
 from repro.paxos.storage import AcceptorStorage
 from repro.paxos.types import Ballot, InstanceRecord
 from repro.sim.disk import StorageMode, disk_for_mode
@@ -270,58 +268,3 @@ class TestBoundedMemoryLog:
         assert all(log.trimmed_up_to == log.highest_instance - 64 for log in logs)
         assert len(bounded) >= 40 and bounded == reference and events == reference_events
 
-
-class TestSingleDecreePaxos:
-    def test_single_proposer_decides_its_value(self):
-        world = World(seed=1)
-        value = Value.create("the-value", 64)
-        outcomes = run_single_decree(
-            world,
-            proposer_values={"p1": value},
-            acceptor_names=["a1", "a2", "a3"],
-            learner_names=["l1", "l2"],
-        )
-        assert outcomes["l1"] is not None
-        assert outcomes["l1"].payload == "the-value"
-        assert outcomes["l2"].payload == "the-value"
-
-    def test_concurrent_proposers_agree_on_one_value(self):
-        world = World(seed=2)
-        outcomes = run_single_decree(
-            world,
-            proposer_values={
-                "p1": Value.create("from-p1", 64),
-                "p2": Value.create("from-p2", 64),
-            },
-            acceptor_names=["a1", "a2", "a3"],
-            learner_names=["l1", "l2", "l3"],
-        )
-        decided = {name: value.payload for name, value in outcomes.items() if value is not None}
-        assert decided, "at least one learner must decide"
-        assert len(set(decided.values())) == 1, "learners must agree"
-        assert set(decided.values()) <= {"from-p1", "from-p2"}, "validity"
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        proposer_count=st.integers(min_value=1, max_value=3),
-        acceptor_count=st.sampled_from([3, 5]),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_agreement_and_validity_hold_for_random_configurations(
-        self, proposer_count, acceptor_count, seed
-    ):
-        world = World(seed=seed)
-        proposer_values = {
-            f"p{i}": Value.create(f"value-{i}", 64) for i in range(proposer_count)
-        }
-        outcomes = run_single_decree(
-            world,
-            proposer_values=proposer_values,
-            acceptor_names=[f"a{i}" for i in range(acceptor_count)],
-            learner_names=["l1", "l2"],
-            duration=10.0,
-        )
-        decided = [value.payload for value in outcomes.values() if value is not None]
-        assert decided, "liveness: some learner decides after GST"
-        assert len(set(decided)) == 1
-        assert set(decided) <= {f"value-{i}" for i in range(proposer_count)}

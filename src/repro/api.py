@@ -44,8 +44,9 @@ Both backends build through one path: ``ring()`` hands the same
 :class:`~repro.runtime.interfaces.Cluster` -- the simulated world, or the live
 cluster's per-node runtimes -- on which every acceptor, replica and client is
 placed the same way; ``monitor`` is that cluster's one monitor.  On the live
-backend all of them are declared before entering the context (the node set
-fixes the TCP topology).  Engines advertise
+backend all of them -- and ``workload()``, whose load generator is one more
+client node -- are declared before entering the context (the node set fixes
+the TCP topology).  Engines advertise
 :attr:`~repro.engines.base.OrderingEngine.supports_live` and the facade
 refuses unsupported combinations up front; only ``inject_failures()`` is
 still limited to the simulator.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import itertools
 import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -173,6 +175,7 @@ class AtomicMulticast:
         self.config = config or MultiRingConfig.datacenter()
         self._streams: Dict[GroupId, DeliveryStream] = {}
         self._pending: Dict[int, concurrent.futures.Future] = {}
+        self._workloads = itertools.count()
 
         if backend == "sim":
             from repro.sim.world import World
@@ -468,7 +471,7 @@ class AtomicMulticast:
 
     def workload(
         self,
-        group: GroupId,
+        target,
         schedule=None,
         *,
         replay=None,
@@ -479,20 +482,35 @@ class AtomicMulticast:
         size_bytes: int = 512,
         record: bool = False,
     ):
-        """Open-loop arrival-sampled traffic against ``group``, either backend.
+        """Open-loop arrival-sampled traffic against a group or a service, either backend.
 
-        Pass either a :class:`~repro.workloads.engine.PhaseSchedule`
-        (``schedule=``) to sample a fresh Poisson/Zipf arrival stream, or a
-        recorded :class:`~repro.workloads.engine.WorkloadTrace` (``replay=``)
-        to reproduce a captured storm byte-for-byte -- e.g. one recorded on
-        the sim backend, replayed over real TCP.  Returns a
-        :class:`~repro.workloads.engine.FacadeWorkloadManager`
-        (start / stop / collect / recent_entries); completions resolve at the
-        group's witness learner, and latency is measured from the *intended*
-        arrival instant (no coordinated omission).  ``record=True`` captures
-        the submitted stream on ``manager.trace`` for later replay.
+        ``target`` is a group id -- raw values go through :meth:`submit` and
+        complete at the group's witness learner -- or a service built by
+        :meth:`dlog` / :meth:`mrpstore` (anything with ``open_loop_target()``),
+        whose commands go to its proposer front-ends and complete when its
+        replicas have answered.  Pass either a
+        :class:`~repro.workloads.engine.PhaseSchedule` (``schedule=``) to
+        sample a fresh Poisson/Zipf arrival stream, or a recorded
+        :class:`~repro.workloads.engine.WorkloadTrace` (``replay=``) to
+        reproduce a captured storm byte-for-byte -- e.g. one recorded on the
+        sim backend, replayed over real TCP.
+
+        The load generator is a client node of the deployment, so on the live
+        backend a workload is declared before entering the context, like
+        :meth:`ring` and :meth:`client`.  Returns its
+        :class:`~repro.workloads.engine.WorkloadManager` (start / stop /
+        collect / drain / recent_entries); latency is measured from the
+        *intended* arrival instant (no coordinated omission) and also lands in
+        :attr:`monitor`.  ``record=True`` captures the submitted stream on
+        ``manager.trace`` for later replay.
         """
-        from repro.workloads.engine import FacadeWorkloadManager, OpenLoopSampler
+        from repro.workloads.engine import (
+            GroupTarget,
+            OpenLoopLoadGenerator,
+            OpenLoopSampler,
+            WorkloadManager,
+            WorkloadTrace,
+        )
 
         if (schedule is None) == (replay is None):
             raise ConfigurationError("pass exactly one of schedule= or replay=")
@@ -508,7 +526,20 @@ class AtomicMulticast:
                 size_bytes=size_bytes,
             )
             events = list(sampler.events())
-        return FacadeWorkloadManager(self, group, events, record=record)
+        if hasattr(target, "open_loop_target"):
+            target = target.open_loop_target()
+        else:
+            self._hook_witness(target)
+            target = GroupTarget(self.submit, target)
+        name = f"openloop-{next(self._workloads)}"
+        generator = OpenLoopLoadGenerator(
+            self._cluster.runtime_of(name),
+            name,
+            target,
+            events,
+            recorder=WorkloadTrace() if record else None,
+        )
+        return WorkloadManager(self, generator)
 
     # ------------------------------------------------------------------
     # execution / time

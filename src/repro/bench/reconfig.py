@@ -20,6 +20,7 @@ many acknowledged writes were lost (must be zero).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.bench.report import format_kv, format_table
@@ -28,17 +29,15 @@ from repro.coordination.reconfig import ReconfigController
 from repro.reconfig.elastic import migrations_installed, scale_out
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import StorageMode
-from repro.runtime.actor import Process
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
-from repro.smr.client import ClosedLoopClient
-from repro.smr.command import Command, Response, SubmitCommand
+from repro.smr.client import ClosedLoopClient, RequestClient
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
 
 __all__ = ["run_reconfig"]
 
 
-class _TrackedWriter(Process):
+class _TrackedWriter(RequestClient):
     """Issues uniquely keyed inserts and records which were acknowledged.
 
     Unlike the closed-loop YCSB clients this writer never blocks: it fires at
@@ -47,11 +46,11 @@ class _TrackedWriter(Process):
     """
 
     def __init__(self, world: World, name: str, store: MRPStore, interval: float, value_size: int = 128) -> None:
-        super().__init__(world, name)
+        frontends = partial(store.frontends_for_client, 0)
+        super().__init__(world, name, frontends(), refresh=frontends)
         self.store = store
         self.interval = interval
         self.value_size = value_size
-        self._outstanding: Dict[int, str] = {}
         self._index = 0
         self.acked: List[str] = []
 
@@ -64,24 +63,10 @@ class _TrackedWriter(Process):
         # never generates them) while spreading them across every range.
         key = f"user{spread:012d}x{self._index:06d}"
         self._index += 1
-        request = self.store.insert(key, self.value_size, series="tracked")
-        frontend = self.store.frontends_for_client(0).get(request.group)
-        if frontend is None:
-            return
-        command = Command.create(
-            client=self.name,
-            operation=request.operation,
-            size_bytes=request.size_bytes,
-            created_at=self.now,
-        )
-        self._outstanding[command.command_id] = key
-        self.send(frontend, SubmitCommand(group=request.group, command=command))
+        self.submit(self.store.insert(key, self.value_size, series="tracked"), self.now, key)
 
-    def on_message(self, sender: str, payload) -> None:
-        if isinstance(payload, Response):
-            key = self._outstanding.pop(payload.command_id, None)
-            if key is not None:
-                self.acked.append(key)
+    def on_complete(self, key: str) -> None:
+        self.acked.append(key)
 
 
 def _check_consistency(store: MRPStore) -> Dict[str, object]:

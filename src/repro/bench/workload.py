@@ -44,7 +44,7 @@ from repro.workloads.engine import (
     OpenLoopLoadGenerator,
     OpenLoopSampler,
     PhaseSchedule,
-    SimWorkloadManager,
+    WorkloadManager,
     WorkloadTrace,
 )
 
@@ -97,12 +97,12 @@ def _run_sim_storm(
     generator = OpenLoopLoadGenerator(
         world,
         "openloop-storm",
-        store.open_loop_target(value_size=value_size, series="workload"),
+        store.open_loop_target(value_size=value_size),
         sampler.events(),
         series="workload",
         recorder=trace,
     )
-    manager = SimWorkloadManager(world, generator)
+    manager = WorkloadManager(world, generator)
 
     crash_events = 0
     if coordinator_crash:
@@ -112,9 +112,8 @@ def _run_sim_storm(
         hot_key = store.key(int(spike.hotspot * record_count) % record_count)
         hot_group = store.current_map.group_of_key(hot_key)
         plan = flash_crowd_fault_plan(schedule, hot_group)
-        injector = plan.arm(world, deployment=store.deployment, store=store)
+        plan.arm(world, deployment=store.deployment, store=store)
         crash_events = len(plan.faults)
-        del injector  # the schedule lives on the world's timers
 
     manager.start()
     world.run(until=scale_out_at)
@@ -171,8 +170,9 @@ def _run_live_replay(
     am = AtomicMulticast(backend="live", seed=seed)
     names = [f"wl{i}" for i in range(nodes)]
     am.ring("wl-ring", acceptors=names, learners=names)
+    # The load generator is one more node: declared before the context.
+    manager = am.workload("wl-ring", replay=prefix.events, record=True)
     with am:
-        manager = am.workload("wl-ring", replay=prefix.events, record=True)
         completed = manager.drain(timeout=timeout)
         manager.stop()
     # Byte-for-byte fidelity: the facade recorded exactly the events it was

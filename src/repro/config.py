@@ -77,8 +77,6 @@ class RingConfig:
     #: Size of the acceptors' pre-allocated in-memory buffer, in slots
     #: (the paper uses 15000 slots of 32 KB).
     memory_slots: int = 15000
-    #: Size of one in-memory slot in bytes.
-    slot_bytes: int = 32 * 1024
     #: Coordinator-side batching: pack several proposed values into one
     #: consensus instance (see :class:`BatchingConfig`).
     batching: BatchingConfig = field(default_factory=BatchingConfig)
@@ -109,9 +107,6 @@ class RingConfig:
 
     def with_storage(self, mode: StorageMode) -> "RingConfig":
         return replace(self, storage_mode=mode)
-
-    def with_repair(self, interval: float, batch: int = 128) -> "RingConfig":
-        return replace(self, repair_interval=interval, repair_batch=batch)
 
 
 @dataclass(frozen=True)

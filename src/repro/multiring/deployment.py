@@ -204,8 +204,5 @@ class Deployment:
         except KeyError:
             raise MulticastError(f"unknown group {group!r}") from None
 
-    def learners_of(self, group: GroupId) -> List[MultiRingNode]:
-        return [self.node(name) for name in self.ring(group).learners]
-
     def coordinator_of(self, group: GroupId) -> MultiRingNode:
         return self.node(self.ring(group).coordinator)

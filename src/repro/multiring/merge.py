@@ -209,9 +209,6 @@ class DeterministicMerge:
         self._invalidate_active()
         self.subscription_version += 1
 
-    def set_deliver_callback(self, deliver: Callable[[Delivery], None]) -> None:
-        self._deliver = deliver
-
     # ------------------------------------------------------------------
     # input
     # ------------------------------------------------------------------

@@ -147,11 +147,6 @@ class MultiRingNode(RingHost):
         """Groups this node delivers from, in group-identifier order."""
         return sorted(self._subscribed)
 
-    @property
-    def pending_subscriptions(self) -> List[GroupId]:
-        """Groups joined with a deferred subscription (splice not yet agreed)."""
-        return sorted(g for g, r in self._join_rounds.items() if r is None)
-
     # ------------------------------------------------------------------
     # multicast API
     # ------------------------------------------------------------------
@@ -272,24 +267,6 @@ class MultiRingNode(RingHost):
     def skip_statistics(self) -> Dict[GroupId, int]:
         """Total skip instances proposed per coordinated ring."""
         return {group: leveler.total_skips for group, leveler in self._levelers.items()}
-
-    def batching_statistics(self) -> Dict[GroupId, Dict[str, int]]:
-        """Coordinator batcher counters per coordinated ring (empty if disabled)."""
-        stats: Dict[GroupId, Dict[str, int]] = {}
-        for group, role in self.roles.items():
-            if role.batcher is None:
-                continue
-            batcher = role.batcher
-            stats[group] = {
-                "values_offered": batcher.values_offered,
-                "batches_flushed": batcher.batches_flushed,
-                "size_flushes": batcher.size_flushes,
-                "timeout_flushes": batcher.timeout_flushes,
-                "control_flushes": batcher.control_flushes,
-                "window_stalls": role.window_stalls,
-                "max_inflight": role.max_inflight,
-            }
-        return stats
 
     # ------------------------------------------------------------------
     # observability

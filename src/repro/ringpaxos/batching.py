@@ -76,10 +76,6 @@ class CoordinatorBatcher:
         self.control_flushes = 0
 
     # ------------------------------------------------------------------
-    @property
-    def pending_values(self) -> int:
-        return len(self._pending)
-
     def offer(self, value: Value) -> None:
         """Add ``value`` to the pending batch, flushing when a cap is hit."""
         if is_control_payload(value):

@@ -546,9 +546,6 @@ class RingRole:
             return
         host.ring_send(next_hop, msg)
 
-    def learned_instances(self) -> List[InstanceId]:
-        return sorted(self._learned)
-
     def inject_learned(self, instance: InstanceId) -> None:
         """Mark one instance as learned outside the ring (recovery retransmission).
 

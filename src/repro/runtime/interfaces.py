@@ -92,8 +92,11 @@ class Clock(Protocol):
 
     ``call_at`` / ``call_later`` are the fire-and-forget fast paths (no
     cancellation handle); ``schedule`` / ``schedule_at`` return a
-    :class:`CancelHandle` for timers.  The clock owns the calendar-queue
-    attributes documented in the module docstring.
+    :class:`CancelHandle` for timers; ``post`` runs a callback as soon as
+    possible and is the one entry point for callers that are not themselves
+    inside an event callback (on the live backend: another thread).  The
+    clock owns the calendar-queue attributes documented in the module
+    docstring.
     """
 
     @property
@@ -102,6 +105,8 @@ class Clock(Protocol):
     def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None: ...
 
     def call_later(self, delay: float, callback: Callable[..., Any], *args: Any) -> None: ...
+
+    def post(self, callback: Callable[..., Any], *args: Any) -> None: ...
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any

@@ -530,9 +530,6 @@ class LiveNodeRuntime:
     def processes(self) -> List[Any]:
         return list(self._processes.values())
 
-    def process_names(self) -> List[str]:
-        return list(self._processes)
-
     def _stub(self, name: str) -> RemotePeer:
         stub = self._remote_stubs.get(name)
         if stub is None:

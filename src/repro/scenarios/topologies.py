@@ -66,10 +66,6 @@ class TopologyPreset:
         """Round-robin placement of ``partitions`` named ``p0..pN`` onto sites."""
         return {f"p{i}": self.sites[i % len(self.sites)] for i in range(partitions)}
 
-    def max_rtt_ms(self) -> float:
-        """The worst pairwise RTT of the preset (used to size fault windows)."""
-        return max(self.rtt_ms.values(), default=self.default_rtt_ms)
-
 
 WAN3 = TopologyPreset(
     name="wan3",

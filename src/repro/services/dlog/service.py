@@ -192,23 +192,19 @@ class DLog:
             mapping[group] = names[client_index % len(names)]
         return mapping
 
-    def open_loop_target(
-        self,
-        append_size: int = 1024,
-        series: str = "openloop",
-        client_index: int = 0,
-    ):
+    def open_loop_target(self, append_size: int = 1024, client_index: int = 0):
         """A :class:`~repro.workloads.engine.ServiceTarget` over this dLog.
 
         Arrival-event key indices pick the destination log (modulo the log
         count) and become fixed-size appends -- the open-loop counterpart of
-        :class:`~repro.workloads.simple.AppendWorkload`.
+        :class:`~repro.workloads.simple.AppendWorkload`.  Completions are
+        recorded under the load generator's series.
         """
         from repro.workloads.engine import ServiceTarget
 
         def _request(event):
             log = self.logs[event.key % len(self.logs)]
-            return self.append(log, event.size_bytes or append_size, series=series)
+            return self.append(log, event.size_bytes or append_size)
 
         return ServiceTarget(
             request_for=_request,

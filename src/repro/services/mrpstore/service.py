@@ -376,27 +376,22 @@ class MRPStore:
             mapping[self.GLOBAL_GROUP] = names[client_index % len(names)]
         return mapping
 
-    def open_loop_target(
-        self,
-        value_size: int = 1024,
-        series: str = "openloop",
-        client_index: int = 0,
-    ):
+    def open_loop_target(self, value_size: int = 1024, client_index: int = 0):
         """A :class:`~repro.workloads.engine.ServiceTarget` over this store.
 
         Arrival-event key indices map to canonical store keys and become
-        update requests; the target re-reads the frontend map on a routing
-        miss, so open-loop traffic follows elastic re-partitioning (new
-        partitions appear mid-run) without a restart.
+        update (or read) requests, recorded under the load generator's
+        series; ``refresh`` re-reads the frontend map on a routing miss, so
+        open-loop traffic follows elastic re-partitioning (new partitions
+        appear mid-run) without a restart.
         """
         from repro.workloads.engine import ServiceTarget
 
         def _request(event):
             key = self.key(event.key % self.key_space)
-            size = event.size_bytes or value_size
             if event.op == "read":
-                return self.read(key, series=series)
-            return self.update(key, size, series=series)
+                return self.read(key)
+            return self.update(key, event.size_bytes or value_size)
 
         return ServiceTarget(
             request_for=_request,

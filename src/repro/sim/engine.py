@@ -143,6 +143,16 @@ class Simulator:
             raise SimulationError(f"cannot schedule an event {delay}s in the past")
         heapq.heappush(self._queue, (self._now + delay, next(self._seq), callback, args))
 
+    def post(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback`` as soon as possible; the entry point for callers outside an event.
+
+        A workload manager starting its generator, a test stopping a client:
+        code that is not itself running inside an event callback hands work to
+        the clock here.  The live clock overrides it to be safe from another
+        thread and to wake its pump.
+        """
+        heapq.heappush(self._queue, (self._now, next(self._seq), callback, args))
+
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now."""
         if delay < 0:

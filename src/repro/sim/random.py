@@ -40,10 +40,5 @@ class RandomStreams:
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive a child factory, useful for giving a whole subsystem its own namespace."""
-        digest = hashlib.sha256(f"{self._seed}:fork:{name}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed}, streams={sorted(self._streams)})"

@@ -83,11 +83,6 @@ class Topology:
     def has_site(self, site: str) -> bool:
         return site in self._sites
 
-    def add_site(self, site: str) -> None:
-        if site not in self._sites:
-            self._sites.append(site)
-            self.version += 1
-
     def set_link(
         self,
         site_a: str,

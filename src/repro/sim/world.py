@@ -99,9 +99,6 @@ class World:
     def processes(self) -> List["Process"]:
         return list(self._processes.values())
 
-    def process_names(self) -> List[str]:
-        return list(self._processes)
-
     def runtime_of(self, name: str) -> "World":
         """The runtime hosting node ``name``: the one world hosts them all."""
         return self

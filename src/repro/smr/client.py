@@ -1,18 +1,27 @@
-"""Closed-loop clients.
+"""Clients: one request/response core, two pacings.
 
-The paper's benchmarks drive the services with multi-threaded closed-loop
-clients: each thread keeps exactly one request outstanding and issues the next
-one as soon as the previous one completes.  :class:`ClosedLoopClient` models
-one such client machine with ``threads`` concurrent streams; the requests it
-issues come from a :class:`Workload` object (YCSB mixes, append-only streams,
-update-only streams, ...).
+The paper drives both of its services with one kind of client talking to
+proposer front-ends (Sections 7.2 and 8).  :class:`RequestClient` is that
+client: it turns a :class:`Request` into a :class:`Command`, hands it to the
+group's front-end, waits for the replica responses that complete it, retries
+if asked to, and records the latency in its cluster's monitor.  What differs
+between load generators is only *when the next request is issued*:
+
+* :class:`ClosedLoopClient` (here) -- on completion: ``threads`` streams, each
+  keeping exactly one request outstanding, fed by a :class:`Workload` object
+  (YCSB mixes, append-only streams, update-only streams, ...);
+* :class:`~repro.workloads.engine.OpenLoopLoadGenerator` -- at the sampled
+  instant, whatever is still outstanding.
+
+Either is placed like any other process of a service, on
+``cluster.runtime_of(name)``, and so runs on both backends.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, Hashable, Optional, Protocol
 
 from repro.errors import WorkloadError
 from repro.runtime.actor import Process
@@ -20,7 +29,7 @@ from repro.runtime.interfaces import Runtime
 from repro.smr.command import Command, Response, SubmitCommand
 from repro.types import GroupId
 
-__all__ = ["Request", "Workload", "ClosedLoopClient"]
+__all__ = ["Request", "Workload", "RequestClient", "ClosedLoopClient"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,145 @@ class Workload(Protocol):
         ...
 
 
-class ClosedLoopClient(Process):
+class _Pending:
+    """One outstanding request."""
+
+    __slots__ = ("request", "started_at", "context", "command", "frontend", "seen", "timer")
+
+    def __init__(self, request: Request, started_at: float, context: Any) -> None:
+        self.request = request
+        self.started_at = started_at
+        self.context = context
+        self.command: Optional[Command] = None
+        self.frontend: Optional[str] = None
+        self.seen: set = set()
+        self.timer = None
+
+
+class RequestClient(Process):
+    """The request/response core every load generator paces.
+
+    ``frontends`` maps multicast groups to proposer front-end process names
+    (it may be updated while running); ``refresh``, when given, re-reads that
+    map on a routing miss -- which is what happens mid-re-partitioning, when
+    new partitions appear.  Subclasses call :meth:`submit` when their pacing
+    says so and override :meth:`on_complete`.
+    """
+
+    def __init__(
+        self,
+        world: Runtime,
+        name: str,
+        frontends: Dict[GroupId, str],
+        *,
+        site: Optional[str] = None,
+        series: str = "client",
+        retry_timeout: float = 0.0,
+        refresh: Optional[Callable[[], Dict[GroupId, str]]] = None,
+    ) -> None:
+        super().__init__(world, name, site)
+        if retry_timeout < 0:
+            raise WorkloadError("the retry timeout cannot be negative")
+        self.frontends = dict(frontends)
+        self._refresh = refresh
+        self.series = series
+        #: When positive, a request outstanding longer than this many seconds
+        #: is re-submitted (same command, so replicas stay consistent).  Needed
+        #: under fault injection: a command lost to a crash or partition would
+        #: otherwise stay outstanding forever.
+        self.retry_timeout = retry_timeout
+        self._outstanding: Dict[Hashable, _Pending] = {}
+        self.completed = 0
+        self.issued = 0
+        self.retries = 0
+
+    # -- issuing -----------------------------------------------------------
+    def submit(self, request: Request, started_at: float, context: Any = None) -> None:
+        """Send ``request`` to its group's front-end as a new command.
+
+        Latency is counted from ``started_at`` (the client's clock);
+        ``context`` comes back in :meth:`on_complete`.
+        """
+        frontend = self.frontends.get(request.group)
+        if frontend is None and self._refresh is not None:
+            self.frontends.update(self._refresh())
+            frontend = self.frontends.get(request.group)
+        if frontend is None:
+            raise WorkloadError(f"no front-end configured for group {request.group!r}")
+        command = Command.create(
+            client=self.name,
+            operation=request.operation,
+            size_bytes=request.size_bytes,
+            created_at=self.now,
+            expected_responses=request.expected_responses,
+        )
+        pending = self.track(command.command_id, request, started_at, context)
+        pending.command = command
+        pending.frontend = frontend
+        self._send(pending)
+
+    def track(self, key: Hashable, request: Request, started_at: float, context: Any) -> _Pending:
+        """Count ``request`` as issued and outstanding under ``key`` until :meth:`finish`."""
+        pending = self._outstanding[key] = _Pending(request, started_at, context)
+        self.issued += 1
+        return pending
+
+    def _send(self, pending: _Pending) -> None:
+        """(Re-)send a command; armed again while ``retry_timeout`` is positive.
+
+        A retry re-sends the *same* command object (same command id): replicas
+        execute whatever the decided sequence contains, so a duplicate that
+        makes it through consensus twice is applied identically everywhere,
+        and the client ignores responses after the first completion.
+        """
+        self.send(pending.frontend, SubmitCommand(group=pending.request.group, command=pending.command))
+        if self.retry_timeout > 0:
+            pending.timer = self.set_timer(self.retry_timeout, self._maybe_retry, pending)
+
+    def _maybe_retry(self, pending: _Pending) -> None:
+        if pending.command.command_id not in self._outstanding or not self.alive:
+            return
+        self.retries += 1
+        self._send(pending)
+
+    # -- completing --------------------------------------------------------
+    def on_message(self, sender: str, payload) -> None:
+        if not isinstance(payload, Response):
+            return
+        pending = self._outstanding.get(payload.command_id)
+        if pending is None:
+            return  # duplicate response after completion
+        # For single-partition commands the first response completes the
+        # request; for scans the client waits for one response per partition.
+        pending.seen.add(payload.partition)
+        if len(pending.seen) >= pending.request.expected_responses:
+            self.finish(payload.command_id)
+
+    def finish(self, key: Hashable) -> None:
+        """Complete the request tracked under ``key``: latency into the monitor, then pacing."""
+        pending = self._outstanding.pop(key)
+        if pending.timer is not None:
+            pending.timer.cancel()
+        self.completed += 1
+        request = pending.request
+        now = self.now
+        self.world.monitor.record_operation(
+            request.series or self.series,
+            completion_time=now,
+            latency=now - pending.started_at,
+            size_bytes=request.size_bytes,
+        )
+        self.on_complete(pending.context)
+
+    def on_complete(self, context: Any) -> None:
+        """Pacing hook: a request submitted with ``context`` has completed."""
+
+    @property
+    def outstanding(self) -> int:
+        return len(self._outstanding)
+
+
+class ClosedLoopClient(RequestClient):
     """A client machine running ``threads`` closed-loop request streams."""
 
     def __init__(
@@ -63,106 +210,26 @@ class ClosedLoopClient(Process):
         rng: Optional[random.Random] = None,
         retry_timeout: float = 0.0,
     ) -> None:
-        super().__init__(world, name, site)
+        super().__init__(
+            world, name, frontends, site=site, series=series, retry_timeout=retry_timeout
+        )
         if threads < 1:
             raise WorkloadError("a client needs at least one thread")
-        if retry_timeout < 0:
-            raise WorkloadError("the retry timeout cannot be negative")
         self.workload = workload
-        self.frontends = dict(frontends)
         self.threads = threads
-        self.series = series
         self.think_time = think_time
-        #: When positive, a request outstanding longer than this many seconds
-        #: is re-submitted (same command, so replicas stay consistent).  Needed
-        #: under fault injection: a command lost to a crash or partition would
-        #: otherwise block its closed-loop thread forever.
-        self.retry_timeout = retry_timeout
         self.rng = rng or world.rng.stream(f"client:{name}")
-        self._outstanding: Dict[int, Request] = {}
-        self._responses_seen: Dict[int, set] = {}
-        self._sent_at: Dict[int, float] = {}
-        self._retry_timers: Dict[int, object] = {}
-        self.completed = 0
-        self.issued = 0
-        self.retries = 0
 
-    # ------------------------------------------------------------------
     def on_start(self) -> None:
         for _ in range(self.threads):
             self._issue_next()
 
     def _issue_next(self) -> None:
-        if not self.alive:
-            return
-        request = self.workload.next_request(self.rng)
-        frontend = self.frontends.get(request.group)
-        if frontend is None:
-            raise WorkloadError(f"no front-end configured for group {request.group!r}")
-        command = Command.create(
-            client=self.name,
-            operation=request.operation,
-            size_bytes=request.size_bytes,
-            created_at=self.now,
-            expected_responses=request.expected_responses,
-        )
-        self._outstanding[command.command_id] = request
-        self._responses_seen[command.command_id] = set()
-        self._sent_at[command.command_id] = self.now
-        self.issued += 1
-        self.send(frontend, SubmitCommand(group=request.group, command=command))
-        if self.retry_timeout > 0:
-            self._retry_timers[command.command_id] = self.set_timer(
-                self.retry_timeout, self._maybe_retry, command, request.group, frontend
-            )
+        if self.alive:
+            self.submit(self.workload.next_request(self.rng), self.now)
 
-    def _maybe_retry(self, command, group: GroupId, frontend: str) -> None:
-        """Re-submit a request that has been outstanding past the timeout.
-
-        The *same* command object is re-sent (same command id): replicas
-        execute whatever the decided sequence contains, so a duplicate that
-        makes it through consensus twice is applied identically everywhere,
-        and the client ignores responses after the first completion.
-        """
-        if command.command_id not in self._outstanding or not self.alive:
-            return
-        self.retries += 1
-        self.send(frontend, SubmitCommand(group=group, command=command))
-        self._retry_timers[command.command_id] = self.set_timer(
-            self.retry_timeout, self._maybe_retry, command, group, frontend
-        )
-
-    # ------------------------------------------------------------------
-    def on_message(self, sender: str, payload) -> None:
-        if not isinstance(payload, Response):
-            return
-        request = self._outstanding.get(payload.command_id)
-        if request is None:
-            return  # duplicate response after completion
-        seen = self._responses_seen[payload.command_id]
-        # For single-partition commands the first response completes the
-        # request; for scans the client waits for one response per partition.
-        seen.add(payload.partition)
-        if len(seen) < request.expected_responses:
-            return
-        sent_at = self._sent_at.pop(payload.command_id)
-        del self._outstanding[payload.command_id]
-        del self._responses_seen[payload.command_id]
-        timer = self._retry_timers.pop(payload.command_id, None)
-        if timer is not None:
-            timer.cancel()
-        self.completed += 1
-        latency = self.now - sent_at
-        series = request.series or self.series
-        self.world.monitor.record_operation(
-            series, completion_time=self.now, latency=latency, size_bytes=request.size_bytes
-        )
+    def on_complete(self, context: Any) -> None:
         if self.think_time > 0:
             self.set_timer(self.think_time, self._issue_next)
         else:
             self._issue_next()
-
-    # ------------------------------------------------------------------
-    @property
-    def outstanding(self) -> int:
-        return len(self._outstanding)

@@ -11,22 +11,25 @@
 * :mod:`repro.workloads.engine` -- the **open-loop** million-user workload
   engine: Poisson/Zipf arrival sampling (no per-client objects), phase
   schedules (diurnal curves, flash crowds, hotspot migration), trace
-  record/replay, and the :class:`~repro.workloads.engine.WorkloadManager`
-  lifecycle driving either backend.  See ``docs/workloads.md``.
+  record/replay, and the one load path:
+  :class:`~repro.workloads.engine.OpenLoopLoadGenerator` (a client process
+  on the ``Cluster`` seam, sharing :class:`~repro.smr.client.RequestClient`
+  with the closed-loop client) under one
+  :class:`~repro.workloads.engine.WorkloadManager`, against a group or a
+  service on either backend.  See ``docs/workloads.md``.
 """
 
 from repro.workloads.distributions import UniformChooser, ZipfianChooser, LatestChooser
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload, YCSB_WORKLOADS
-from repro.workloads.simple import AppendWorkload, UpdateWorkload, MixedOperationWorkload
+from repro.workloads.simple import AppendWorkload, UpdateWorkload
 from repro.workloads.engine import (
     ArrivalEvent,
-    FacadeWorkloadManager,
+    GroupTarget,
     OpenLoopLoadGenerator,
     OpenLoopSampler,
     Phase,
     PhaseSchedule,
     ServiceTarget,
-    SimWorkloadManager,
     WorkloadEntry,
     WorkloadManager,
     WorkloadTrace,
@@ -41,7 +44,6 @@ __all__ = [
     "YCSB_WORKLOADS",
     "AppendWorkload",
     "UpdateWorkload",
-    "MixedOperationWorkload",
     "ArrivalEvent",
     "Phase",
     "PhaseSchedule",
@@ -50,7 +52,6 @@ __all__ = [
     "WorkloadEntry",
     "WorkloadManager",
     "ServiceTarget",
+    "GroupTarget",
     "OpenLoopLoadGenerator",
-    "SimWorkloadManager",
-    "FacadeWorkloadManager",
 ]

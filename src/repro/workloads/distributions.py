@@ -3,9 +3,7 @@
 The zipfian generator follows the algorithm of Gray et al. used by YCSB
 ("Quickly generating billion-record synthetic databases"), with the same
 default skew constant of 0.99.  The *latest* distribution skews towards the
-most recently inserted records, and the *scrambled* variant spreads the
-zipfian popularity over the whole key space so that popular records are not
-clustered.
+most recently inserted records.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import math
 import random
 from typing import Optional
 
-__all__ = ["UniformChooser", "ZipfianChooser", "LatestChooser", "ScrambledZipfianChooser"]
+__all__ = ["UniformChooser", "ZipfianChooser", "LatestChooser"]
 
 
 class UniformChooser:
@@ -65,24 +63,6 @@ class ZipfianChooser:
         if new_count > self.count:
             self.count = new_count
             self._recompute()
-
-
-class ScrambledZipfianChooser:
-    """Zipfian popularity spread uniformly over the key space (YCSB scrambled zipfian)."""
-
-    def __init__(self, count: int, theta: float = 0.99) -> None:
-        self.count = count
-        self._zipf = ZipfianChooser(count, theta)
-
-    def next_index(self, rng: random.Random) -> int:
-        base = self._zipf.next_index(rng)
-        # Fowler-Noll-Vo style scrambling, kept deterministic and cheap.
-        scrambled = (base * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        return scrambled % self.count
-
-    def grow(self, new_count: int) -> None:
-        self.count = max(self.count, new_count)
-        self._zipf.grow(new_count)
 
 
 class LatestChooser:

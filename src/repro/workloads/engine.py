@@ -32,32 +32,36 @@ The pieces:
 * :class:`WorkloadTrace` -- a recorded arrival stream with JSONL
   round-trip; replaying a trace reproduces the submission schedule
   byte-for-byte on either backend (see ``docs/workloads.md``).
-* :class:`WorkloadManager` -- the lifecycle ABC (start / stop / collect /
-  recent_entries) every driver implements.
-* :class:`OpenLoopLoadGenerator` + :class:`SimWorkloadManager` -- the
-  simulator driver: a :class:`~repro.runtime.actor.Process` that fires
-  ``SubmitCommand`` messages at service front-ends at the sampled times.
-* :class:`FacadeWorkloadManager` -- the backend-agnostic driver behind
-  :meth:`repro.api.AtomicMulticast.workload`; on the sim backend it rides
-  a process in the facade's world, on the live backend a pacing thread
-  submits over real TCP.
+* :class:`OpenLoopLoadGenerator` -- the one load generator: the open-loop
+  pacing over :class:`~repro.smr.client.RequestClient` (the request/response
+  core it shares with the closed-loop client), a
+  :class:`~repro.runtime.actor.Process` placed with
+  ``cluster.runtime_of(name)`` like every other node.  What an arrival
+  becomes is its target's business: :class:`ServiceTarget` sends a service's
+  commands to proposer front-ends, :class:`GroupTarget` multicasts raw values
+  through the facade.
+* :class:`WorkloadManager` -- the one lifecycle (start / stop / collect /
+  drain / recent_entries) around a generator.  It advances its cluster only
+  through ``now`` / ``run_for``, which a simulated
+  :class:`~repro.sim.world.World` and an
+  :class:`~repro.api.AtomicMulticast` on either backend both offer, so
+  nothing here knows which backend it is driving.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
-import threading
-import time as _time
-from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import WorkloadError
-from repro.runtime.actor import Process
+from repro.smr.client import Request, RequestClient
 from repro.workloads.distributions import ZipfianChooser
 
 __all__ = [
@@ -66,12 +70,11 @@ __all__ = [
     "PhaseSchedule",
     "OpenLoopSampler",
     "WorkloadTrace",
-    "WorkloadEntry",
-    "WorkloadManager",
     "ServiceTarget",
+    "GroupTarget",
+    "WorkloadEntry",
     "OpenLoopLoadGenerator",
-    "SimWorkloadManager",
-    "FacadeWorkloadManager",
+    "WorkloadManager",
 ]
 
 
@@ -447,11 +450,71 @@ class OpenLoopSampler:
 
 
 # ----------------------------------------------------------------------
-# completion records and the manager ABC
+# targets: what an arrival becomes, and how it is sent
+# ----------------------------------------------------------------------
+class ServiceTarget:
+    """Adapts a service deployment to the open-loop engine.
+
+    ``request_for`` maps an :class:`ArrivalEvent` to the service's
+    :class:`~repro.smr.client.Request`; ``frontends`` maps multicast groups
+    to proposer front-end process names.  ``refresh`` (optional) re-reads
+    the frontend map -- the generator calls it when routing misses a group,
+    which is exactly what happens mid-re-partitioning when new partitions
+    appear.
+    """
+
+    def __init__(
+        self,
+        request_for: Callable[[ArrivalEvent], Request],
+        frontends: Dict[Any, str],
+        refresh: Optional[Callable[[], Dict[Any, str]]] = None,
+    ) -> None:
+        self.request_for = request_for
+        self.frontends = dict(frontends)
+        self.refresh = refresh
+
+    def send(self, client: RequestClient, request: Request, started_at: float, context: Any) -> None:
+        """Hand ``request`` to the service: a command to the group's front-end."""
+        client.submit(request, started_at, context)
+
+
+class GroupTarget(ServiceTarget):
+    """Raw values multicast to one group, with no service on top.
+
+    ``submit`` is :meth:`repro.api.AtomicMulticast.submit`: the future it
+    returns resolves at the group's witness learner, and that is the
+    completion.  A failed or cancelled future leaves the arrival outstanding.
+    """
+
+    def __init__(self, submit: Callable[..., Any], group: Any) -> None:
+        super().__init__(self._request_for, frontends={})
+        self._submit = submit
+        self._group = group
+        self._index = itertools.count()
+
+    def _request_for(self, event: ArrivalEvent) -> Request:
+        payload = f"wl-{next(self._index)}-u{event.user}-k{event.key}"
+        return Request(payload, event.size_bytes, self._group)
+
+    def send(self, client: RequestClient, request: Request, started_at: float, context: Any) -> None:
+        future = self._submit(request.group, request.operation, size_bytes=request.size_bytes)
+        client.track(future, request, started_at, context)
+        future.add_done_callback(partial(self._delivered, client))
+
+    @staticmethod
+    def _delivered(client: RequestClient, future) -> None:
+        # The witness resolves the future on its own node; completing on the
+        # client's clock reads the completion instant there.
+        if not future.cancelled() and future.exception() is None:
+            client.world.sim.post(client.finish, future)
+
+
+# ----------------------------------------------------------------------
+# the generator and its manager
 # ----------------------------------------------------------------------
 @dataclass
 class WorkloadEntry:
-    """One request's lifecycle as observed by a workload driver."""
+    """One request's lifecycle as observed by the load generator."""
 
     issued_at: float
     user: int
@@ -472,83 +535,20 @@ class WorkloadEntry:
         return self.completed_at - self.issued_at
 
 
-class WorkloadManager(ABC):
-    """Constantly-running workload generator lifecycle.
+class OpenLoopLoadGenerator(RequestClient):
+    """Fires requests at sampled arrival instants; never blocks.
 
-    The shape every driver implements (after the SREGym workload base):
-    ``start`` / ``stop`` bracket generation, ``collect`` runs until enough
-    completions have been observed, ``recent_entries`` exposes a sliding
-    window for live dashboards and invariant checks.
-    """
-
-    @abstractmethod
-    def start(self, *args, **kwargs) -> None:
-        """Start generating arrivals."""
-
-    @abstractmethod
-    def stop(self, *args, **kwargs) -> None:
-        """Stop generating arrivals (in-flight requests may still complete)."""
-
-    @abstractmethod
-    def collect(self, number: int = 100, start_time: Optional[float] = None) -> List[WorkloadEntry]:
-        """Run until at least ``number`` completions at/after ``start_time``.
-
-        ``start_time`` defaults to the current workload clock.  Returns the
-        matching entries; raises :class:`WorkloadError` if the arrival
-        stream ends before enough completions arrive.
-        """
-
-    @abstractmethod
-    def recent_entries(self, duration: float = 30.0) -> List[WorkloadEntry]:
-        """Entries completed within the last ``duration`` seconds."""
-
-
-def _completed_since(entries: Iterable[WorkloadEntry], start_time: float) -> List[WorkloadEntry]:
-    return [e for e in entries if e.completed_at is not None and e.completed_at >= start_time]
-
-
-# ----------------------------------------------------------------------
-# simulator driver
-# ----------------------------------------------------------------------
-class ServiceTarget:
-    """Adapts a service deployment to the open-loop engine.
-
-    ``request_for`` maps an :class:`ArrivalEvent` to the service's
-    :class:`~repro.smr.client.Request`; ``frontends`` maps multicast groups
-    to proposer front-end process names.  ``refresh`` (optional) re-reads
-    the frontend map -- the engine calls it when routing misses a group,
-    which is exactly what happens mid-re-partitioning when new partitions
-    appear.
-    """
-
-    def __init__(
-        self,
-        request_for: Callable[[ArrivalEvent], Any],
-        frontends: Dict[Any, str],
-        refresh: Optional[Callable[[], Dict[Any, str]]] = None,
-    ) -> None:
-        self.request_for = request_for
-        self.frontends = dict(frontends)
-        self._refresh = refresh
-
-    def frontend_of(self, group) -> str:
-        frontend = self.frontends.get(group)
-        if frontend is None and self._refresh is not None:
-            self.frontends.update(self._refresh())
-            frontend = self.frontends.get(group)
-        if frontend is None:
-            raise WorkloadError(f"no front-end configured for group {group!r}")
-        return frontend
-
-
-class OpenLoopLoadGenerator(Process):
-    """Fires service requests at sampled arrival instants; never blocks.
-
-    Unlike :class:`~repro.smr.client.ClosedLoopClient`, completions do not
+    The open-loop pacing over :class:`~repro.smr.client.RequestClient`:
+    unlike :class:`~repro.smr.client.ClosedLoopClient`, completions do not
     gate the next request: when the system saturates, outstanding requests
     pile up and the latency distribution shows it -- which is the point of
     open-loop measurement.  Latency is measured from the sampled (intended)
     arrival instant, so queueing ahead of submission is counted too.
+
+    A process like any other: place it with ``cluster.runtime_of(name)`` (on
+    the live backend it is a node with its own endpoint).  It stays silent
+    until :meth:`begin` runs on its clock, which is what
+    :meth:`WorkloadManager.start` arranges.
     """
 
     def __init__(
@@ -561,44 +561,28 @@ class OpenLoopLoadGenerator(Process):
         site: Optional[str] = None,
         series: str = "openloop",
         recorder: Optional[WorkloadTrace] = None,
-        max_entries: Optional[int] = None,
     ) -> None:
-        from repro.smr.command import Command, Response, SubmitCommand  # late: avoids import cycles
-
-        super().__init__(world, name, site)
-        self._command_cls = Command
-        self._submit_cls = SubmitCommand
-        self._response_cls = Response
+        super().__init__(
+            world, name, target.frontends, site=site, series=series, refresh=target.refresh
+        )
         self.target = target
-        self.series = series
         self.recorder = recorder
         self.entries: List[WorkloadEntry] = []
         self._events = iter(events)
         self._origin: Optional[float] = None
-        self._pending_event: Optional[ArrivalEvent] = None
-        self._outstanding: Dict[int, WorkloadEntry] = {}
         self._active = False
         self._exhausted = False
-        self._max_entries = max_entries
-        self.issued = 0
-        self.completed = 0
 
     # -- lifecycle -------------------------------------------------------
-    def on_start(self) -> None:
-        if self._active:
-            return
-        self.begin()
-
     def begin(self) -> None:
-        """Anchor the workload clock at the current instant and start firing."""
-        if self._active:
-            return
-        self._active = True
+        """Anchor the workload clock at the current instant and start firing (once)."""
         if self._origin is None:
             self._origin = self.now
-        self._schedule_next()
+            self._active = True
+            self._schedule_next()
 
     def halt(self) -> None:
+        """Stop firing, for good; what is outstanding may still complete."""
         self._active = False
 
     @property
@@ -609,44 +593,24 @@ class OpenLoopLoadGenerator(Process):
         return self.now - self._origin
 
     @property
-    def exhausted(self) -> bool:
-        """True once the arrival stream has been fully submitted."""
-        return self._exhausted
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._outstanding)
+    def spent(self) -> bool:
+        """True once nothing more will be submitted: stream exhausted, halted or crashed."""
+        return self._exhausted or (self._origin is not None and not (self._active and self.alive))
 
     # -- arrival firing --------------------------------------------------
     def _schedule_next(self) -> None:
-        if not self._active or not self.alive:
-            return
-        event = self._pending_event
+        event = next(self._events, None)
         if event is None:
-            event = next(self._events, None)
-            if event is None:
-                self._exhausted = True
-                return
-        self._pending_event = event
-        delay = (self._origin + event.time) - self.now
+            self._exhausted = True
+            return
         # A zero-delay timer (not a direct call) keeps past-due arrivals
         # iterative and preserves exact simulated firing instants.
-        self.set_timer(max(0.0, delay), self._fire)
+        self.set_timer(max(0.0, self._origin + event.time - self.now), self._fire, event)
 
-    def _fire(self) -> None:
-        event = self._pending_event
-        self._pending_event = None
-        if event is None or not self._active or not self.alive:
+    def _fire(self, event: ArrivalEvent) -> None:
+        if not self._active:
             return
         request = self.target.request_for(event)
-        frontend = self.target.frontend_of(request.group)
-        command = self._command_cls.create(
-            client=self.name,
-            operation=request.operation,
-            size_bytes=request.size_bytes,
-            created_at=self.now,
-            expected_responses=request.expected_responses,
-        )
         entry = WorkloadEntry(
             issued_at=event.time,
             user=event.user,
@@ -654,271 +618,109 @@ class OpenLoopLoadGenerator(Process):
             op=event.op,
             size_bytes=request.size_bytes,
         )
-        self._outstanding[command.command_id] = entry
         if self.recorder is not None:
             self.recorder.append(event)
-        self.issued += 1
-        self.send(frontend, self._submit_cls(group=request.group, command=command))
+        self.target.send(self, request, self._origin + event.time, entry)
         self._schedule_next()
 
     # -- completions -----------------------------------------------------
-    def on_message(self, sender: str, payload) -> None:
-        if not isinstance(payload, self._response_cls):
-            return
-        entry = self._outstanding.pop(payload.command_id, None)
-        if entry is None:
-            return  # duplicate response after completion
+    def on_complete(self, entry: WorkloadEntry) -> None:
         entry.completed_at = self.workload_now
-        self.completed += 1
-        if self._max_entries is None or len(self.entries) < self._max_entries:
-            self.entries.append(entry)
-        self.world.monitor.record_operation(
-            self.series,
-            completion_time=self.now,
-            latency=entry.latency or 0.0,
-            size_bytes=entry.size_bytes,
-        )
+        self.entries.append(entry)
 
 
-class SimWorkloadManager(WorkloadManager):
-    """Binds an :class:`OpenLoopLoadGenerator` to its world's clock."""
+class WorkloadManager:
+    """Lifecycle of one open-loop generator, on either backend.
 
-    #: How much simulated time one ``collect`` step advances between checks.
-    collect_step = 0.25
+    The shape of a constantly-running workload driver (after the SREGym
+    workload base): ``start`` / ``stop`` bracket generation, ``collect`` runs
+    until enough completions have been observed, ``drain`` until the stream
+    is spent, ``recent_entries`` exposes a sliding window for dashboards and
+    invariant checks.
 
-    def __init__(self, world, generator: OpenLoopLoadGenerator) -> None:
-        self.world = world
-        self.generator = generator
-
-    # -- WorkloadManager -------------------------------------------------
-    def start(self) -> None:
-        self.world.start()
-        self.generator.begin()
-
-    def stop(self) -> None:
-        self.generator.halt()
-
-    def collect(self, number: int = 100, start_time: Optional[float] = None) -> List[WorkloadEntry]:
-        self.start()
-        if start_time is None:
-            start_time = self.generator.workload_now
-        while True:
-            matched = _completed_since(self.generator.entries, start_time)
-            if len(matched) >= number:
-                return matched[:number]
-            if self.generator.exhausted and self.generator.outstanding == 0:
-                raise WorkloadError(
-                    f"arrival stream ended with only {len(matched)}/{number} "
-                    "completions collected"
-                )
-            before = self.world.now
-            self.world.run_for(self.collect_step)
-            if self.world.now == before:
-                # Nothing left to simulate: the stream is drained.
-                matched = _completed_since(self.generator.entries, start_time)
-                if len(matched) >= number:
-                    return matched[:number]
-                raise WorkloadError(
-                    f"simulation drained with only {len(matched)}/{number} completions"
-                )
-
-    def recent_entries(self, duration: float = 30.0) -> List[WorkloadEntry]:
-        cutoff = self.generator.workload_now - duration
-        return _completed_since(self.generator.entries, cutoff)
-
-    # -- extras ----------------------------------------------------------
-    @property
-    def entries(self) -> List[WorkloadEntry]:
-        return self.generator.entries
-
-    def latencies(self) -> List[float]:
-        return [e.latency for e in self.generator.entries if e.latency is not None]
-
-
-# ----------------------------------------------------------------------
-# facade driver (both backends)
-# ----------------------------------------------------------------------
-class FacadeWorkloadManager(WorkloadManager):
-    """Open-loop traffic through :class:`repro.api.AtomicMulticast`.
-
-    The same arrival stream drives either backend: on ``sim`` a process in
-    the facade's world calls ``submit`` at the sampled virtual instants; on
-    ``live`` a pacing thread submits at the sampled wall-clock instants.
-    Completions ride the facade's witness-delivery futures, so latency is
-    intended-arrival -> witness delivery on both.
+    ``driver`` is whatever advances the generator's cluster and tells its
+    time -- ``now`` and ``run_for(seconds)``: a :class:`~repro.sim.world.World`
+    (virtual time) or an :class:`~repro.api.AtomicMulticast` (virtual time, or
+    a wall-clock sleep while the live nodes run on their own thread).  Waiting
+    ends when nothing more can complete -- the stream is spent (or stopped)
+    with nothing outstanding -- or ``timeout`` seconds of cluster time after
+    the call, whichever comes first.
     """
 
-    def __init__(
-        self,
-        api,
-        group,
-        events: Iterable[ArrivalEvent],
-        *,
-        record: bool = False,
-        payload_prefix: str = "wl",
-    ) -> None:
-        self._api = api
-        self._group = group
-        self._events = list(events)
-        self.trace: Optional[WorkloadTrace] = WorkloadTrace() if record else None
-        self._payload_prefix = payload_prefix
-        self.entries: List[WorkloadEntry] = []
-        self._lock = threading.Lock()
-        self._started = False
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._submitter = None
-        self._all_submitted = False
-        self.issued = 0
+    #: Cluster seconds one wait advances between checks.
+    step = 0.05
+    #: Cluster seconds ``collect`` waits before giving up.
+    timeout = 60.0
 
-    # -- submission ------------------------------------------------------
-    def _submit_one(self, index: int, event: ArrivalEvent, now_fn: Callable[[], float]) -> None:
-        entry = WorkloadEntry(
-            issued_at=event.time,
-            user=event.user,
-            key=event.key,
-            op=event.op,
-            size_bytes=event.size_bytes,
-        )
-        if self.trace is not None:
-            self.trace.append(event)
-        payload = f"{self._payload_prefix}-{index}-u{event.user}-k{event.key}"
-        future = self._api.submit(self._group, payload, size_bytes=event.size_bytes)
-        self.issued += 1
+    def __init__(self, driver, generator: OpenLoopLoadGenerator) -> None:
+        self.driver = driver
+        self.generator = generator
 
-        def _done(fut, entry=entry) -> None:
-            if fut.cancelled() or fut.exception() is not None:
-                return
-            with self._lock:
-                entry.completed_at = now_fn()
-                self.entries.append(entry)
-
-        future.add_done_callback(_done)
-
-    # -- WorkloadManager -------------------------------------------------
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        if self._api.backend == "sim":
-            self._start_sim()
-        else:
-            self._start_live()
-
-    def _start_sim(self) -> None:
-        manager = self
-
-        class _Submitter(Process):
-            def on_start(self) -> None:
-                self._origin = self.now
-                self._index = 0
-                self._schedule()
-
-            def _schedule(self) -> None:
-                if self._index >= len(manager._events):
-                    manager._all_submitted = True
-                    return
-                event = manager._events[self._index]
-                delay = (self._origin + event.time) - self.now
-                self.set_timer(max(0.0, delay), self._fire)
-
-            def _fire(self) -> None:
-                if manager._stop.is_set():
-                    return
-                event = manager._events[self._index]
-                self._index += 1
-                origin = self._origin
-                manager._submit_one(
-                    self._index - 1, event, lambda: manager._api.world.now - origin
-                )
-                self._schedule()
-
-        self._submitter = _Submitter(self._api.world, f"openloop:{self._group}")
-        self._api.world.start()
-
-    def _start_live(self) -> None:
-        def _pace() -> None:
-            origin = _time.monotonic()
-            for index, event in enumerate(self._events):
-                if self._stop.is_set():
-                    return
-                delay = (origin + event.time) - _time.monotonic()
-                if delay > 0:
-                    if self._stop.wait(delay):
-                        return
-                self._submit_one(index, event, lambda: _time.monotonic() - origin)
-            self._all_submitted = True
-
-        self._thread = threading.Thread(target=_pace, name="openloop-pacer", daemon=True)
-        self._thread.start()
+        """Start generating arrivals, anchored at the cluster's current instant (once)."""
+        self.generator.world.sim.post(self.generator.begin)
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-            self._thread = None
+        """Stop generating arrivals (in-flight requests may still complete)."""
+        self.generator.halt()
 
-    def _now(self) -> float:
-        if self._api.backend == "sim":
-            origin = getattr(self._submitter, "_origin", 0.0) if self._submitter else 0.0
-            return self._api.world.now - origin
-        return max((e.completed_at or 0.0) for e in self.entries) if self.entries else 0.0
+    def _wait(self, done: Callable[[], bool], timeout: float) -> bool:
+        """Advance the cluster until ``done()``; False once it cannot come true in time."""
+        self.start()
+        generator = self.generator
+        deadline = self.driver.now + timeout
+        while not done():
+            if (generator.spent and not generator.outstanding) or self.driver.now >= deadline:
+                return False
+            self.driver.run_for(self.step)
+        return True
 
     def collect(self, number: int = 100, start_time: Optional[float] = None) -> List[WorkloadEntry]:
-        self.start()
+        """Run until at least ``number`` completions at/after ``start_time``.
+
+        ``start_time`` (workload seconds) defaults to the current workload
+        clock.  Returns the matching entries; raises
+        :class:`~repro.errors.WorkloadError` if the arrival stream ends, or
+        ``timeout`` passes, before enough completions arrive.
+        """
         if start_time is None:
-            start_time = self._now()
-        if self._api.backend == "sim":
-            while True:
-                matched = _completed_since(self.entries, start_time)
-                if len(matched) >= number:
-                    return matched[:number]
-                before = self._api.world.now
-                self._api.run_for(0.25)
-                if self._api.world.now == before:
-                    raise WorkloadError(
-                        f"simulation drained with only {len(matched)}/{number} completions"
-                    )
-        matched: List[WorkloadEntry] = []
-        deadline = _time.monotonic() + 60.0 + 0.05 * number
-        while _time.monotonic() < deadline:
-            with self._lock:
-                matched = _completed_since(self.entries, start_time)
-            if len(matched) >= number:
-                return matched[:number]
-            _time.sleep(0.01)
-        raise WorkloadError(f"collect timed out with {len(matched)}/{number} completions")
+            start_time = self.generator.workload_now
+        if not self._wait(lambda: len(self._completed_since(start_time)) >= number, self.timeout):
+            raise WorkloadError(
+                f"only {len(self._completed_since(start_time))}/{number} completions collected "
+                f"({self.generator.outstanding} outstanding)"
+            )
+        return self._completed_since(start_time)[:number]
 
-    def recent_entries(self, duration: float = 30.0) -> List[WorkloadEntry]:
-        cutoff = self._now() - duration
-        with self._lock:
-            return _completed_since(self.entries, cutoff)
-
-    # -- extras ----------------------------------------------------------
     def drain(self, timeout: float = 60.0) -> int:
         """Run until every arrival has been submitted *and* completed.
 
         Returns the completion count (equal to the event count unless the
-        run was stopped early or a submission failed).
+        run was stopped early, a submission was lost or ``timeout`` passed).
         """
-        self.start()
-        if self._api.backend == "sim":
-            while not (self._all_submitted and len(self.entries) >= self.issued):
-                before = self._api.world.now
-                self._api.run_for(0.25)
-                if self._api.world.now == before:
-                    break  # simulation drained with submissions outstanding
-            return len(self.entries)
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
-            with self._lock:
-                done = len(self.entries)
-            if self._all_submitted and done >= self.issued:
-                return done
-            _time.sleep(0.02)
-        with self._lock:
-            return len(self.entries)
+        self._wait(lambda: False, timeout)
+        return self.generator.completed
+
+    def recent_entries(self, duration: float = 30.0) -> List[WorkloadEntry]:
+        """Entries completed within the last ``duration`` seconds."""
+        return self._completed_since(self.generator.workload_now - duration)
+
+    def _completed_since(self, start_time: float) -> List[WorkloadEntry]:
+        return [e for e in self.generator.entries if e.completed_at >= start_time]
+
+    # -- views on the generator -------------------------------------------
+    @property
+    def entries(self) -> List[WorkloadEntry]:
+        return self.generator.entries
+
+    @property
+    def issued(self) -> int:
+        return self.generator.issued
+
+    @property
+    def trace(self) -> Optional[WorkloadTrace]:
+        """The submitted stream, when the generator records it."""
+        return self.generator.recorder
 
     def latencies(self) -> List[float]:
-        with self._lock:
-            return [e.latency for e in self.entries if e.latency is not None]
+        return [e.latency for e in self.generator.entries]

@@ -5,19 +5,17 @@
 * :class:`UpdateWorkload` -- update-only traffic against keys of a single
   partition (Figure 7: "clients send 1 KByte commands to their local
   partitions only").
-* :class:`MixedOperationWorkload` -- a generic weighted mix over caller-built
-  request factories, used by examples and tests.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.errors import WorkloadError
 from repro.smr.client import Request
 
-__all__ = ["AppendWorkload", "UpdateWorkload", "MixedOperationWorkload"]
+__all__ = ["AppendWorkload", "UpdateWorkload"]
 
 
 class AppendWorkload:
@@ -70,26 +68,3 @@ class UpdateWorkload:
     def next_request(self, rng: random.Random) -> Request:
         index = self.key_indices[rng.randrange(len(self.key_indices))]
         return self.store.update(self.store.key(index), self.value_size, series=self.series)
-
-
-class MixedOperationWorkload:
-    """A weighted mix of arbitrary request factories."""
-
-    def __init__(self, weighted_factories: Sequence[Tuple[float, Callable[[random.Random], Request]]]) -> None:
-        if not weighted_factories:
-            raise WorkloadError("the mixed workload needs at least one factory")
-        total = sum(weight for weight, _factory in weighted_factories)
-        if total <= 0:
-            raise WorkloadError("weights must sum to a positive number")
-        self._factories: List[Tuple[float, Callable[[random.Random], Request]]] = []
-        cumulative = 0.0
-        for weight, factory in weighted_factories:
-            cumulative += weight / total
-            self._factories.append((cumulative, factory))
-
-    def next_request(self, rng: random.Random) -> Request:
-        roll = rng.random()
-        for threshold, factory in self._factories:
-            if roll <= threshold:
-                return factory(rng)
-        return self._factories[-1][1](rng)

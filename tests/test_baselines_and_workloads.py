@@ -13,11 +13,10 @@ from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient
 from repro.workloads.distributions import (
     LatestChooser,
-    ScrambledZipfianChooser,
     UniformChooser,
     ZipfianChooser,
 )
-from repro.workloads.simple import AppendWorkload, MixedOperationWorkload, UpdateWorkload
+from repro.workloads.simple import AppendWorkload, UpdateWorkload
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBConfig, YCSBWorkload
 
 
@@ -41,13 +40,6 @@ class TestDistributions:
         samples = [chooser.next_index(rng) for _ in range(2000)]
         recent_share = sum(1 for index in samples if index >= 990) / len(samples)
         assert recent_share > 0.3
-
-    def test_scrambled_zipfian_spreads_hot_keys(self):
-        chooser = ScrambledZipfianChooser(1000)
-        rng = random.Random(1)
-        samples = [chooser.next_index(rng) for _ in range(2000)]
-        assert all(0 <= index < 1000 for index in samples)
-        assert len(set(samples)) > 50
 
     def test_grow_extends_the_range(self):
         chooser = ZipfianChooser(10)
@@ -198,26 +190,6 @@ class TestSimpleWorkloads:
             AppendWorkload(None, logs=[])
         with pytest.raises(WorkloadError):
             UpdateWorkload(None, key_indices=[])
-        with pytest.raises(WorkloadError):
-            MixedOperationWorkload([])
-
-    def test_mixed_workload_respects_weights(self):
-        from repro.smr.client import Request
-
-        counts = {"a": 0, "b": 0}
-
-        def make(name):
-            def factory(rng):
-                counts[name] += 1
-                return Request((name,), 10, "g", 1, None)
-
-            return factory
-
-        workload = MixedOperationWorkload([(0.9, make("a")), (0.1, make("b"))])
-        rng = random.Random(0)
-        for _ in range(500):
-            workload.next_request(rng)
-        assert counts["a"] > counts["b"] * 4
 
 
 class TestBaselines:

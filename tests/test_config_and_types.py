@@ -66,7 +66,6 @@ class TestRingAndBatchingConfig:
     def test_paper_buffer_defaults(self):
         config = RingConfig()
         assert config.memory_slots == 15000
-        assert config.slot_bytes == 32 * 1024
 
     def test_batching_validation(self):
         with pytest.raises(ConfigurationError):

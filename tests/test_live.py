@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro import AtomicMulticast
+from repro.errors import ConfigurationError
 from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.actor import Process
 from repro.runtime.codec import frame_message
@@ -27,6 +28,7 @@ from repro.scenarios.invariants import check_no_acked_write_lost, check_replica_
 from repro.services.dlog import DLog
 from repro.services.mrpstore import MRPStore
 from repro.smr.client import ClosedLoopClient
+from repro.workloads.engine import PhaseSchedule
 from repro.workloads.simple import AppendWorkload
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
 
@@ -100,8 +102,6 @@ def test_live_runtime_satisfies_runtime_protocol():
     assert runtime.new_store(StorageMode.MEMORY) is None
     # Durable modes need a storage directory; without one the runtime must
     # refuse loudly rather than silently skip the requested durability.
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError, match="storage directory"):
         runtime.new_store(StorageMode.SYNC_SSD)
 
@@ -588,6 +588,91 @@ def test_live_mrpstore_three_partitions_under_ycsb(mix):
             assert tally.by_group[store.GLOBAL_GROUP] > 0
 
     _run(scenario(), timeout=60.0)
+
+
+# ----------------------------------------------------------------------
+# one load path: am.workload() against the paper's services, either backend
+# ----------------------------------------------------------------------
+def _two_partition_store(am):
+    store = am.mrpstore(
+        partitions=2,
+        replicas_per_partition=2,
+        acceptors_per_partition=3,
+        use_global_ring=False,
+        storage_mode=StorageMode.MEMORY,
+        key_space=100,
+    )
+    store.load(100, value_size=64)
+    return store
+
+
+def _drained(am, manager):
+    """Everything the stream held was served, timed from its intended instant."""
+    with am:
+        completed = manager.drain()
+        assert manager.recent_entries()
+        am.run_for(0.3)  # the replicas that did not answer first catch up
+    assert completed == manager.issued == len(manager.trace.events) > 0
+    assert all(latency >= 0.0 for latency in manager.latencies())
+    assert sorted(e.issued_at for e in manager.entries) == [e.time for e in manager.trace.events]
+    assert len(am.monitor.latencies("openloop")) == completed
+
+
+@pytest.mark.parametrize("backend", ["sim", "live"])
+def test_workload_drives_an_mrpstore_on_either_backend(backend):
+    am = AtomicMulticast(backend=backend, seed=3)
+    store = _two_partition_store(am)
+    manager = am.workload(
+        store, PhaseSchedule.constant(150.0, duration=1.0), key_space=100, record=True
+    )
+    _drained(am, manager)
+    assert check_replica_convergence(store).passed
+    assert all(am.monitor.counter(f"executed/{name}") > 0 for name in store.partitions)
+
+
+@pytest.mark.parametrize("backend", ["sim", "live"])
+def test_workload_drives_a_dlog_on_either_backend(backend, tmp_path):
+    am = AtomicMulticast(backend=backend, seed=3, storage_dir=str(tmp_path))  # replicas spill to disk
+    dlog = am.dlog(
+        logs=("log-0", "log-1"),
+        replicas=2,
+        acceptors_per_log=3,
+        storage_mode=StorageMode.MEMORY,
+        use_global_ring=False,
+    )
+    manager = am.workload(dlog, PhaseSchedule.constant(150.0, duration=1.0), record=True)
+    _drained(am, manager)
+    first, second = (replica.state_machine for replica in dlog.replica_nodes)
+    assert first.snapshot()[0] == second.snapshot()[0]
+    assert first.next_position("log-0") + first.next_position("log-1") == manager.issued
+
+
+def test_storm_recorded_on_the_simulator_replays_on_a_live_store():
+    schedule = PhaseSchedule.flash_crowd(
+        60.0, 400.0, at=0.4, spike_duration=0.3, duration=1.0, spike_hotspot=0.5
+    )
+    am = AtomicMulticast(backend="sim", seed=9)
+    recorder = am.workload(_two_partition_store(am), schedule, key_space=100, record=True)
+    with am:
+        assert recorder.drain() == recorder.issued > 100
+    trace = recorder.trace
+
+    am = AtomicMulticast(backend="live", seed=1)
+    store = _two_partition_store(am)
+    replayer = am.workload(store, replay=trace.events, record=True)
+    with am:
+        assert replayer.drain() == len(trace.events)
+        am.run_for(0.3)
+    assert replayer.trace.events == trace.events  # event for event, float.hex instants included
+    assert check_replica_convergence(store).passed
+
+
+def test_live_workload_is_declared_before_entering_the_context():
+    am = AtomicMulticast(backend="live")
+    am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
+    with am:
+        with pytest.raises(ConfigurationError, match="before entering the context"):
+            am.workload("g", PhaseSchedule.constant(10.0, duration=1.0))
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.recovery.checkpoint import (
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import SSD_CONFIG, Disk, StorageMode
 from repro.sim.engine import Simulator
+from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient
 from repro.workloads.simple import UpdateWorkload
@@ -144,47 +145,58 @@ def _build_recovering_store(world, checkpoint_interval=1.0, trim_interval=2.0):
     return store
 
 
+@pytest.fixture(scope="module")
+def crash_and_recovery():
+    """One 1x3 recovering store, one timeline; the tests below read what it recorded.
+
+    Checkpoints every 0.5 s and trims every 1 s under a 4-thread update
+    stream; the third replica crashes at 2 s and recovers at 6 s; the client
+    stops at 9 s so that in-flight commands drain before states are compared.
+    """
+    from types import SimpleNamespace
+
+    world = World(topology=lan_topology(), seed=123, timeline_window=0.5)
+    store = _build_recovering_store(world, checkpoint_interval=0.5, trim_interval=1.0)
+    workload = UpdateWorkload(store, list(range(100)), value_size=256, series="rec")
+    client = ClosedLoopClient(
+        world, "c0", workload, store.frontends_for_client(0), threads=4, series="rec"
+    )
+    survivor, _, victim = store.replicas_of("p0")
+    seen = SimpleNamespace(world=world, store=store, victim=victim, survivor=survivor)
+
+    world.run(until=2.0)
+    seen.entries_before_crash = len(victim.state_machine)
+    victim.crash()
+    seen.entries_after_crash = len(victim.state_machine)
+    world.run(until=5.0)
+    seen.checkpoints_by_5s = [
+        (replica.recovery.checkpoints_taken, replica.recovery.store.latest_durable)
+        for replica in store.all_replicas()
+    ]
+    world.run(until=6.0)
+    partition = store.partitions["p0"]
+    storage = store.deployment.node(partition.acceptors[0]).role(partition.group).storage
+    seen.trimmed_up_to_by_6s = storage.trimmed_up_to
+    seen.executed_before_recovery = victim.commands_executed
+    victim.recover()
+    world.run(until=9.0)
+    client.crash()
+    world.run(until=10.0)
+    return seen
+
+
 class TestEndToEndRecovery:
-    def test_checkpoints_are_taken_periodically(self, world):
-        store = _build_recovering_store(world)
-        workload = UpdateWorkload(store, list(range(100)), value_size=256, series="rec")
-        ClosedLoopClient(world, "c0", workload, store.frontends_for_client(0), threads=4, series="rec")
-        world.run(until=5.0)
-        for replica in store.all_replicas():
-            assert replica.recovery.checkpoints_taken >= 3
-            assert replica.recovery.store.latest_durable is not None
+    def test_checkpoints_are_taken_periodically(self, crash_and_recovery):
+        for checkpoints_taken, latest_durable in crash_and_recovery.checkpoints_by_5s:
+            assert checkpoints_taken >= 3
+            assert latest_durable is not None
 
-    def test_trim_protocol_trims_acceptor_logs(self, world):
-        store = _build_recovering_store(world, checkpoint_interval=0.5, trim_interval=1.0)
-        workload = UpdateWorkload(store, list(range(100)), value_size=256, series="rec")
-        ClosedLoopClient(world, "c0", workload, store.frontends_for_client(0), threads=4, series="rec")
-        world.run(until=6.0)
-        partition = store.partitions["p0"]
-        acceptor = store.deployment.node(partition.acceptors[0])
-        storage = acceptor.role(partition.group).storage
-        assert storage.trimmed_up_to is not None
-        assert storage.trimmed_up_to > 0
+    def test_trim_protocol_trims_acceptor_logs(self, crash_and_recovery):
+        assert crash_and_recovery.trimmed_up_to_by_6s is not None
+        assert crash_and_recovery.trimmed_up_to_by_6s > 0
 
-    def test_replica_recovers_state_after_crash(self, world):
-        store = _build_recovering_store(world, checkpoint_interval=0.5, trim_interval=1.0)
-        workload = UpdateWorkload(store, list(range(100)), value_size=256, series="rec")
-        client = ClosedLoopClient(
-            world, "c0", workload, store.frontends_for_client(0), threads=4, series="rec"
-        )
-
-        victim = store.replicas_of("p0")[2]
-        survivor = store.replicas_of("p0")[0]
-
-        world.run(until=2.0)
-        victim.crash()
-        world.run(until=6.0)
-        victim.recover()
-        world.run(until=9.0)
-        # Quiesce the workload so that in-flight commands drain before the
-        # replicas' states are compared.
-        client.crash()
-        world.run(until=10.0)
-
+    def test_replica_recovers_state_after_crash(self, crash_and_recovery):
+        victim, survivor = crash_and_recovery.victim, crash_and_recovery.survivor
         assert victim.recovery.recoveries_completed == 1
         assert not victim.recovery.recovering
         # After recovery and continued traffic, the recovered replica's state
@@ -192,40 +204,16 @@ class TestEndToEndRecovery:
         assert victim.state_machine._entries == survivor.state_machine._entries
         assert victim.commands_executed > 0
 
-    def test_recovered_replica_answers_clients_again(self, world):
-        store = _build_recovering_store(world, checkpoint_interval=0.5, trim_interval=1.0)
-        workload = UpdateWorkload(store, list(range(100)), value_size=256, series="rec")
-        ClosedLoopClient(world, "c0", workload, store.frontends_for_client(0), threads=2, series="rec")
-        victim = store.replicas_of("p0")[1]
-        world.run(until=1.5)
-        victim.crash()
-        world.run(until=3.0)
-        executed_before = victim.commands_executed
-        victim.recover()
-        world.run(until=6.0)
-        assert victim.commands_executed > executed_before
+    def test_recovered_replica_answers_clients_again(self, crash_and_recovery):
+        executed_before = crash_and_recovery.executed_before_recovery
+        assert crash_and_recovery.victim.commands_executed > executed_before
 
-    def test_crash_clears_volatile_state_until_recovery(self, world):
-        store = _build_recovering_store(world)
-        workload = UpdateWorkload(store, list(range(100)), value_size=256, series="rec")
-        ClosedLoopClient(world, "c0", workload, store.frontends_for_client(0), threads=2, series="rec")
-        victim = store.replicas_of("p0")[0]
-        world.run(until=2.0)
-        assert len(victim.state_machine) > 0
-        victim.crash()
-        assert len(victim.state_machine) == 0
+    def test_crash_clears_volatile_state_until_recovery(self, crash_and_recovery):
+        assert crash_and_recovery.entries_before_crash > 0
+        assert crash_and_recovery.entries_after_crash == 0
 
-    def test_monitor_records_recovery_events(self, world):
-        store = _build_recovering_store(world, checkpoint_interval=0.5, trim_interval=1.0)
-        workload = UpdateWorkload(store, list(range(100)), value_size=256, series="rec")
-        ClosedLoopClient(world, "c0", workload, store.frontends_for_client(0), threads=2, series="rec")
-        victim = store.replicas_of("p0")[2]
-        world.run(until=2.0)
-        victim.crash()
-        world.run(until=4.0)
-        victim.recover()
-        world.run(until=7.0)
-        monitor = world.monitor
+    def test_monitor_records_recovery_events(self, crash_and_recovery):
+        monitor = crash_and_recovery.world.monitor
         assert monitor.counter("recovery/started") == 1
         assert monitor.counter("recovery/completed") == 1
         assert monitor.counter("recovery/checkpoints_durable") > 0

@@ -19,7 +19,8 @@ from repro.workloads.engine import (
     OpenLoopSampler,
     Phase,
     PhaseSchedule,
-    SimWorkloadManager,
+    ServiceTarget,
+    WorkloadManager,
     WorkloadTrace,
 )
 
@@ -246,10 +247,106 @@ def test_open_loop_generator_measures_from_intended_arrival():
     generator = OpenLoopLoadGenerator(
         world, "gen", store.open_loop_target(value_size=64), sampler.events()
     )
-    manager = SimWorkloadManager(world, generator)
+    manager = WorkloadManager(world, generator)
     batch = manager.collect(40)
     assert len(batch) == 40
     assert all(entry.latency is not None and entry.latency >= 0.0 for entry in batch)
     recent = manager.recent_entries(duration=1000.0)
     assert len(recent) >= 40
     manager.stop()
+
+
+# ----------------------------------------------------------------------
+# one termination rule, one response rule
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["sim", "live"])
+def test_collect_beyond_the_stream_raises_instead_of_waiting_forever(backend, monkeypatch):
+    import signal
+
+    from repro.api import AtomicMulticast
+
+    am = AtomicMulticast(backend=backend, seed=11)
+    am.ring("g1", acceptors=["a0", "a1", "a2"], learners=["a0", "a1", "a2"])
+    manager = am.workload("g1", PhaseSchedule.constant(50.0, duration=1.0), key_space=32)
+
+    steps = []
+    run_for = am.run_for
+
+    def counted(duration):
+        steps.append(duration)
+        assert len(steps) <= 200, "the manager is still waiting on a spent stream"
+        return run_for(duration)
+
+    def overdue(signum, frame):
+        raise AssertionError("collect() did not return")
+
+    monkeypatch.setattr(am, "run_for", counted)
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(60)
+    try:
+        with am:
+            with pytest.raises(WorkloadError):
+                manager.collect(number=10_000)
+            # The ~50 arrivals were all served, and draining a spent stream returns.
+            assert manager.drain() == manager.issued > 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert steps
+
+
+def test_a_lost_submission_ends_the_wait_at_the_deadline(world):
+    from repro.runtime.actor import Process
+    from repro.smr.client import Request
+
+    Process(world, "void")  # a front-end that never answers
+    target = ServiceTarget(lambda event: Request(("noop",), 16, "g"), {"g": "void"})
+    events = [ArrivalEvent(time=0.01 * i, user=i, key=i) for i in range(4)]
+    manager = WorkloadManager(world, OpenLoopLoadGenerator(world, "gen", target, events))
+    manager.timeout = 1.0
+    with pytest.raises(WorkloadError):
+        manager.collect(number=1)
+    assert manager.generator.outstanding == manager.issued == 4
+    assert manager.drain(timeout=0.5) == 0
+    assert world.now < 2.0
+
+
+def test_multi_partition_request_completes_on_its_last_response():
+    from repro.services.mrpstore import MRPStore
+    from repro.sim.disk import StorageMode
+    from repro.sim.topology import lan_topology
+    from repro.sim.world import World
+
+    world = World(topology=lan_topology(), seed=5)
+    store = MRPStore(
+        world,
+        partitions=2,
+        replicas_per_partition=1,
+        acceptors_per_partition=3,
+        use_global_ring=True,
+        storage_mode=StorageMode.MEMORY,
+        key_space=50,
+    )
+    store.load(50, value_size=64)
+    scan = store.scan(store.key(0), store.key(49))
+    assert scan.expected_responses == 2
+    target = ServiceTarget(lambda event: scan, store.frontends_for_client(0))
+    events = [ArrivalEvent(time=0.01 * (i + 1), user=i, key=i) for i in range(5)]
+    generator = OpenLoopLoadGenerator(world, "gen", target, events)
+
+    heard = {}  # command id -> partition -> when its first response reached the generator
+    handle = generator.on_message
+
+    def spy(sender, payload):
+        heard.setdefault(payload.command_id, {}).setdefault(payload.partition, generator.workload_now)
+        handle(sender, payload)
+
+    generator.on_message = spy
+    manager = WorkloadManager(world, generator)
+    assert manager.drain() == len(events)
+    by_completion = sorted(heard.values(), key=lambda answers: max(answers.values()))
+    assert len(by_completion) == len(events)
+    for entry, answers in zip(manager.entries, by_completion):
+        assert set(answers) == {"p0", "p1"}
+        assert entry.completed_at == max(answers.values()) > min(answers.values())
+        assert entry.latency >= max(answers.values()) - entry.issued_at

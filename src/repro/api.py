@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import concurrent.futures._base as _futures_base
 import itertools
 import threading
 import time
@@ -71,6 +72,53 @@ from repro.types import GroupId, Value
 __all__ = ["AtomicMulticast", "DeliveryStream"]
 
 _BACKENDS = ("sim", "live")
+
+_UNSETTLED = (_futures_base.PENDING, _futures_base.RUNNING)
+
+
+class _AckFuture(concurrent.futures.Future):
+    """An ack future sharing one condition with every other ack of its facade.
+
+    A stock ``Future`` builds its own ``threading.Condition`` -- an ``RLock``,
+    a waiter ``deque`` and bound methods, three quarters of the future's size
+    -- and a closed loop keeps every ack it got.  Here all acks of one
+    :class:`AtomicMulticast` share one (re-entrant) condition, so resolving
+    any of them wakes every waiter: :meth:`result` and :meth:`exception`
+    wait again until *their* future is done or their deadline has passed.
+    ``concurrent.futures.wait``/``as_completed`` wait on their own waiter
+    objects and hold the condition re-entrantly, so they work unchanged.
+    """
+
+    def __init__(self, condition: threading.Condition) -> None:
+        # The stock __init__, minus the condition it would build.
+        self._condition = condition
+        self._state = _futures_base.PENDING
+        self._result = None
+        self._exception = None
+        self._waiters = []
+        self._done_callbacks = []
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        """Hold the shared condition until this future is done or ``timeout`` passed."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self._state in _UNSETTLED:
+            if deadline is None:
+                self._condition.wait()
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            self._condition.wait(remaining)
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        with self._condition:
+            self._wait(timeout)
+            return super().result(0)
+
+    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
+        with self._condition:
+            self._wait(timeout)
+            return super().exception(0)
 
 
 class DeliveryStream:
@@ -175,6 +223,8 @@ class AtomicMulticast:
         self.config = config or MultiRingConfig.datacenter()
         self._streams: Dict[GroupId, DeliveryStream] = {}
         self._pending: Dict[int, concurrent.futures.Future] = {}
+        #: The one condition every ack future of this facade waits on.
+        self._ack_condition = threading.Condition()
         self._workloads = itertools.count()
 
         if backend == "sim":
@@ -447,7 +497,7 @@ class AtomicMulticast:
             from repro.net.message import estimate_size
 
             size_bytes = estimate_size(payload)
-        future: concurrent.futures.Future = concurrent.futures.Future()
+        future = _AckFuture(self._ack_condition)
         if self._backend == "sim":
             value = self.engine.multicast(dests, payload, size_bytes)
             self._pending[value.uid] = future

@@ -33,8 +33,15 @@ class BatchingConfig:
       coordinator packs multiple proposed values into one Paxos instance
       (URingPaxos amortizes per-instance protocol cost this way).  The batch
       flushes when it reaches ``max_batch_values`` values or
-      ``max_batch_bytes`` bytes, or ``max_batch_delay`` seconds after the
-      first value entered the batch, whichever comes first.
+      ``max_batch_bytes`` bytes, or when its wait ends, whichever comes
+      first.  ``max_batch_delay > 0`` waits that many seconds after the
+      first value entered the batch; ``max_batch_delay == 0`` waits until
+      the end of the clock's turn -- no timer and no added delay: on the live
+      backend the batch holds what reached the coordinator in one pump
+      burst, on the simulator (one event per turn) every value goes alone.
+
+    The defaults here (disabled, 1 ms) are what front-ends and benches build
+    on; a ring's default is :attr:`RingConfig.batching`.
     """
 
     enabled: bool = False
@@ -78,8 +85,13 @@ class RingConfig:
     #: (the paper uses 15000 slots of 32 KB).
     memory_slots: int = 15000
     #: Coordinator-side batching: pack several proposed values into one
-    #: consensus instance (see :class:`BatchingConfig`).
-    batching: BatchingConfig = field(default_factory=BatchingConfig)
+    #: consensus instance (see :class:`BatchingConfig`).  On by default with
+    #: ``max_batch_delay=0``: the coordinator packs what reached it in one
+    #: turn of its clock (up to 16 values / 32 KB) and never waits for more,
+    #: so a lone value is proposed at once, as the bare value.
+    batching: BatchingConfig = field(
+        default_factory=lambda: BatchingConfig(enabled=True, max_batch_delay=0.0)
+    )
     #: CPU cost model used by ring members.
     cpu: CPUConfig = field(default_factory=CPUConfig)
     #: Pipelined instance window: how many consensus instances the

@@ -8,8 +8,20 @@ between the coordinator's proposal intake and the instance window:
 
 * values accumulate in a pending batch;
 * the batch flushes when it reaches the configured value-count cap or byte
-  cap, or when the flush timeout expires (armed when the first value enters
-  an empty batch) -- whichever comes first;
+  cap, or -- whichever comes first -- when the batch's wait ends:
+
+  - ``max_batch_delay == 0`` (the :class:`~repro.config.RingConfig` default):
+    at the end of the clock's turn.  On the live backend that is the end of
+    the pump burst, so the coordinator packs every value that reached it
+    together and adds no delay; on the simulator every event is its own
+    turn, so a value goes straight to the instance window, as without a
+    batcher;
+  - ``max_batch_delay > 0``: when a timer armed by the first value of an
+    empty batch expires.  This is the only way the simulator forms batches
+    (the ``batching`` bench and its regression gate), and it trades latency
+    for fuller batches where per-turn packing would leave them small;
+
+* a batch of one goes out as the bare value, without a batch envelope;
 * reconfiguration control commands are *never* batched with application
   values: an arriving control value flushes the pending batch and is then
   proposed in its own instance, so its agreed delivery position stays
@@ -65,6 +77,12 @@ class CoordinatorBatcher:
     def __init__(self, role: "RingRole", config: BatchingConfig) -> None:
         self.role = role
         self.config = config
+        self._clock = role.host.world.sim
+        per_turn = config.max_batch_delay == 0
+        #: Per-turn batching on a clock whose turns hold one event: the batch
+        #: is always empty when a value arrives, and it leaves alone at once.
+        self._eager = per_turn and self._clock.turn_per_event
+        self._per_turn = per_turn
         self._pending: List[Value] = []
         self._pending_bytes = 0
         self._timer = None
@@ -73,11 +91,17 @@ class CoordinatorBatcher:
         self.batches_flushed = 0
         self.size_flushes = 0
         self.timeout_flushes = 0
+        self.turn_flushes = 0
         self.control_flushes = 0
 
     # ------------------------------------------------------------------
     def offer(self, value: Value) -> None:
         """Add ``value`` to the pending batch, flushing when a cap is hit."""
+        if self._eager:
+            self.values_offered += 1
+            self.batches_flushed += 1
+            self.role.enqueue_instances(value, 1)
+            return
         if is_control_payload(value):
             # Control commands get their own instance; their position in the
             # delivery sequence is the reconfiguration agreement point and
@@ -95,10 +119,18 @@ class CoordinatorBatcher:
         ):
             self.size_flushes += 1
             self.flush()
-        elif self._timer is None:
-            self._timer = self.role.host.set_timer(
-                self.config.max_batch_delay, self._on_timeout
-            )
+        elif len(self._pending) == 1:  # the first value of a batch starts its wait
+            if self._per_turn:
+                self._clock.at_turn_end(self._on_turn_end)
+            else:
+                self._timer = self.role.host.set_timer(
+                    self.config.max_batch_delay, self._on_timeout
+                )
+
+    def _on_turn_end(self) -> None:
+        if self._pending:
+            self.turn_flushes += 1
+            self.flush()
 
     def _on_timeout(self) -> None:
         self._timer = None
@@ -126,7 +158,11 @@ class CoordinatorBatcher:
         self.role.enqueue_instances(value, 1)
 
     def reset(self) -> None:
-        """Drop pending values (coordinator crash: the batch was volatile)."""
+        """Drop pending values (coordinator crash: the batch was volatile).
+
+        A turn-end flush already registered with the clock finds the batch
+        empty and does nothing.
+        """
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

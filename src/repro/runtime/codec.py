@@ -202,6 +202,14 @@ _COLLECTIONS = {_T_TUPLE: tuple, _T_LIST: list, _T_SET: set, _T_FROZENSET: froze
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
+#: Decoded strings by value, so that equal strings decoded from different
+#: frames are one object: a value's node, group and payload words are held
+#: by every acceptor log and learner that keeps it.  Bounded by clearing it
+#: when it passes ``_SHARED_STRINGS_MAX`` (``sys.intern`` would not be:
+#: interned strings stay resident on Python 3.12).
+_shared_strings: Dict[str, str] = {}
+_SHARED_STRINGS_MAX = 4096
+
 #: What a decoder can hit on bytes no encoder produced (truncated body, bad
 #: UTF-8, a field count that does not fit the class, nesting without end).
 _MALFORMED = (IndexError, struct.error, UnicodeDecodeError, TypeError, ValueError, RecursionError)
@@ -293,7 +301,13 @@ def _decode_run(data, offset: int, count: int) -> Tuple[List[Any], int]:
         if tag == _T_STR:
             start = offset + 5
             offset = start + _unpack_I(data, offset + 1)[0]
-            append(str(data[start:offset], "utf-8"))
+            text = str(data[start:offset], "utf-8")
+            shared = _shared_strings.get(text)
+            if shared is None:
+                if len(_shared_strings) >= _SHARED_STRINGS_MAX:
+                    _shared_strings.clear()
+                shared = _shared_strings[text] = text
+            append(shared)
         elif tag == _T_INT64:
             append(_unpack_q(data, offset + 1)[0])
             offset += 9

@@ -97,10 +97,22 @@ class Clock(Protocol):
     inside an event callback (on the live backend: another thread).  The
     clock owns the calendar-queue attributes documented in the module
     docstring.
+
+    ``at_turn_end`` runs a callback once the events of the current *turn*
+    have run: on the live clock a turn is one pump burst (every event already
+    due when the pump woke), so work that arrived together can be handled
+    together; on the simulator every event is its own turn
+    (``turn_per_event``) and the callback runs at once.
     """
+
+    #: True when every event is its own turn, so ``at_turn_end`` runs its
+    #: callback at once and nothing can accumulate within a turn.
+    turn_per_event: bool
 
     @property
     def now(self) -> float: ...
+
+    def at_turn_end(self, callback: Callable[[], Any]) -> None: ...
 
     def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None: ...
 

@@ -97,13 +97,22 @@ class LiveClock(Simulator):
     :class:`~repro.sim.engine.Simulator`; instead of ``run()`` jumping the
     clock to each event, an asyncio :meth:`pump` advances ``_now`` with the
     loop's monotonic time and executes events as their deadlines pass.
+
+    A *turn* is one burst of the pump: every event already due when it woke
+    (up to ``_PUMP_BATCH``), e.g. all the messages one ``data_received``
+    decoded and what their handlers posted in turn.  Callbacks registered
+    with :meth:`at_turn_end` run after the burst, before the pump awaits --
+    so the sends they make leave in the same socket write as the burst's.
     """
+
+    turn_per_event = False
 
     def __init__(self) -> None:
         super().__init__()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wakeup: Optional[asyncio.Event] = None
         self._stopped = False
+        self._turn_end: List[Callable[[], Any]] = []
 
     # ------------------------------------------------------------------
     def attach(self, loop: asyncio.AbstractEventLoop, epoch: float) -> None:
@@ -129,10 +138,26 @@ class LiveClock(Simulator):
         if self._wakeup is not None:
             self._wakeup.set()
 
+    def at_turn_end(self, callback: Callable[[], Any]) -> None:
+        """Run ``callback`` after the current pump burst, before the pump awaits."""
+        self._turn_end.append(callback)
+
     def stop(self) -> None:
         self._stopped = True
         if self._wakeup is not None:
             self._wakeup.set()
+
+    def _end_turn(self) -> None:
+        # A callback may register another (it lands in the fresh list): run
+        # until none is left, so the pump never sleeps on pending work.
+        while self._turn_end:
+            callbacks, self._turn_end = self._turn_end, []
+            for callback in callbacks:
+                try:
+                    callback()
+                except Exception:  # noqa: BLE001 - as for a handler
+                    print(f"[live-clock] turn-end {callback!r} raised:", file=sys.stderr)
+                    traceback.print_exc()
 
     # ------------------------------------------------------------------
     async def pump(self) -> None:
@@ -165,6 +190,8 @@ class LiveClock(Simulator):
                     print(f"[live-clock] handler {callback!r} raised:", file=sys.stderr)
                     traceback.print_exc()
                 executed += 1
+            if self._turn_end:
+                self._end_turn()
             if self._stopped:
                 return
             if executed >= _PUMP_BATCH:

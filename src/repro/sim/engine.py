@@ -81,6 +81,9 @@ class Simulator:
     #: more than the garbage it reclaims).
     COMPACT_MIN_QUEUE = 64
 
+    #: Every event is its own turn: :meth:`at_turn_end` runs its callback at once.
+    turn_per_event = True
+
     __slots__ = (
         "_now",
         "_queue",
@@ -152,6 +155,10 @@ class Simulator:
         thread and to wake its pump.
         """
         heapq.heappush(self._queue, (self._now, next(self._seq), callback, args))
+
+    def at_turn_end(self, callback: Callable[[], Any]) -> None:
+        """Run ``callback`` once the current turn's events have run: here, at once."""
+        callback()
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now."""

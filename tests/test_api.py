@@ -316,6 +316,74 @@ def test_both_backends_build_and_run_through_the_engine_seam(backend):
         engines.unregister(RecordingEngine.name)
 
 
+# ----------------------------------------------------------------------
+# ack futures: one condition per facade, stock Future semantics
+# ----------------------------------------------------------------------
+def test_live_ack_futures_are_stock_futures_sharing_one_condition():
+    am = AtomicMulticast(backend="live")
+    am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
+    with am:
+        futures = [am.submit("g", f"m{i}", size_bytes=64) for i in range(300)]
+        assert all(isinstance(f, concurrent.futures.Future) for f in futures)
+        assert len({id(f._condition) for f in futures}) == 1
+        done, not_done = concurrent.futures.wait(futures, timeout=20.0)
+        assert not not_done and len(done) == 300
+        more = [am.submit("g", f"n{i}", size_bytes=64) for i in range(300)]
+        completed = list(concurrent.futures.as_completed(more, timeout=20.0))
+        assert set(completed) == set(more)
+        assert {f.result().value.payload for f in more} == {f"n{i}" for i in range(300)}
+        # A callback added after completion runs at once, on the caller's thread.
+        ran = []
+        futures[0].add_done_callback(lambda f: ran.append(threading.current_thread()))
+        assert ran == [threading.current_thread()]
+
+
+def test_result_timeout_is_not_cut_short_by_other_futures_resolving():
+    import sys
+
+    from repro.api import _AckFuture
+
+    condition = threading.Condition()
+    never = _AckFuture(condition)
+    futures = [_AckFuture(condition) for _ in range(2000)]
+    got = {}
+
+    def resolve(part):  # stands in for the loop thread
+        for index in range(part, len(futures), 2):
+            futures[index].set_result(index)
+            time.sleep(0.0001)
+
+    def wait_for(part):  # callers blocked in result(timeout) meanwhile
+        for index in range(part, len(futures), 50):
+            got[index] = futures[index].result(timeout=20.0)
+
+    threads = [threading.Thread(target=resolve, args=(p,)) for p in range(2)]
+    threads += [threading.Thread(target=wait_for, args=(p,)) for p in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        # Thousands of notify_all for other futures cut no wait short ...
+        with pytest.raises(concurrent.futures.TimeoutError):
+            never.result(timeout=0.2)
+        assert time.monotonic() - started >= 0.2
+        started = time.monotonic()
+        with pytest.raises(concurrent.futures.TimeoutError):
+            never.exception(timeout=0.05)
+        assert time.monotonic() - started >= 0.05
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    # ... and every waiter got its own future's result.
+    assert got == {index: index for part in range(4) for index in range(part, 2000, 50)}
+    never.set_exception(MulticastError("never delivered"))
+    assert isinstance(never.exception(timeout=0), MulticastError)
+
+
 def test_live_exit_fails_futures_that_can_no_longer_be_delivered(monkeypatch):
     from repro.ringpaxos.node import RingHost
 

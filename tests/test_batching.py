@@ -1,15 +1,23 @@
 """Tests for coordinator-side batching and the pipelined instance window."""
 
+import asyncio
+import json
+from functools import partial
+from pathlib import Path
+
 import pytest
 
+from repro.bench.perf import build_perf_world, golden_delivery_sequence
 from repro.config import BatchingConfig, MultiRingConfig, RecoveryConfig, RingConfig
 from repro.errors import ConfigurationError
 from repro.multiring.deployment import Deployment, RingSpec
 from repro.multiring.leveling import RateLeveler
 from repro.multiring.merge import DeterministicMerge
 from repro.reconfig.commands import SpliceRing
+from repro.ringpaxos.batching import CoordinatorBatcher
 from repro.ringpaxos.broadcast import build_broadcast_ring
 from repro.ringpaxos.messages import Decision
+from repro.runtime.live import LiveClock
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import StorageMode
 from repro.smr.client import ClosedLoopClient
@@ -126,6 +134,154 @@ class TestFlushTriggers:
         # Every learner unpacks to the full in-order application sequence.
         for learner in ("n1", "n2", "n3"):
             assert ring.delivered_payloads(learner) == [f"m{i}" for i in range(10)]
+
+
+class _Coordinator:
+    """What a :class:`CoordinatorBatcher` reads of its ring role, on a bare clock."""
+
+    name = "coord"
+
+    def __init__(self, clock) -> None:
+        self.host = self
+        self.world = self
+        self.sim = clock
+        self.started = []
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+    def set_timer(self, delay, callback, *args):
+        pytest.fail("per-turn batching armed a timer")
+
+    def enqueue_instances(self, value, count) -> None:
+        assert count == 1
+        self.started.append(value)
+
+
+PER_TURN = BatchingConfig(enabled=True, max_batch_delay=0.0)
+
+
+def _values(count, size=256, prefix="m"):
+    return [Value.create(f"{prefix}{i}", size) for i in range(count)]
+
+
+def _pump_bursts(config, *bursts):
+    """Run each burst -- ``burst(batcher)`` gives the calls to post -- as one pump turn.
+
+    Every call is its own clock event, all due together, so one burst is one
+    turn of a bare :class:`LiveClock`.  Returns the batcher, what it started
+    after each burst, and the clock's processed-event count.
+    """
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        clock = LiveClock()
+        clock.attach(loop, loop.time())
+        coordinator = _Coordinator(clock)
+        batcher = CoordinatorBatcher(coordinator, config)
+        pump = loop.create_task(clock.pump())
+        started = []
+        posted = 0
+        for burst in bursts:
+            for call in burst(batcher):
+                clock.post(call)
+                posted += 1
+            await asyncio.sleep(0.02)
+            started.append(list(coordinator.started))
+            del coordinator.started[:]
+        clock.stop()
+        await pump
+        # Nothing but the posted calls ran as events: the flushes rode the turns.
+        assert clock.processed_events == posted
+        return batcher, started
+
+    return asyncio.run(asyncio.wait_for(scenario(), 10.0))
+
+
+def _offers(values):
+    return lambda batcher: [partial(batcher.offer, value) for value in values]
+
+
+def _sizes(started):
+    return [len(unpack_value(value)) for value in started]
+
+
+class TestPerTurnBatching:
+    """``max_batch_delay == 0``: a batch is what reached the coordinator in one turn."""
+
+    def test_one_burst_is_packed_up_to_the_value_cap(self):
+        values = _values(40)
+        batcher, (started,) = _pump_bursts(PER_TURN, _offers(values))
+        assert _sizes(started) == [16, 16, 8]
+        assert [v for batch in started for v in unpack_value(batch)] == values
+        assert (batcher.size_flushes, batcher.turn_flushes) == (2, 1)
+        assert (batcher.values_offered, batcher.batches_flushed) == (40, 3)
+
+    def test_byte_cap_flushes_first(self):
+        config = BatchingConfig(enabled=True, max_batch_delay=0.0, max_batch_bytes=1024)
+        batcher, (started,) = _pump_bursts(config, _offers(_values(5, size=512)))
+        assert _sizes(started) == [2, 2, 1]
+        assert (batcher.size_flushes, batcher.turn_flushes) == (2, 1)
+
+    def test_control_value_is_never_co_batched(self):
+        control = Value.create(SpliceRing(group="other-ring", learners=()), 256)
+        values = _values(3, prefix="a") + [control] + _values(2, prefix="b")
+        batcher, (started,) = _pump_bursts(PER_TURN, _offers(values))
+        assert _sizes(started) == [3, 1, 2]
+        assert started[1] is control
+        assert batcher.control_flushes == 1
+
+    def test_a_batch_of_one_is_the_bare_value(self):
+        (value,) = _values(1)
+        _, (started,) = _pump_bursts(PER_TURN, _offers([value]))
+        assert started == [value] and not is_batch(started[0])
+
+    def test_each_turn_is_its_own_batch(self):
+        first, second = _values(3, prefix="x"), _values(2, prefix="y")
+        _, started = _pump_bursts(PER_TURN, _offers(first), _offers(second))
+        assert [_sizes(turn) for turn in started] == [[3], [2]]
+
+    def test_reset_turns_the_pending_turn_end_flush_into_a_no_op(self):
+        crashed = lambda batcher: _offers(_values(3))(batcher) + [batcher.reset]  # noqa: E731
+        (value,) = _values(1, prefix="after")
+        batcher, started = _pump_bursts(PER_TURN, crashed, _offers([value]))
+        assert started == [[], [value]]
+        assert batcher.batches_flushed == 1
+
+
+class TestPerTurnBatchingOnTheSimulator:
+    """Every simulated event is its own turn: the default batches nothing."""
+
+    def test_default_ring_config_batches_per_turn(self):
+        batching = RingConfig().batching
+        assert batching.enabled and batching.max_batch_delay == 0.0
+        # Front-ends and the sim benches build on BatchingConfig's own defaults.
+        assert not BatchingConfig().enabled and BatchingConfig().max_batch_delay == 1e-3
+
+    def test_default_config_keeps_the_golden_trace_and_event_count(self):
+        golden = json.loads(
+            (Path(__file__).parent / "golden" / "lan_smoke_deliveries.json").read_text()
+        )
+        current = golden_delivery_sequence(scenario="lan", duration=0.05, threads=4)
+        assert current["sha256"] == golden["sha256"]
+        assert current["events_processed"] == golden["events_processed"]
+
+        world, deployment, drivers = build_perf_world("lan", threads=4)
+        world.start()
+        for driver in drivers:
+            driver.start()
+        world.run(until=0.05)
+        roles = [
+            role for node in deployment.nodes.values() for role in node.roles.values()
+            if role.is_coordinator
+        ]
+        assert roles and all(role.batcher is not None for role in roles)
+        for role in roles:
+            batcher = role.batcher
+            # Each value went out alone, at once, as the bare value.
+            assert batcher.values_offered == batcher.batches_flushed == role.values_proposed > 0
+            assert batcher.turn_flushes == batcher.size_flushes == batcher.timeout_flushes == 0
 
 
 class TestControlCommandIsolation:
@@ -421,75 +577,80 @@ class TestBatchAwareLeveling:
         assert role.reset_level_counter() == 1
 
 
-class TestBatchingWithRecovery:
-    def _build_store(self, world, **overrides):
-        recovery_config = RecoveryConfig(
-            checkpoint_interval=overrides.pop("checkpoint_interval", 0.5),
-            trim_interval=overrides.pop("trim_interval", 1.0),
+@pytest.fixture(scope="module")
+def batched_crash_and_recovery():
+    """One 1x3 recovering store with timer batching, one timeline, read by both tests below.
+
+    Batches of up to 4 values (1 ms timer) are decided continuously while
+    checkpoints (every 0.25 s) and trims (every 0.5 s) run, so batch
+    boundaries land arbitrarily around both; the third replica crashes at
+    1 s and recovers at 3 s; the client stops at 4.5 s so that in-flight
+    commands drain before states are compared at 5 s.
+    """
+    from types import SimpleNamespace
+
+    from repro.sim.topology import lan_topology
+    from repro.sim.world import World
+
+    world = World(topology=lan_topology(), seed=123, timeline_window=0.5)
+    store = MRPStore(
+        world,
+        partitions=1,
+        replicas_per_partition=3,
+        acceptors_per_partition=3,
+        use_global_ring=False,
+        storage_mode=StorageMode.ASYNC_SSD,
+        config=MultiRingConfig.datacenter(),
+        recovery_config=RecoveryConfig(
+            checkpoint_interval=0.25,
+            trim_interval=0.5,
             synchronous_checkpoints=True,
             max_replay_instances=10,
-        )
-        store = MRPStore(
-            world,
-            partitions=1,
-            replicas_per_partition=3,
-            acceptors_per_partition=3,
-            use_global_ring=False,
-            storage_mode=StorageMode.ASYNC_SSD,
-            config=MultiRingConfig.datacenter(),
-            recovery_config=recovery_config,
-            coordinator_batching=BatchingConfig.coordinator(
-                max_batch_values=4, max_batch_delay=1e-3
-            ),
-            pipeline_depth=16,
-            enable_recovery=True,
-            key_space=100,
-        )
-        store.load(100, value_size=256)
-        return store
+        ),
+        coordinator_batching=BatchingConfig.coordinator(max_batch_values=4, max_batch_delay=1e-3),
+        pipeline_depth=16,
+        enable_recovery=True,
+        key_space=100,
+    )
+    store.load(100, value_size=256)
+    workload = UpdateWorkload(store, list(range(100)), value_size=256, series="bat")
+    client = ClosedLoopClient(
+        world, "c0", workload, store.frontends_for_client(0), threads=4, series="bat"
+    )
+    group = store.partitions["p0"].group
+    seen = SimpleNamespace(store=store, replicas=store.replicas_of("p0"))
 
-    def test_batches_spanning_checkpoint_and_trim_survive_recovery(self, world):
-        # Batches are decided continuously while checkpoints and trims run, so
-        # batch boundaries land arbitrarily around both; the recovered replica
-        # must converge to the survivor's exact state (no lost or double-applied
-        # command from a batch split across the checkpoint cursor).
-        store = self._build_store(world)
-        workload = UpdateWorkload(store, list(range(100)), value_size=256, series="bat")
-        client = ClosedLoopClient(
-            world, "c0", workload, store.frontends_for_client(0), threads=4, series="bat"
-        )
-        victim = store.replicas_of("p0")[2]
-        survivor = store.replicas_of("p0")[0]
+    world.run(until=1.0)
+    seen.batches_before_crash = store.deployment.coordinator_of(group).role(group).batcher.batches_flushed
+    seen.replicas[2].crash()
+    world.run(until=3.0)
+    seen.replicas[2].recover()
+    world.run(until=4.5)
+    client.crash()  # quiesce in-flight traffic before comparing state
+    world.run(until=5.0)
+    return seen
 
-        world.run(until=2.0)
-        coordinator = store.deployment.coordinator_of(store.partitions["p0"].group)
-        role = coordinator.role(store.partitions["p0"].group)
-        assert role.batcher is not None and role.batcher.batches_flushed > 0
-        victim.crash()
-        world.run(until=6.0)
-        victim.recover()
-        world.run(until=9.0)
-        client.crash()  # quiesce in-flight traffic before comparing state
-        world.run(until=10.0)
 
+class TestBatchingWithRecovery:
+    def test_batches_spanning_checkpoint_and_trim_survive_recovery(
+        self, batched_crash_and_recovery
+    ):
+        # The recovered replica must converge to the survivor's exact state (no
+        # lost or double-applied command from a batch split across the
+        # checkpoint cursor).
+        seen = batched_crash_and_recovery
+        survivor, victim = seen.replicas[0], seen.replicas[2]
+        assert seen.batches_before_crash > 0
         assert victim.recovery.recoveries_completed == 1
         assert not victim.recovery.recovering
         assert victim.state_machine._entries == survivor.state_machine._entries
         # Trimming ran during the experiment (batch boundaries crossed it too).
-        acceptor = store.deployment.node(store.partitions["p0"].acceptors[0])
-        storage = acceptor.role(store.partitions["p0"].group).storage
+        partition = seen.store.partitions["p0"]
+        storage = seen.store.deployment.node(partition.acceptors[0]).role(partition.group).storage
         assert storage.trimmed_up_to is not None
 
-    def test_all_replicas_apply_identical_batched_sequences(self, world):
-        store = self._build_store(world)
-        workload = UpdateWorkload(store, list(range(100)), value_size=256, series="bat2")
-        client = ClosedLoopClient(
-            world, "c0", workload, store.frontends_for_client(0), threads=8, series="bat2"
-        )
-        world.run(until=3.0)
-        client.crash()
-        world.run(until=4.0)
-        replicas = store.replicas_of("p0")
+    def test_all_replicas_apply_identical_batched_sequences(self, batched_crash_and_recovery):
+        replicas = batched_crash_and_recovery.replicas
         assert replicas[0].commands_executed > 0
         states = [replica.state_machine._entries for replica in replicas]
         assert states[0] == states[1] == states[2]

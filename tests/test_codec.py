@@ -305,6 +305,21 @@ def test_container_and_primitive_round_trips():
         assert encode_value(decoded) == raw
 
 
+def test_equal_decoded_strings_are_one_object():
+    word = "-".join(["log", str(random.randrange(10**6))])  # built at run time, not a constant
+    first = decode_value(encode_value(("append", word, 1)))
+    second = decode_value(encode_value(("append", word, 2)))
+    assert first[1] == word and first[1] is second[1] and first[0] is second[0]
+
+
+def test_shared_string_table_stays_bounded():
+    from repro.runtime import codec
+
+    for index in range(10_000):
+        assert decode_value(encode_value(f"distinct-{index}")) == f"distinct-{index}"
+        assert len(codec._shared_strings) <= codec._SHARED_STRINGS_MAX
+
+
 def test_dict_encoding_is_insertion_order_independent():
     a = {"x": 1, "y": 2, "z": 3}
     b = {"z": 3, "x": 1, "y": 2}

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
 import re
 import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -454,6 +456,49 @@ def test_live_nodes_share_nothing_but_tcp():
             assert all(runtime.network.frames_sent > 0 for runtime in runtimes)
 
     _run(scenario())
+
+
+def test_coordinator_packs_what_reached_it_in_one_turn():
+    """32 appends outstanding on a default live ring: instances carry several each."""
+    from repro.config import MultiRingConfig
+
+    nodes = ("n0", "n1", "n2")
+    am = AtomicMulticast(backend="live", config=MultiRingConfig.datacenter(rate_leveling=False))
+    am.ring("g", list(nodes), coordinator="n0")
+    sequences = {name: [] for name in nodes}
+    total, depth = 1500, 32
+    tags = itertools.count()
+    acked = []
+    done = threading.Event()
+
+    def submit():
+        tag = next(tags)
+        if tag < total:
+            future = am.submit("g", ("append", tag), size_bytes=1024)
+            future.add_done_callback(lambda _, tag=tag: on_ack(tag))
+
+    def on_ack(tag):  # on the loop thread: the next append replaces the acked one
+        acked.append(tag)
+        if len(acked) == total:
+            done.set()
+        submit()
+
+    with am:
+        for name in nodes:
+            am.node(name).on_deliver(
+                lambda delivery, seq=sequences[name]: seq.append(delivery.value.payload[1]),
+                group="g",
+            )
+        for _ in range(depth):
+            submit()
+        assert done.wait(30.0), f"only {len(acked)} of {total} appends acked"
+        am.run_for(0.2)  # the last decisions reach every learner
+        batcher = am.coordinator_of("g").role("g").batcher
+        frames = sum(live.runtime.network.frames_sent for live in am._cluster.nodes.values())
+    assert batcher.batches_flushed < batcher.values_offered == total
+    assert frames / total < 2
+    assert sequences["n0"] == sequences["n1"] == sequences["n2"]
+    assert set(acked) <= set(sequences["n0"]) and len(set(acked)) == total
 
 
 def test_malformed_frame_closes_that_connection_only():

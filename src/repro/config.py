@@ -39,6 +39,9 @@ class BatchingConfig:
       the end of the clock's turn -- no timer and no added delay: on the live
       backend the batch holds what reached the coordinator in one pump
       burst, on the simulator (one event per turn) every value goes alone.
+      The ring's other proposers batch too, always per turn: what one turn
+      brought leaves as one proposal, which the coordinator splices into its
+      own batch.
 
     The defaults here (disabled, 1 ms) are what front-ends and benches build
     on; a ring's default is :attr:`RingConfig.batching`.
@@ -47,8 +50,9 @@ class BatchingConfig:
     enabled: bool = False
     max_batch_bytes: int = 32 * 1024
     max_batch_delay: float = 1e-3
-    #: Maximum number of values packed into one consensus instance
-    #: (coordinator-side batching only).
+    #: Maximum number of values in one batch: one consensus instance at the
+    #: coordinator, one ``Proposal`` at a proposer (ring batching only; the
+    #: front-ends' command batches are capped by bytes).
     max_batch_values: int = 16
 
     def __post_init__(self) -> None:

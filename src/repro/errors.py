@@ -20,6 +20,7 @@ __all__ = [
     "ServiceError",
     "PartitioningError",
     "WorkloadError",
+    "CodecError",
 ]
 
 
@@ -73,3 +74,9 @@ class PartitioningError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload generator was configured inconsistently."""
+
+
+class CodecError(ReproError):
+    """Bytes that are not a valid wire encoding, or a value that has none
+    (:mod:`repro.runtime.codec`): unknown tags, version mismatches, a batch
+    body that does not hold its values."""

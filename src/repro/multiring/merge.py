@@ -14,7 +14,9 @@ Skip instances (rate leveling) are consumed by the merge but not delivered to
 the application.  Batched instances (coordinator-side batching packs several
 values into one consensus instance) are unpacked here: each inner value
 becomes its own application delivery, in packing order, while the instance
-still counts as a single slot of the M-per-ring round-robin quota.
+still counts as a single slot of the M-per-ring round-robin quota.  A batch
+reaches the merge with its values decoded: the ring role (or recovery)
+decodes a body that crossed the wire before handing the instance over.
 
 The merge also exposes the *delivery cursor* -- for every group, the next
 consensus instance to deliver -- which is precisely the checkpoint tuple

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import RecoveryConfig
-from repro.errors import RecoveryError
+from repro.errors import CodecError, RecoveryError
 from repro.recovery.checkpoint import Checkpoint, CheckpointStore, cursor_leq, cursor_max
 from repro.recovery.messages import (
     CheckpointData,
@@ -28,7 +28,7 @@ from repro.recovery.messages import (
     CheckpointQuery,
 )
 from repro.ringpaxos.messages import RetransmitReply, RetransmitRequest
-from repro.types import GroupId, InstanceId
+from repro.types import GroupId, InstanceId, decoded
 
 __all__ = ["ReplicaRecovery"]
 
@@ -255,8 +255,14 @@ class ReplicaRecovery:
                 f"acceptor {sender} trimmed its log up to {msg.trimmed_up_to}; "
                 f"the installed checkpoint is too old to recover from"
             )
+        try:
+            # Batches arrive as their bodies: decode all before the merge moves.
+            entries = [(instance, decoded(value)) for instance, value in msg.entries]
+        except CodecError:
+            self.node.bodies_rejected += 1
+            return
         role = self.node.roles.get(msg.group)
-        for instance, value in msg.entries:
+        for instance, value in entries:
             self.node.merge.on_decision(msg.group, instance, value)
             if role is not None:
                 # The instance reached the merge without passing through the

@@ -1,31 +1,41 @@
-"""Coordinator-side batching of proposed values into consensus instances.
+"""Batching of proposed values: at the proposer and at the ring coordinator.
 
-URingPaxos owes its throughput to amortizing per-instance protocol cost: the
-coordinator packs many application messages into one Paxos value, so one
-Phase 2 circulation, one acceptor log write and one decision cover the whole
-batch.  :class:`CoordinatorBatcher` reproduces that component.  It sits
-between the coordinator's proposal intake and the instance window:
+URingPaxos owes its throughput to amortizing per-instance protocol cost, and
+the paper's proposers ship packets of many messages (Sections 7.2, 8.4).
+:class:`CoordinatorBatcher` does both jobs, one class with one ``offer``
+path, at two *stages*:
 
-* values accumulate in a pending batch;
-* the batch flushes when it reaches the configured value-count cap or byte
-  cap, or -- whichever comes first -- when the batch's wait ends:
+* **coordinator**: between the coordinator's proposal intake and the
+  instance window.  One batch becomes one consensus value, so one Phase 2
+  circulation, one acceptor log write and one decision cover it.  A batch a
+  proposer sent is *spliced* in whole, under the same caps: when it would
+  overflow one, the pending batch leaves first.  It keeps the bytes it
+  arrived as, so the coordinator neither re-encodes it nor -- unless it
+  delivers those values itself -- decodes it;
+* **proposer**: at a ring member that is not the coordinator, what one turn
+  of its clock brought leaves as one ``Proposal``, instead of one
+  ``Proposal`` per value.
 
-  - ``max_batch_delay == 0`` (the :class:`~repro.config.RingConfig` default):
-    at the end of the clock's turn.  On the live backend that is the end of
-    the pump burst, so the coordinator packs every value that reached it
-    together and adds no delay; on the simulator every event is its own
-    turn, so a value goes straight to the instance window, as without a
-    batcher;
-  - ``max_batch_delay > 0``: when a timer armed by the first value of an
-    empty batch expires.  This is the only way the simulator forms batches
-    (the ``batching`` bench and its regression gate), and it trades latency
-    for fuller batches where per-turn packing would leave them small;
+A pending batch flushes when it reaches the configured value-count cap or
+byte cap, or -- whichever comes first -- when its wait ends:
 
-* a batch of one goes out as the bare value, without a batch envelope;
-* reconfiguration control commands are *never* batched with application
-  values: an arriving control value flushes the pending batch and is then
-  proposed in its own instance, so its agreed delivery position stays
-  unambiguous.
+* ``max_batch_delay == 0`` (the :class:`~repro.config.RingConfig` default),
+  and always at a proposer: at the end of the clock's turn.  On the live
+  backend that is the end of the pump burst, so the batch holds every value
+  that reached the node together and adds no delay; on the simulator every
+  event is its own turn, so a value leaves at once, as without a batcher;
+* ``max_batch_delay > 0``, at the coordinator only: when a timer armed by
+  the first value of an empty batch expires.  This is the only way the
+  simulator forms batches (the ``batching`` bench and its regression gate),
+  and it trades latency for fuller batches where per-turn packing would
+  leave them small.
+
+A batch of one goes out as the bare value, without a batch envelope.  A
+batch is encoded once, where it is built (see
+:class:`~repro.types.ValueBatch`).  Reconfiguration control commands are
+*never* batched with application values: an arriving control value flushes
+the pending batch and then leaves alone, so its agreed delivery position
+stays unambiguous.
 
 Skip values (rate leveling) bypass the batcher entirely -- the coordinator
 proposes them directly through the instance window.
@@ -41,7 +51,11 @@ from repro.types import Value, batch_values
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ringpaxos.role import RingRole
 
-__all__ = ["CoordinatorBatcher", "is_control_payload"]
+__all__ = ["CoordinatorBatcher", "is_control_payload", "PROPOSER", "COORDINATOR"]
+
+#: The two stages a batcher runs at (the ``stage`` label of its metrics).
+PROPOSER = "proposer"
+COORDINATOR = "coordinator"
 
 #: Lazily resolved ``(ControlCommand, ForwardedCommand)`` -- populated on the
 #: first call to :func:`is_control_payload`.  :mod:`repro.reconfig` sits above
@@ -72,18 +86,24 @@ def is_control_payload(value: Value) -> bool:
 
 
 class CoordinatorBatcher:
-    """Packs proposed values into batch values at the ring coordinator."""
+    """Packs proposed values into batch values, at the coordinator or a proposer."""
 
-    def __init__(self, role: "RingRole", config: BatchingConfig) -> None:
+    def __init__(self, role: "RingRole", config: BatchingConfig, stage: str = COORDINATOR) -> None:
         self.role = role
         self.config = config
+        self.stage = stage
         self._clock = role.host.world.sim
-        per_turn = config.max_batch_delay == 0
+        # A proposer never waits on a timer: what it holds at turn end leaves.
+        per_turn = config.max_batch_delay == 0 or stage == PROPOSER
         #: Per-turn batching on a clock whose turns hold one event: the batch
         #: is always empty when a value arrives, and it leaves alone at once.
         self._eager = per_turn and self._clock.turn_per_event
         self._per_turn = per_turn
+        #: Where a flushed batch (or a lone value) goes next.
+        self._emit = role.send_proposal if stage == PROPOSER else role.enqueue_instances
+        #: Values offered and proposers' batches spliced, in arrival order.
         self._pending: List[Value] = []
+        self._pending_count = 0
         self._pending_bytes = 0
         self._timer = None
         # Statistics.
@@ -100,7 +120,7 @@ class CoordinatorBatcher:
         if self._eager:
             self.values_offered += 1
             self.batches_flushed += 1
-            self.role.enqueue_instances(value, 1)
+            self._emit(value)
             return
         if is_control_payload(value):
             # Control commands get their own instance; their position in the
@@ -108,13 +128,33 @@ class CoordinatorBatcher:
             # must not be blurred by co-batched application values.
             self.flush()
             self.control_flushes += 1
-            self.role.enqueue_instances(value, 1)
+            self._emit(value)
             return
-        self.values_offered += 1
+        self._add(value, 1)
+
+    def splice(self, batch: Value) -> None:
+        """Join a proposer's batch to the pending one, whole, under the same caps."""
+        count = len(batch.payload)
+        if self._eager:
+            self.values_offered += count
+            self.batches_flushed += 1
+            self._emit(batch)
+            return
+        if self._pending and (
+            self._pending_count + count > self.config.max_batch_values
+            or self._pending_bytes + batch.size_bytes > self.config.max_batch_bytes
+        ):
+            self.size_flushes += 1
+            self.flush()
+        self._add(batch, count)
+
+    def _add(self, value: Value, count: int) -> None:
+        self.values_offered += count
         self._pending.append(value)
+        self._pending_count += count
         self._pending_bytes += value.size_bytes
         if (
-            len(self._pending) >= self.config.max_batch_values
+            self._pending_count >= self.config.max_batch_values
             or self._pending_bytes >= self.config.max_batch_bytes
         ):
             self.size_flushes += 1
@@ -139,7 +179,7 @@ class CoordinatorBatcher:
             self.flush()
 
     def flush(self) -> None:
-        """Propose the pending batch as one consensus value (no-op when empty)."""
+        """Send the pending batch on as one value (no-op when empty)."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -147,6 +187,7 @@ class CoordinatorBatcher:
             return
         pending = self._pending
         self._pending = []
+        self._pending_count = 0
         self._pending_bytes = 0
         if len(pending) == 1:
             value = pending[0]
@@ -155,10 +196,10 @@ class CoordinatorBatcher:
                 tuple(pending), proposer=self.role.name, created_at=self.role.host.now
             )
         self.batches_flushed += 1
-        self.role.enqueue_instances(value, 1)
+        self._emit(value)
 
     def reset(self) -> None:
-        """Drop pending values (coordinator crash: the batch was volatile).
+        """Drop pending values (host crash: the batch was volatile).
 
         A turn-end flush already registered with the clock finds the batch
         empty and does nothing.
@@ -167,4 +208,5 @@ class CoordinatorBatcher:
             self._timer.cancel()
             self._timer = None
         self._pending = []
+        self._pending_count = 0
         self._pending_bytes = 0

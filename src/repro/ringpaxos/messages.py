@@ -16,11 +16,12 @@ non-frozen dataclasses: they are constructed on every ring hop, where the
 immutable -- a message is never mutated after construction; acceptors build a
 *new* ``Phase2`` to extend the vote set.
 
-With coordinator-side batching enabled the ``value`` of a ``Phase2`` /
-``Decision`` may be a batch envelope (its payload is a
-:class:`~repro.types.ValueBatch`) carrying several application values in one
-consensus instance; the wire format is unchanged -- a batch is just a bigger
-value -- and learners unpack it at delivery time.
+With batching enabled the ``value`` of a ``Proposal`` (a proposer's batch)
+or of a ``Phase2`` / ``Decision`` / ``RetransmitReply`` entry (one consensus
+instance) may be a batch envelope: its payload is a
+:class:`~repro.types.ValueBatch`, which crosses the wire as ``count`` plus the
+encoded body of its values.  Hops that only forward or log the message copy
+those bytes; a node decodes them when it learns and delivers the instance.
 """
 
 from __future__ import annotations

@@ -68,6 +68,8 @@ class RingHost(Process):
         self._decision_sinks: List[DecisionSink] = []
         self._handlers: Dict[type, List[Callable[[str, object], None]]] = {}
         self._repair_reply_handler_registered = False
+        #: Batch bodies that arrived framed but did not decode (message dropped).
+        self.bodies_rejected = 0
 
     # ------------------------------------------------------------------
     # ring membership
@@ -124,7 +126,7 @@ class RingHost(Process):
         return value
 
     def flush_batches(self) -> None:
-        """Flush pending coordinator batches on every ring this host coordinates.
+        """Flush the pending batch of every ring this host coordinates or proposes to.
 
         Used at the end of experiments so the tail of the workload is not
         left waiting for a flush timeout.
@@ -290,6 +292,7 @@ class RingHost(Process):
         samples = [
             ("mrp_messages_sent_total", {"node": node}, self.messages_sent),
             ("mrp_cpu_busy_seconds_total", {"node": node}, self.cpu._busy_time),
+            ("mrp_batch_bodies_rejected_total", {"node": node}, self.bodies_rejected),
         ]
         for group, role in self.roles.items():
             labels = {"node": node, "group": group}
@@ -305,11 +308,11 @@ class RingHost(Process):
             )
             samples.append(("mrp_window_stalls_total", labels, role.window_stalls))
             samples.append(("mrp_inflight_instances", labels, role.inflight_instances))
-            if role.batcher is not None:
-                samples.append(
-                    ("mrp_batch_values_offered_total", labels, role.batcher.values_offered)
-                )
-                samples.append(
-                    ("mrp_batches_flushed_total", labels, role.batcher.batches_flushed)
-                )
+            batcher = role.batcher
+            if batcher is not None:
+                # A value spliced from a proposer's batch is offered at both
+                # stages: sum one stage, not both.
+                staged = {**labels, "stage": batcher.stage}
+                samples.append(("mrp_batch_values_offered_total", staged, batcher.values_offered))
+                samples.append(("mrp_batches_flushed_total", staged, batcher.batches_flushed))
         return samples

@@ -18,6 +18,12 @@ Protocol summary (Section 4 of the paper, Figure 2b):
    decision, which keeps circulating until all members have received it;
 5. learners deliver a value once they know both the value and its decision
    (the decision message carries the value, so one message suffices).
+
+With batching on, a proposer's value may travel in a batch of what its turn
+brought, and the coordinator splices such batches into its own.  A batch
+that crossed the wire is only its encoded body: acceptors log and forward
+those bytes, and a node decodes them once, when it learns the instance and
+delivers it (:meth:`RingRole._learnable`).
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.config import RingConfig
-from repro.errors import ConsensusError, MulticastError, StorageError
+from repro.errors import CodecError, ConsensusError, MulticastError, StorageError
 from repro.paxos.storage import AcceptorStorage
 from repro.paxos.types import Ballot
-from repro.ringpaxos.batching import CoordinatorBatcher
+from repro.ringpaxos.batching import COORDINATOR, PROPOSER, CoordinatorBatcher
 from repro.ringpaxos.messages import (
     Decision,
     Phase2,
@@ -38,7 +44,15 @@ from repro.ringpaxos.messages import (
     RetransmitRequest,
 )
 from repro.runtime.interfaces import StableStore, StorageMode
-from repro.types import GroupId, InstanceId, Value, skip_value, unpack_value
+from repro.types import (
+    GroupId,
+    InstanceId,
+    Value,
+    ValueBatch,
+    decoded,
+    skip_value,
+    unpack_value,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.coordination.registry import RingDescriptor
@@ -117,10 +131,12 @@ class RingRole:
         #: backpressure does not make it re-propose the same skips forever.
         self.queued_skip_instances = 0
 
-        # Coordinator-side batcher (URingPaxos-style value packing).
+        # Batcher: the coordinator packs instances (URingPaxos-style), any
+        # other proposer packs what one turn brought into one Proposal.
         self.batcher: Optional[CoordinatorBatcher] = None
-        if self.is_coordinator and self.config.batching.enabled:
-            self.batcher = CoordinatorBatcher(self, self.config.batching)
+        if self.config.batching.enabled and (self.is_coordinator or self.is_proposer):
+            stage = COORDINATOR if self.is_coordinator else PROPOSER
+            self.batcher = CoordinatorBatcher(self, self.config.batching, stage)
 
         # Learner state: which instances were already learned (dedup between
         # the Phase2-completion path and the Decision path), plus the in-order
@@ -184,17 +200,36 @@ class RingRole:
             return  # the host crashed while the CPU work was queued
         if self.is_coordinator:
             self._intake(value)
-        else:
-            self._forward(Proposal(group=self.group, value=value), origin=self.name)
-
-    def _intake(self, value: Value) -> None:
-        """Coordinator intake: batch the value, or start it directly."""
-        if not self.host.alive:
-            return
-        if self.batcher is not None:
+        elif self.batcher is not None:
             self.batcher.offer(value)
         else:
+            self.send_proposal(value)
+
+    def send_proposal(self, value: Value) -> None:
+        """Send ``value`` (a lone value or a batch) clockwise to the coordinator."""
+        self._forward(Proposal(group=self.group, value=value), origin=self.name)
+
+    def _intake(self, value: Value) -> None:
+        """Coordinator intake: batch the value, or start it directly.
+
+        A proposer's batch is spliced into the pending batch whole, as the
+        bytes it arrived as.  A coordinator that delivers (or traces) those
+        values decodes them here, once, and learns them later from its own
+        acceptor record; any other keeps only the bytes.
+        """
+        if not self.host.alive:
+            return
+        batcher = self.batcher
+        if batcher is None:
             self.enqueue_instances(value, 1)
+        elif value.payload.__class__ is not ValueBatch:
+            batcher.offer(value)
+        else:
+            if self.is_learner or self._tracer.enabled:
+                value = self._decoded(value)
+                if value is None:
+                    return
+            batcher.splice(value)
 
     def propose_skip(self, count: int) -> None:
         """Skip ``count`` consensus instances (rate leveling; coordinator only)."""
@@ -234,7 +269,7 @@ class RingRole:
             return True
         return self._inflight + count <= depth
 
-    def enqueue_instances(self, value: Value, count: int) -> None:
+    def enqueue_instances(self, value: Value, count: int = 1) -> None:
         """Start ``count`` instances for ``value``, respecting the window."""
         if self._start_queue or not self._window_has_room(count):
             self._start_queue.append((value, count))
@@ -345,11 +380,14 @@ class RingRole:
 
     def _after_vote(self, msg: Phase2) -> None:
         if len(msg.votes) >= self.quorum:
+            value = self._learnable(msg.instance, msg.value)
+            if value is None:
+                return
             decided_at = None
             if msg.started_at is not None and self._tracer.enabled:
                 decided_at = self.host._sim._now
                 tracer = self._tracer
-                for inner in unpack_value(msg.value):
+                for inner in unpack_value(value):
                     if inner.trace is not None:
                         tracer.record(
                             inner.trace, "phase2", self.name, msg.started_at,
@@ -364,7 +402,7 @@ class RingRole:
                 started_at=msg.started_at,
                 decided_at=decided_at,
             )
-            self._learn(msg.instance, msg.count, msg.value, decided_at=decided_at)
+            self._learn(msg.instance, msg.count, value, decided_at=decided_at)
             self._mark_decided_range(msg.instance, msg.count)
             self._forward(decision, origin=self.name)
         else:
@@ -377,12 +415,15 @@ class RingRole:
     def _apply_decision(self, msg: Decision) -> None:
         if not self.host.alive:
             return
-        self._learn(msg.instance, msg.count, msg.value, decided_at=msg.decided_at)
+        value = self._learnable(msg.instance, msg.value)
+        if value is None:
+            return
+        self._learn(msg.instance, msg.count, value, decided_at=msg.decided_at)
         storage = self.storage
         if storage is not None and self.is_acceptor:
             # Acceptors downstream of the decision never cast a vote; they
-            # still log the decided value so that any acceptor can serve
-            # retransmissions during recovery.
+            # still log the decided value (as it came: a batch stays bytes)
+            # so that any acceptor can serve retransmissions during recovery.
             if msg.count == 1:
                 storage.note_decided(msg.instance, self.ballot, msg.value)
             else:
@@ -423,6 +464,38 @@ class RingRole:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    def _learnable(self, instance: InstanceId, value: Value) -> Optional[Value]:
+        """``value`` as this node learns ``instance``; ``None`` drops the message.
+
+        A batch that crossed the wire is only its body.  The coordinator
+        learns a batch it started from its own acceptor record when the uids
+        match: it delivers the objects it proposed and decodes nothing.  Any
+        other node that delivers the batch (or traces it) decodes the body
+        here, once, before any learner or merge state moves; every other node
+        keeps, logs and forwards the bytes.
+        """
+        batch = value.payload
+        if batch.__class__ is not ValueBatch or batch.values is not None or instance in self._learned:
+            return value
+        if self.is_coordinator and self.storage is not None:
+            try:
+                own = self.storage.accepted_value(instance)
+            except StorageError:
+                own = None
+            if own is not None and own.uid == value.uid:
+                value = own
+        if not (self.is_learner or self._tracer.enabled):
+            return value
+        return self._decoded(value)
+
+    def _decoded(self, value: Value) -> Optional[Value]:
+        """:func:`~repro.types.decoded`, with a body that fails counted and ``None``."""
+        try:
+            return decoded(value)
+        except CodecError:
+            self.host.bodies_rejected += 1
+            return None
+
     def _log_vote(self, msg: Phase2, done, *done_args) -> None:
         if self.storage is None:
             done(*done_args)
@@ -730,6 +803,9 @@ class RingRole:
             return
         for instance, value in msg.entries:
             if instance < self._next_delivery or instance in self._learned:
+                continue
+            value = self._learnable(instance, value)
+            if value is None:
                 continue
             self.gap_instances_recovered += 1
             self._learn(instance, 1, value)

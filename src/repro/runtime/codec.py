@@ -27,6 +27,14 @@ Design:
 
 The class-id table below is append-only: ids are never reused, and new wire
 types take fresh ids, so two builds sharing a version byte agree on every id.
+A shape that is retired keeps its id in :data:`RETIRED_IDS`, where decoding
+it fails loudly.
+
+* **Batches travel as bytes.**  A :class:`~repro.types.ValueBatch` is ``count``
+  plus an opaque *body* -- its values encoded back to back by
+  :func:`encode_batch_body`.  A receiver's frame decode copies the body out
+  and stops there; the ring forwards and logs those bytes, and only a node
+  that delivers the batch calls :func:`decode_batch_body`.
 """
 
 from __future__ import annotations
@@ -37,14 +45,17 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
 
-from repro.errors import ReproError
+from repro.errors import CodecError
 
 __all__ = [
     "CODEC_VERSION",
     "CodecError",
     "WIRE_TYPES",
+    "RETIRED_IDS",
     "encode_value",
     "decode_value",
+    "encode_batch_body",
+    "decode_batch_body",
     "frame_message",
     "iter_frames",
 ]
@@ -56,10 +67,6 @@ CODEC_VERSION = 2
 
 #: Refuse to parse frames beyond this size (corrupt length prefix guard).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-
-class CodecError(ReproError):
-    """Raised for unencodable values, unknown tags and version mismatches."""
 
 
 # ----------------------------------------------------------------------
@@ -106,8 +113,8 @@ def _wire_types() -> Dict[int, Type]:
     return {
         # core value types
         1: Value,
-        2: ValueBatch,
         3: Ballot,
+        4: ValueBatch,
         # ring paxos
         10: Proposal,
         11: Phase2,
@@ -143,27 +150,37 @@ def _wire_types() -> Dict[int, Type]:
     }
 
 
-#: class id -> (class, number of fields); class -> (tag + id header, fields getter).
-_BY_ID: Dict[int, Tuple[Type, int]] = {}
+#: Ids of retired shapes: never decoded, never given to a new type.
+RETIRED_IDS: Dict[int, str] = {
+    2: "ValueBatch as a tuple of decoded values (until batches crossed as bytes)",
+}
+
+#: class id -> (constructor, number of fields); class -> (tag + id header, fields getter).
+_BY_ID: Dict[int, Tuple[Callable[..., Any], int]] = {}
 _BY_CLS: Dict[Type, Tuple[bytes, Callable[[Any], Tuple[Any, ...]]]] = {}
 
 
 def _ensure_registry() -> None:
     if _BY_ID:
         return
+    from repro.types import ValueBatch
+
     for class_id, cls in _wire_types().items():
-        names = [f.name for f in fields(cls)]
+        assert class_id not in RETIRED_IDS, f"wire class id {class_id} is retired"
+        if cls is ValueBatch:  # not a dataclass: its body is encoded on demand
+            names, build = ["count", "body"], ValueBatch.from_wire
+        else:
+            names, build = [f.name for f in fields(cls)], cls
         getter = attrgetter(*names)
         if len(names) == 1:  # attrgetter of one name returns the bare value
             getter = lambda value, _get=getter: (_get(value),)  # noqa: E731
-        _BY_ID[class_id] = (cls, len(names))
+        _BY_ID[class_id] = (build, len(names))
         _BY_CLS[cls] = (_pack_BH(_T_DATACLASS, class_id), getter)
 
 
 def WIRE_TYPES() -> Dict[int, Type]:
-    """The registered ``class id -> dataclass`` table (for tests and tools)."""
-    _ensure_registry()
-    return {class_id: cls for class_id, (cls, _) in _BY_ID.items()}
+    """The registered ``class id -> wire class`` table (for tests and tools)."""
+    return _wire_types()
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +335,8 @@ def _decode_run(data, offset: int, count: int) -> Tuple[List[Any], int]:
             class_id = _unpack_H(data, offset + 1)[0]
             entry = _BY_ID.get(class_id)
             if entry is None:
-                raise CodecError(f"unknown wire class id {class_id}")
+                retired = " (retired)" if class_id in RETIRED_IDS else ""
+                raise CodecError(f"unknown wire class id {class_id}{retired}")
             values, offset = _decode_run(data, offset + 3, entry[1])
             append(entry[0](*values))
         elif tag == _T_FLOAT:
@@ -364,6 +382,25 @@ def decode_value(data: bytes) -> Any:
     """Decode one value produced by :func:`encode_value` (must consume all bytes)."""
     _ensure_registry()
     return _decode_exactly(data, 0, len(data), 1)[0]
+
+
+def encode_batch_body(values: Iterable[Any]) -> bytes:
+    """The body of a value batch: its values encoded back to back."""
+    _ensure_registry()
+    out = bytearray()
+    _encode_run(out, values)
+    return bytes(out)
+
+
+def decode_batch_body(count: int, body: bytes) -> Tuple[Any, ...]:
+    """The ``count`` values of a batch body; anything else is a ``CodecError``."""
+    _ensure_registry()
+    values = _decode_exactly(body, 0, len(body), count)
+    value_class = _BY_ID[1][0]
+    for value in values:
+        if value.__class__ is not value_class:
+            raise CodecError(f"batch body holds a {type(value).__name__}, not a Value")
+    return tuple(values)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ arrays; the simulator carries an opaque ``payload`` plus an explicit
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 __all__ = [
     "Value",
@@ -18,6 +18,7 @@ __all__ = [
     "skip_value",
     "batch_values",
     "unpack_value",
+    "decoded",
     "is_batch",
     "GroupId",
     "InstanceId",
@@ -96,26 +97,81 @@ def skip_value(created_at: float = 0.0, proposer: Optional[str] = None) -> Value
 #: Serialization overhead per value packed into a batch (framing, length prefix).
 BATCH_HEADER_BYTES = 16
 
+#: :mod:`repro.runtime.codec`, imported on first use: it sits above this module.
+_codec = None
 
-@dataclass(frozen=True, slots=True)
+
+def _batch_codec():
+    global _codec
+    if _codec is None:
+        from repro.runtime import codec
+
+        _codec = codec
+    return _codec
+
+
 class ValueBatch:
     """Several application values packed into one consensus value.
 
-    The coordinator amortizes per-instance protocol cost (one Phase 2
-    circulation, one acceptor log write, one decision) over every value in
-    the batch.  Learners unpack the batch and deliver the inner values in
-    packing order, so the delivery sequence is exactly the one the unbatched
-    protocol would produce for the same coordinator arrival order.
+    A proposer packs what one turn of its clock brought, and the coordinator
+    packs what reached it in one turn into one instance, so one Phase 2
+    circulation, one acceptor log write and one decision cover the whole
+    batch.  Learners deliver the inner values in packing order.
+
+    On the wire a batch is ``count`` plus its *body*: the inner values,
+    encoded back to back by :func:`repro.runtime.codec.encode_batch_body`.
+    The node that builds a batch holds ``values`` and encodes the body when
+    the batch is sent (or, when it splices in batches that arrived as bytes,
+    joins their bodies as it builds it).  A node that receives one holds only
+    the body (``values is None``), forwards and logs those bytes as they are,
+    and decodes them (:meth:`decode`) only when it delivers the batch.
     """
 
-    values: Tuple[Value, ...]
+    __slots__ = ("count", "values", "_body")
+
+    def __init__(
+        self,
+        values: Optional[Tuple[Value, ...]] = None,
+        *,
+        count: int = 0,
+        body: Optional[bytes] = None,
+    ) -> None:
+        self.values = values
+        self.count = len(values) if values is not None else count
+        self._body = body
+
+    @classmethod
+    def from_wire(cls, count: Any, body: Any) -> "ValueBatch":
+        """The batch a codec frame carried (the body stays encoded)."""
+        if count.__class__ is not int or count < 1 or body.__class__ is not bytes:
+            raise ValueError(f"malformed value batch: count {count!r}, body {type(body).__name__}")
+        return cls(count=count, body=body)
 
     @property
-    def size_bytes(self) -> int:
-        return sum(v.size_bytes for v in self.values) + BATCH_HEADER_BYTES * len(self.values)
+    def body(self) -> bytes:
+        """The encoded values: the bytes that arrived, or encoded from ``values`` now."""
+        body = self._body
+        if body is None:
+            body = _batch_codec().encode_batch_body(self.values)
+        return body
+
+    def decode(self) -> Tuple[Value, ...]:
+        """The values of a batch that arrived as its body (raises ``CodecError``)."""
+        return _batch_codec().decode_batch_body(self.count, self._body)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.count
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ValueBatch:
+            return NotImplemented
+        return self.count == other.count and self.body == other.body
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        form = "values" if self.values is not None else "body"
+        return f"ValueBatch({self.count} values, as {form})"
 
 
 def batch_values(
@@ -127,25 +183,88 @@ def batch_values(
 
     ``created_at`` stamps the envelope; the inner values keep their own
     creation times so end-to-end latency measurements include queueing delay
-    in the batcher.
+    in the batcher.  A batch among ``values`` (a proposer's, spliced in by
+    the coordinator) contributes its values in place and its body as it is.
     """
-    batch = ValueBatch(values=tuple(values))
+    values = tuple(values)
+    spliced = sum(value.payload.__class__ is ValueBatch for value in values)
     return Value(
         uid=next(_value_counter),
-        payload=batch,
-        size_bytes=batch.size_bytes,
+        payload=_join(values) if spliced else ValueBatch(values),
+        size_bytes=sum(v.size_bytes for v in values)
+        + BATCH_HEADER_BYTES * (len(values) - spliced),
         proposer=proposer,
         created_at=created_at,
     )
 
 
+def _join(parts: Tuple[Value, ...]) -> ValueBatch:
+    """The batch of ``parts`` when some are batches: their bytes are reused,
+    only the plain values are encoded, and the values are known only if every
+    batch among the parts has its own at hand."""
+    encode = _batch_codec().encode_batch_body
+    chunks: List[bytes] = []
+    run: List[Value] = []
+    values: Optional[List[Value]] = []
+    count = 0
+    for part in parts:
+        batch = part.payload
+        if batch.__class__ is ValueBatch:
+            if run:
+                chunks.append(encode(run))
+                run = []
+            chunks.append(batch.body)
+            count += batch.count
+            inner = batch.values
+        else:
+            run.append(part)
+            count += 1
+            inner = (part,)
+        if values is not None:
+            if inner is None:
+                values = None
+            else:
+                values.extend(inner)
+    if run:
+        chunks.append(encode(run))
+    return ValueBatch(
+        None if values is None else tuple(values), count=count, body=b"".join(chunks)
+    )
+
+
 def is_batch(value: Value) -> bool:
-    """True when ``value`` is a coordinator-side batch envelope."""
-    return isinstance(value.payload, ValueBatch)
+    """True when ``value`` is a batch envelope."""
+    return value.payload.__class__ is ValueBatch
 
 
 def unpack_value(value: Value) -> Tuple[Value, ...]:
-    """The application values carried by ``value`` (itself, unless batched)."""
-    if isinstance(value.payload, ValueBatch):
-        return value.payload.values
+    """The application values carried by ``value`` (itself, unless batched).
+
+    A batch that arrived as its body is decoded for the call, not kept.
+    """
+    batch = value.payload
+    if batch.__class__ is ValueBatch:
+        return batch.values if batch.values is not None else batch.decode()
     return (value,)
+
+
+def decoded(value: Value) -> Value:
+    """``value`` with its values at hand: itself, unless it is a batch that
+    arrived as its body -- then a copy holding the decoded values beside the
+    same bytes, so that whoever keeps the original (an acceptor log) keeps
+    only the bytes.
+
+    Raises :class:`~repro.runtime.codec.CodecError` when the body does not
+    decode to ``count`` values.
+    """
+    batch = value.payload
+    if batch.__class__ is not ValueBatch or batch.values is not None:
+        return value
+    return Value(
+        uid=value.uid,
+        payload=ValueBatch(batch.decode(), body=batch.body),
+        size_bytes=value.size_bytes,
+        proposer=value.proposer,
+        created_at=value.created_at,
+        trace=value.trace,
+    )

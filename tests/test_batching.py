@@ -1,4 +1,4 @@
-"""Tests for coordinator-side batching and the pipelined instance window."""
+"""Tests for ring batching (proposer and coordinator) and the pipelined instance window."""
 
 import asyncio
 import json
@@ -14,9 +14,10 @@ from repro.multiring.deployment import Deployment, RingSpec
 from repro.multiring.leveling import RateLeveler
 from repro.multiring.merge import DeterministicMerge
 from repro.reconfig.commands import SpliceRing
-from repro.ringpaxos.batching import CoordinatorBatcher
+from repro.ringpaxos.batching import PROPOSER, CoordinatorBatcher
 from repro.ringpaxos.broadcast import build_broadcast_ring
 from repro.ringpaxos.messages import Decision
+from repro.runtime import codec
 from repro.runtime.live import LiveClock
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import StorageMode
@@ -154,8 +155,11 @@ class _Coordinator:
     def set_timer(self, delay, callback, *args):
         pytest.fail("per-turn batching armed a timer")
 
-    def enqueue_instances(self, value, count) -> None:
+    def enqueue_instances(self, value, count=1) -> None:
         assert count == 1
+        self.started.append(value)
+
+    def send_proposal(self, value) -> None:  # where a proposer's batcher sends
         self.started.append(value)
 
 
@@ -166,7 +170,7 @@ def _values(count, size=256, prefix="m"):
     return [Value.create(f"{prefix}{i}", size) for i in range(count)]
 
 
-def _pump_bursts(config, *bursts):
+def _pump_bursts(config, *bursts, stage="coordinator"):
     """Run each burst -- ``burst(batcher)`` gives the calls to post -- as one pump turn.
 
     Every call is its own clock event, all due together, so one burst is one
@@ -179,7 +183,7 @@ def _pump_bursts(config, *bursts):
         clock = LiveClock()
         clock.attach(loop, loop.time())
         coordinator = _Coordinator(clock)
-        batcher = CoordinatorBatcher(coordinator, config)
+        batcher = CoordinatorBatcher(coordinator, config, stage)
         pump = loop.create_task(clock.pump())
         started = []
         posted = 0
@@ -242,12 +246,54 @@ class TestPerTurnBatching:
         _, started = _pump_bursts(PER_TURN, _offers(first), _offers(second))
         assert [_sizes(turn) for turn in started] == [[3], [2]]
 
+    def test_a_proposer_packs_per_turn_even_with_a_flush_delay(self):
+        timer_config = BatchingConfig(enabled=True, max_batch_delay=5e-3)
+        first, second = _values(3, prefix="x"), _values(1, prefix="y")
+        batcher, started = _pump_bursts(
+            timer_config, _offers(first), _offers(second), stage=PROPOSER
+        )
+        assert [_sizes(turn) for turn in started] == [[3], [1]]
+        assert started[1] == second and not is_batch(started[1][0])
+        assert batcher.stage == PROPOSER and batcher.turn_flushes == 2
+
+    def test_a_spliced_batch_joins_whole_and_keeps_its_bytes(self, monkeypatch):
+        mine = _values(3, prefix="c")
+        theirs = _wire_copy(batch_values(tuple(_values(4, prefix="p"))))
+        encoded = []
+        inner_encode = codec.encode_batch_body
+        monkeypatch.setattr(
+            codec, "encode_batch_body", lambda values: encoded.append(len(values)) or inner_encode(values)
+        )
+        splice = lambda batcher: [partial(batcher.splice, theirs)]  # noqa: E731
+        batcher, (started,) = _pump_bursts(PER_TURN, lambda b: _offers(mine)(b) + splice(b))
+        (batch,) = started
+        # One instance of seven: the proposer's body is copied, only the
+        # coordinator's own three values are encoded.
+        assert batch.payload.count == 7 and batch.payload.values is None
+        assert encoded == [3]
+        assert [v.payload for v in batch.payload.decode()] == ["c0", "c1", "c2", "p0", "p1", "p2", "p3"]
+        assert (batcher.values_offered, batcher.batches_flushed) == (7, 1)
+
+    def test_a_spliced_batch_that_would_overflow_waits_for_the_next_instance(self):
+        theirs = _wire_copy(batch_values(tuple(_values(8, prefix="p"))))
+        burst = lambda batcher: _offers(_values(10))(batcher) + [partial(batcher.splice, theirs)]  # noqa: E731
+        batcher, (started,) = _pump_bursts(PER_TURN, burst)
+        # 10 + 8 > 16: the pending ten leave first; alone, the proposer's
+        # batch is the instance value as it arrived.
+        assert _sizes(started[:1]) == [10] and started[1] is theirs
+        assert (batcher.size_flushes, batcher.turn_flushes) == (1, 1)
+
     def test_reset_turns_the_pending_turn_end_flush_into_a_no_op(self):
         crashed = lambda batcher: _offers(_values(3))(batcher) + [batcher.reset]  # noqa: E731
         (value,) = _values(1, prefix="after")
         batcher, started = _pump_bursts(PER_TURN, crashed, _offers([value]))
         assert started == [[], [value]]
         assert batcher.batches_flushed == 1
+
+
+def _wire_copy(value):
+    """``value`` as a receiver decodes it: a batch holds only its body."""
+    return codec.decode_value(codec.encode_value(value))
 
 
 class TestPerTurnBatchingOnTheSimulator:
@@ -519,6 +565,96 @@ class TestMergeUnpacking:
         # The cursor can never point into the middle of a batch: unpacking is
         # atomic within one advance step.
         assert merge.delivery_cursor() == {"g1": 1}
+
+
+class TestBatchesArriveAsBytes:
+    """A batch that crossed the wire is its body until a node learns and delivers it."""
+
+    @pytest.fixture
+    def ring(self, world):
+        deployment = Deployment(world, MultiRingConfig.datacenter(rate_leveling=False))
+        for name in ("n1", "n2", "n3"):
+            deployment.add_node(name)
+        deployment.add_ring(RingSpec(group="g", members=["n1", "n2", "n3"]))
+        world.start()
+        return deployment
+
+    @pytest.fixture
+    def body_decodes(self, monkeypatch):
+        bodies = []
+        inner = codec.decode_batch_body
+        monkeypatch.setattr(
+            codec, "decode_batch_body", lambda count, body: bodies.append(body) or inner(count, body)
+        )
+        return bodies
+
+    @staticmethod
+    def _delivered(node):
+        values = []
+        node.on_deliver(lambda delivery: values.append(delivery.value), group="g")
+        return values
+
+    @staticmethod
+    def _decide(world, node, instance, value, origin):
+        decision = Decision(group="g", instance=instance, count=1, value=value, origin=origin)
+        node.role("g").on_message(origin, decision)
+        world.run(until=world.now + 0.01)
+
+    @staticmethod
+    def _batch(prefix, count=3):
+        return batch_values(tuple(Value.create(f"{prefix}{i}", 64) for i in range(count)))
+
+    def test_the_coordinator_learns_its_own_batch_from_its_record(self, world, ring, body_decodes):
+        coordinator = ring.coordinator_of("g")
+        role = coordinator.role("g")
+        delivered = self._delivered(coordinator)
+        own = self._batch("own")
+        role.storage.log_vote(0, role.ballot, own)
+        wire = _wire_copy(own)
+        assert wire.payload.values is None and wire.uid == own.uid
+        self._decide(world, coordinator, 0, wire, origin="n2")
+        assert body_decodes == []
+        assert len(delivered) == 3
+        assert all(got is mine for got, mine in zip(delivered, own.payload.values))
+
+    def test_a_decision_the_record_does_not_match_is_decoded(self, world, ring, body_decodes):
+        coordinator = ring.coordinator_of("g")
+        role = coordinator.role("g")
+        delivered = self._delivered(coordinator)
+        role.storage.log_vote(0, role.ballot, self._batch("own"))
+        stranger = self._batch("other")
+        self._decide(world, coordinator, 0, _wire_copy(stranger), origin="n2")
+        assert len(body_decodes) == 1
+        assert [v.payload for v in delivered] == ["other0", "other1", "other2"]
+
+    def test_a_body_that_fails_to_decode_moves_nothing(self, world, ring, body_decodes):
+        node = ring.node("n2")
+        role = node.role("g")
+        delivered = self._delivered(node)
+        # Instance 1 is decided first: buffered, waiting for instance 0.
+        self._decide(world, node, 1, _wire_copy(self._batch("late")), origin="n1")
+        good = _wire_copy(self._batch("good"))
+        lying = ValueBatch.from_wire(good.payload.count + 1, good.payload.body)  # passes framing
+        broken = Value(good.uid, lying, good.size_bytes, good.proposer, good.created_at)
+        before = (
+            {i: id(v) for i, v in role._out_of_order.items()},
+            node.merge.delivery_cursor(),
+            node.merge.delivered_count,
+            node.messages_sent,
+        )
+        self._decide(world, node, 0, broken, origin="n1")
+        after = (
+            {i: id(v) for i, v in role._out_of_order.items()},
+            node.merge.delivery_cursor(),
+            node.merge.delivered_count,
+            node.messages_sent,  # not forwarded either
+        )
+        assert after == before and list(before[0]) == [1]
+        assert node.bodies_rejected == 1
+        assert 0 not in role._learned and role.storage.accepted_value(0) is None
+        # The intact decision still goes through, and releases the buffered one.
+        self._decide(world, node, 0, good, origin="n1")
+        assert [v.payload for v in delivered] == [f"{p}{i}" for p in ("good", "late") for i in range(3)]
 
 
 class TestBatchAwareLeveling:

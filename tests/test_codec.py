@@ -8,14 +8,21 @@ Every registered wire dataclass must
   reports the same wire-model size as the original), and
 * obey the framing length contract (the ``!I`` prefix covers exactly the
   version byte plus the body).
+
+The golden digests at the bottom freeze the bytes.  The id table is
+append-only: a new shape takes a new id, and a retired shape keeps its id in
+``RETIRED_IDS`` forever -- its golden entry stays too, and the digest test
+checks that those historical bytes are now refused instead of decoded.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engines.whitebox import (
     WbAccept,
@@ -51,6 +58,7 @@ from repro.ringpaxos.messages import (
 )
 from repro.runtime.codec import (
     CODEC_VERSION,
+    RETIRED_IDS,
     CodecError,
     WIRE_TYPES,
     decode_value,
@@ -368,8 +376,8 @@ def _canonical():
     splice = SpliceRing(group="g2", learners=("rep0", "rep1"))
     return {
         1: value,
-        2: ValueBatch(values=(value, skip, traced)),
         3: ballot,
+        4: ValueBatch(values=(value, skip, traced)),
         10: Proposal(group="ring-0", value=value),
         11: Phase2(
             group="ring-0",
@@ -448,8 +456,9 @@ def _hot_frames():
 #: class id -> (encoded length, sha1 of ``encode_value(_canonical()[id])``).
 _GOLDEN_VALUES = {
     1: (83, "6ace21a9ea789c3447d26de2d171cef226a51625"),
-    2: (196, "3533bcfb22b329b53e667c57aef9f4ee10aa5f17"),
+    2: (196, "3533bcfb22b329b53e667c57aef9f4ee10aa5f17"),  # retired: _retired_bytes()[2]
     3: (19, "e4a898a8d122e5b30a89516636eb508139e0201e"),
+    4: (205, "665bf5d02cd5097337a141b6e54b5f2cf08f0890"),
     10: (97, "94ada3a1df814190432d6da688c9e31a4a6fd3dd"),
     11: (176, "c03a99c796c43f41e46d0f1c083431513b81a399"),
     12: (97, "345c648ea67b705b147386b63b27d1f7eb3f3ffb"),
@@ -488,18 +497,32 @@ _GOLDEN_HOT_FRAMES = [
 ]
 
 
+def _retired_bytes():
+    """Retired id -> the bytes its last shape gave the canonical instance."""
+    batch = _canonical()[4]
+    # id 2: ValueBatch(values=...), the values decoded inline as a tuple.
+    return {2: b"\x0d\x00\x02" + encode_value(batch.values)}
+
+
 def _digest(raw: bytes):
     return len(raw), hashlib.sha1(raw).hexdigest()
 
 
 def test_golden_table_covers_exactly_the_registered_ids():
     registered = WIRE_TYPES()
-    assert sorted(_GOLDEN_VALUES) == sorted(registered)
+    assert sorted(_GOLDEN_VALUES) == sorted([*registered, *RETIRED_IDS])
+    assert not set(registered) & set(RETIRED_IDS)
     assert {cid: type(obj) for cid, obj in _canonical().items()} == registered
 
 
 @pytest.mark.parametrize("class_id", sorted(_GOLDEN_VALUES))
 def test_wire_bytes_of_every_registered_type_are_frozen(class_id):
+    if class_id in RETIRED_IDS:
+        raw = _retired_bytes()[class_id]
+        assert _digest(raw) == _GOLDEN_VALUES[class_id]
+        with pytest.raises(CodecError, match=f"unknown wire class id {class_id} \\(retired\\)"):
+            decode_value(raw)
+        return
     message = _canonical()[class_id]
     raw = encode_value(message)
     assert _digest(raw) == _GOLDEN_VALUES[class_id]
@@ -512,3 +535,124 @@ def test_hot_frames_of_one_append_are_frozen():
     assert sum(len(frame) for frame in frames) == 595
     # ... and one receive buffer holding all four decodes back to the hops.
     assert list(iter_frames(bytearray(b"".join(frames)))) == _hot_frames()
+
+
+# ----------------------------------------------------------------------
+# fuzz: whatever bytes arrive, the codec answers with messages or a
+# CodecError -- never another exception -- and so does every batch body
+# those messages carry, decoded as a delivering node decodes it.
+# ----------------------------------------------------------------------
+def _batch_bodies(message):
+    """Every value batch inside ``message`` (walked without recursion)."""
+    wire_classes = set(WIRE_TYPES().values())
+    stack = [message]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ValueBatch):
+            yield item
+        elif isinstance(item, (tuple, list, set, frozenset)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif type(item) in wire_classes:
+            stack.extend(getattr(item, field.name) for field in dataclasses.fields(item))
+
+
+def _receive(raw: bytes):
+    """What a node makes of ``raw``: the messages, every batch decoded; or CodecError."""
+    messages = list(iter_frames(bytearray(raw)))
+    for message in messages:
+        for batch in _batch_bodies(message):
+            if batch.values is None:
+                assert len(batch.decode()) == batch.count
+    return messages
+
+
+def _frame(body: bytes) -> bytes:
+    return (len(body) + 1).to_bytes(4, "big") + bytes([CODEC_VERSION]) + body
+
+
+#: A frame body up to its payload: the ``(src, dst, payload)`` header, "a", "b".
+_TO_PAYLOAD = encode_value(("a", "b", None))[:-1]
+
+
+def _batched_frames():
+    """Frames carrying batches: every ring message a batch travels in."""
+    canonical = _canonical()
+    batch = Value(uid=2001, payload=canonical[4], size_bytes=1200, proposer="n1", created_at=0.5)
+    ballot = Ballot(1, "n0")
+    return [
+        frame_message("n1", "n2", Proposal(group="ring-0", value=batch)),
+        frame_message("n0", "n1", Phase2("ring-0", 7, 1, ballot, batch, frozenset({"n0"}), "n0")),
+        frame_message("n1", "n2", Decision(group="ring-0", instance=7, count=1, value=batch, origin="n1")),
+        frame_message("n2", "r0", RetransmitReply(group="ring-0", entries=((7, batch),), token=-1)),
+        *(frame_message(*hop) for hop in _hot_frames()),
+    ]
+
+
+def _settle(raw: bytes) -> None:
+    try:
+        _receive(raw)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=256))
+def test_fuzz_arbitrary_frame_bodies(body):
+    _settle(_frame(body))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64), st.binary(max_size=64))
+def test_fuzz_arbitrary_bytes_after_a_valid_prefix(prefix, tail):
+    _settle(_frame(_TO_PAYLOAD + prefix) + tail)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzz_mutated_frames(data):
+    frames = _batched_frames()
+    raw = bytearray(frames[data.draw(st.integers(0, len(frames) - 1))])
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        at = data.draw(st.integers(0, len(raw)))
+        if kind == "flip" and at < len(raw):
+            raw[at] ^= data.draw(st.integers(1, 255))
+        elif kind == "insert":
+            raw[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+        elif kind == "delete":
+            del raw[at : at + data.draw(st.integers(1, 8))]
+        else:
+            del raw[at:]
+    _settle(bytes(raw))
+
+
+def _lone_batch_frame(count: int, body: bytes, body_length: int) -> bytes:
+    """A frame whose payload is one batch, with every number chosen by the caller."""
+    batch = b"\x0d\x00\x04" + b"\x03" + count.to_bytes(8, "big", signed=True)
+    batch += b"\x07" + body_length.to_bytes(4, "big") + body
+    return _frame(_TO_PAYLOAD + batch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzz_batch_bodies_that_do_not_hold_their_count(data):
+    batch = _canonical()[4]
+    body, count = batch.body, batch.count
+    assert _receive(_lone_batch_frame(count, body, len(body)))[0][2] == batch
+    kind = data.draw(st.sampled_from(["truncated", "over-long", "length lies", "wrong count"]))
+    if kind == "truncated":  # framing holds, the last value is cut short
+        body = body[: data.draw(st.integers(0, len(body) - 1))]
+        length = len(body)
+    elif kind == "over-long":  # framing holds, bytes trail the last value
+        body += data.draw(st.binary(min_size=1, max_size=32))
+        length = len(body)
+    elif kind == "length lies":  # the frame's own bytes contradict the length
+        length = len(body) + data.draw(st.integers(-len(body), 64).filter(bool))
+    else:
+        count = data.draw(st.integers(-(2**63), 2**63 - 1).filter(lambda c: c != batch.count))
+        length = len(body)
+    with pytest.raises(CodecError):
+        _receive(_lone_batch_frame(count, body, length))

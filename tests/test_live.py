@@ -501,6 +501,113 @@ def test_coordinator_packs_what_reached_it_in_one_turn():
     assert set(acked) <= set(sequences["n0"]) and len(set(acked)) == total
 
 
+@pytest.fixture
+def body_decodes(monkeypatch):
+    """Every batch-body decode, as ``(node, message being handled, learner?, body)``.
+
+    The message is named by the ring-role step that handles it (the steps
+    the CPU model and the acceptor log may run as events of their own);
+    ``(None, None, None)`` marks a decode outside all of them.
+    """
+    from repro.ringpaxos.role import RingRole
+    from repro.runtime import codec
+
+    handling = [(None, None, None)]
+    decodes = []
+    inner_decode = codec.decode_batch_body
+    monkeypatch.setattr(
+        codec,
+        "decode_batch_body",
+        lambda count, body: decodes.append((*handling[-1], body)) or inner_decode(count, body),
+    )
+
+    def step_of(inner, message):
+        def step(self, *args):
+            handling.append((self.name, message, self.is_learner))
+            try:
+                return inner(self, *args)
+            finally:
+                handling.pop()
+
+        return step
+
+    for name, message in (
+        ("_intake", "Proposal"),
+        ("_after_vote", "Phase2"),
+        ("_apply_decision", "Decision"),
+        ("on_repair_reply", "RetransmitReply"),
+    ):
+        monkeypatch.setattr(RingRole, name, step_of(getattr(RingRole, name), message))
+    return decodes
+
+
+def _closed_loop(am, group, total=1500, depth=32):
+    """Inside ``with am``: keep ``depth`` appends outstanding until ``total`` are acked."""
+    futures = []
+    done = threading.Event()
+
+    def submit(_=None):  # on the loop thread after the first: an ack sends the next append
+        if len(futures) < total:
+            futures.append(am.submit(group, ("append", len(futures)), size_bytes=1024))
+            futures[-1].add_done_callback(submit)
+        elif all(future.done() for future in futures):
+            done.set()
+
+    for _ in range(depth):
+        submit()
+    assert done.wait(30.0), f"only {sum(f.done() for f in futures)} of {total} appends acked"
+    am.run_for(0.2)  # the last decisions reach every learner
+    return futures
+
+
+def test_a_batch_is_decoded_once_per_node_that_delivers_it(body_decodes):
+    """32 appends outstanding on a default live ring: bodies are decoded only where delivered."""
+    from repro.config import MultiRingConfig
+    from repro.types import is_batch
+
+    am = AtomicMulticast(backend="live", config=MultiRingConfig.datacenter(rate_leveling=False))
+    am.ring("g", ["n0", "n1", "n2"], coordinator="n0")
+    with am:
+        futures = _closed_loop(am, "g")
+        role = am.coordinator_of("g").role("g")
+        proposers = [am.node(name).role("g").batcher for name in ("n1", "n2")]
+        # The coordinator is the witness, and learned each batch from its own
+        # record: the ack of a batched append is an object its log holds.
+        records = [role.storage.accepted_value(f.result().instance) for f in futures]
+        assert sum(is_batch(record) for record in records) > len(futures) / 10
+        for future, record in zip(futures, records):
+            if is_batch(record):
+                assert any(value is future.result().value for value in record.payload.values)
+    assert all(batcher.batches_flushed < batcher.values_offered for batcher in proposers)
+    assert body_decodes, "no batch crossed the wire"
+    assert all(node is not None for node, *_ in body_decodes), "decoded outside a handler"
+    # At most one decode per node per batch ...
+    per_node = [(node, body) for node, _, _, body in body_decodes]
+    assert len(per_node) == len(set(per_node))
+    # ... none of a decision at the coordinator that started it, and none
+    # at a proposer that only forwards a proposal; the coordinator decodes
+    # the proposers' batches it splices in, since it delivers them.
+    assert {(node, message) for node, message, _, _ in body_decodes} <= {
+        ("n0", "Proposal"), ("n1", "Phase2"), ("n1", "Decision"), ("n2", "Phase2"), ("n2", "Decision"),
+    }
+
+
+def test_a_service_rings_pure_acceptors_never_decode(body_decodes):
+    """Acceptors that propose but do not learn, as the services build rings: bytes only."""
+    from repro.config import MultiRingConfig
+
+    am = AtomicMulticast(backend="live", config=MultiRingConfig.datacenter(rate_leveling=False))
+    am.ring("g", acceptors=["a0", "a1", "a2"], learners=["l0", "l1"])
+    with am:
+        _closed_loop(am, "g")
+        batchers = {name: am.node(name).role("g").batcher for name in ("a0", "a1", "a2")}
+    # The proposers packed, and the coordinator spliced what they sent ...
+    assert all(b.batches_flushed < b.values_offered for b in batchers.values())
+    assert body_decodes, "no batch crossed the wire"
+    # ... but only the learners decoded a body.
+    assert {node for node, _, _, _ in body_decodes} == {"l0", "l1"}
+
+
 def test_malformed_frame_closes_that_connection_only():
     am = AtomicMulticast(backend="live")
     am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])

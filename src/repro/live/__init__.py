@@ -90,8 +90,8 @@ async def run_live_dlog(
 
     ``nodes`` is the ring's acceptor count and its replica count.  ``window``
     bounds the number of outstanding appends (one closed-loop client machine
-    with ``window`` threads); the client runs until ``values`` appends are
-    acked and is then stopped, so a few more than ``values`` may be acked.
+    with ``window`` threads); the client stops itself when ``values`` appends
+    are acked, with up to ``window - 1`` more issued and left unanswered.
     ``storage`` selects the acceptor log mode: ``memory`` or any
     :class:`StorageMode` value; durable modes append to real files under
     ``storage_dir``, as do the replicas' spill disks (a temporary directory
@@ -136,6 +136,18 @@ async def run_live_dlog(
             dlog.frontends_for_client(0),
             threads=window,
         )
+        # The client stops itself, on its own node, at the completion that
+        # makes ``values``: a stop sent from here after polling would arrive
+        # while it kept issuing.
+        pace = client.on_complete
+
+        def on_complete(context) -> None:
+            if client.completed >= values:
+                client.crash()
+            else:
+                pace(context)
+
+        client.on_complete = on_complete
         replicas = dlog.replica_nodes
         # An observation beside the service, not a second way to build it.
         sequences: List[List[int]] = [[] for _ in replicas]
@@ -144,13 +156,10 @@ async def run_live_dlog(
 
         async with cluster:
             started_at = time.perf_counter()
-            if not await _until(lambda: client.completed >= values, timeout):
+            if not await _until(lambda: not client.alive, timeout):
                 raise asyncio.TimeoutError(
                     f"{client.completed}/{values} appends acked within {timeout}s"
                 )
-            # Stopped like any other of its events, through its node's pump.
-            client.world.sim.post(client.crash)
-            await _until(lambda: not client.alive, timeout)
             acked = client.completed
             acked_seconds = time.perf_counter() - started_at
 

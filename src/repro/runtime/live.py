@@ -68,7 +68,7 @@ from repro.errors import ConfigurationError, NetworkError
 from repro.obs import Observability
 from repro.obs.http import ObsHTTPServer
 from repro.obs.metrics import Histogram
-from repro.runtime.codec import CodecError, frame_message, iter_frames
+from repro.runtime.codec import CodecError, decode_counts, frame_message, iter_frames
 from repro.runtime.cpu import CPUConfig
 from repro.runtime.interfaces import StorageMode
 from repro.sim.engine import Simulator
@@ -625,9 +625,16 @@ class LiveNodeRuntime:
 
     # -- observability -----------------------------------------------------
     def _transport_samples(self):
-        """Pull-collector: transport and store counters, read at snapshot time."""
+        """Pull-collector: transport and store counters, read at snapshot time.
+
+        The codec's decode counters are per process (its learned layouts
+        are shared by every node in it), so each node reports the same two.
+        """
         network = self.network
+        compiled, walked = decode_counts()
         samples = [
+            ("mrp_codec_compiled_decodes_total", compiled),
+            ("mrp_codec_generic_decodes_total", walked),
             ("mrp_transport_messages_sent_total", network.messages_sent),
             ("mrp_transport_messages_delivered_total", network.messages_delivered),
             ("mrp_transport_messages_received_total", network.messages_received),

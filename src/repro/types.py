@@ -145,7 +145,13 @@ class ValueBatch:
         """The batch a codec frame carried (the body stays encoded)."""
         if count.__class__ is not int or count < 1 or body.__class__ is not bytes:
             raise ValueError(f"malformed value batch: count {count!r}, body {type(body).__name__}")
-        return cls(count=count, body=body)
+        # Every batch-carrying frame builds one: set the slots directly
+        # rather than through ``__init__``'s keyword arguments.
+        batch = object.__new__(cls)
+        batch.values = None
+        batch.count = count
+        batch._body = body
+        return batch
 
     @property
     def body(self) -> bytes:

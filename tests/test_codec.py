@@ -7,7 +7,9 @@ Every registered wire dataclass must
 * keep its ``size_bytes`` contract across the wire (the decoded message
   reports the same wire-model size as the original), and
 * obey the framing length contract (the ``!I`` prefix covers exactly the
-  version byte plus the body).
+  version byte plus the body), and
+* come out of the compiled encoders and learned decode layouts exactly as
+  out of the generic walk (same bytes, same objects, same ``CodecError``).
 
 The golden digests at the bottom freeze the bytes.  The id table is
 append-only: a new shape takes a new id, and a retired shape keeps its id in
@@ -17,9 +19,11 @@ checks that those historical bytes are now refused instead of decoded.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -656,3 +660,338 @@ def test_fuzz_batch_bodies_that_do_not_hold_their_count(data):
         length = len(body)
     with pytest.raises(CodecError):
         _receive(_lone_batch_frame(count, body, length))
+
+
+# ----------------------------------------------------------------------
+# compiled paths: the straight-line encoders and the learned layouts must
+# give exactly what the generic walk gives -- the same bytes, the same
+# objects, the same CodecError -- whatever arrives.
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _fresh_layouts():
+    """Empty layout tables for the ``with`` body, the old ones back after it: learning spent there is not spent outside."""
+    from repro.runtime import codec
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_FRAMES", codec._LayoutTable())
+        patch.setattr(codec, "_VALUES", codec._LayoutTable())
+        yield
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _module_layouts():
+    """What this module teaches the tables stays here; a live ring elsewhere learns its own shapes."""
+    with _fresh_layouts():
+        yield
+
+
+class _WalkOnly:
+    """A layout table that decodes nothing and learns nothing."""
+
+    def decode(self, *args):
+        return None
+
+    def learn(self, *args):
+        pass
+
+
+def _walked(encode_or_decode, *args):
+    """``encode_or_decode(*args)`` with every compiled path swapped for the walk."""
+    from repro.runtime import codec
+
+    codec._ensure_registry()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_BY_CLS", {cls: codec._generic_encoder(cls) for cls in codec._SPEC})
+        patch.setattr(codec, "_FRAMES", _WalkOnly())
+        patch.setattr(codec, "_VALUES", _WalkOnly())
+        return encode_or_decode(*args)
+
+
+def _outcome(raw: bytes):
+    """What :func:`_receive` makes of ``raw``: the messages and decoded bodies, or CodecError."""
+    try:
+        messages = list(iter_frames(bytearray(raw)))
+        return messages, [batch.decode() for m in messages for batch in _batch_bodies(m) if batch.values is None]
+    except CodecError:
+        return CodecError
+
+
+def _body_outcome(count: int, body: bytes):
+    try:
+        return ValueBatch(count=count, body=body).decode()
+    except CodecError:
+        return CodecError
+
+
+def _agree(raw: bytes) -> None:
+    assert _outcome(raw) == _walked(_outcome, raw)
+
+
+def _wire_values():
+    """Any value the codec can encode, registered instances included."""
+    leaves = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=False),
+        st.text(max_size=12),
+        st.binary(max_size=12),
+        st.sampled_from(list(_canonical().values())),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner),
+            st.lists(inner, max_size=3),
+            st.frozensets(st.text(max_size=4), max_size=4),
+            st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        ),
+        max_leaves=6,
+    )
+
+
+def _typed(hint):
+    """Values of the type a field declares, so the compiled fast paths run."""
+    optional = typing.get_origin(hint) is typing.Union and type(None) in typing.get_args(hint)
+    base = {int: st.integers(-(2**64), 2**64), float: st.floats(), bool: st.booleans(), str: st.text(max_size=8)}
+    args = [a for a in typing.get_args(hint) if a is not type(None)] if optional else [hint]
+    inner = base.get(args[0]) if len(args) == 1 else None
+    if typing.get_origin(args[0]) is frozenset:
+        inner = st.frozensets(st.one_of(st.text(max_size=4), st.integers(0, 2), st.booleans()), max_size=4)
+    if inner is None:
+        return _wire_values()
+    return st.one_of(st.none(), inner) if optional else inner
+
+
+@st.composite
+def _registered_instances(draw):
+    cls = draw(st.sampled_from(sorted(WIRE_TYPES().values(), key=lambda c: c.__name__)))
+    if cls is ValueBatch:
+        if draw(st.booleans()):
+            return ValueBatch(values=tuple(draw(st.lists(st.builds(_value, st.randoms()), min_size=1, max_size=3))))
+        return ValueBatch(count=draw(st.integers(1, 5)), body=draw(st.binary(max_size=16)))
+    try:
+        hints = typing.get_type_hints(cls)
+    except NameError:  # an annotation only importable for type checkers: the encoder walks it
+        hints = {}
+    return cls(**{
+        f.name: draw(st.one_of(_typed(hints.get(f.name)), _wire_values())) for f in dataclasses.fields(cls)
+    })
+
+
+@settings(max_examples=250, deadline=None)
+@given(_registered_instances())
+def test_compiled_encoders_write_the_walks_bytes(message):
+    assert encode_value(message) == _walked(encode_value, message)
+    assert frame_message("src", "dst", message) == _walked(frame_message, "src", "dst", message)
+
+
+def test_equal_sets_that_encode_apart_are_not_confused():
+    ballot = Ballot(1, "n0")
+    for votes in (frozenset({1}), frozenset({True}), frozenset({1.0}), frozenset({"n0"})):
+        message = Phase2("g", 1, 1, ballot, None, votes, "n0")
+        assert encode_value(message) == _walked(encode_value, message)
+        assert decode_value(encode_value(message)).votes == votes
+
+
+def _learned():
+    """Batch-carrying and hot frames, decoded until their layouts are learned."""
+    frames = _batched_frames()
+    for _ in range(2):
+        for frame in frames:
+            _receive(frame)
+    return frames
+
+
+@_fresh_layouts()
+def test_layouts_and_the_walk_agree_on_every_cut_flip_and_tail():
+    from repro.runtime import codec
+
+    frames = _learned()
+    before = codec.decode_counts()
+    for frame in frames:
+        body = frame[5:]
+        assert _outcome(frame) == _walked(_outcome, frame) != CodecError
+        for cut in range(len(body)):
+            _agree(_frame(body[:cut]))
+        for tail in (b"\x00", b"\x03" + bytes(8), body[-9:]):
+            _agree(_frame(body + tail))
+        for at in range(len(body)):
+            for flip in (0x01, 0x80, 0xFF):
+                mutated = bytearray(body)
+                mutated[at] ^= flip
+                _agree(_frame(bytes(mutated)))
+    batch = _canonical()[4]
+    body = batch.body
+    for count in (batch.count - 1, batch.count, batch.count + 1):
+        for cut in range(len(body) + 1):
+            assert _body_outcome(count, body[:cut]) == _walked(_body_outcome, count, body[:cut])
+        assert _body_outcome(count, body + b"\x00") == _walked(_body_outcome, count, body + b"\x00")
+    for at in range(len(body)):
+        mutated = bytearray(body)
+        mutated[at] ^= 0x01
+        assert _body_outcome(batch.count, bytes(mutated)) == _walked(_body_outcome, batch.count, bytes(mutated))
+    compiled, walked = (after - start for after, start in zip(codec.decode_counts(), before))
+    assert compiled > walked  # most of those bytes were decoded by a layout
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@_fresh_layouts()
+def test_fuzz_layouts_and_the_walk_agree_on_mutated_frames(data):
+    frames = _learned()
+    raw = bytearray(frames[data.draw(st.integers(0, len(frames) - 1))][5:])
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if data.draw(st.booleans()):
+            raw[at] ^= data.draw(st.integers(1, 255))
+        else:
+            raw[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+    _agree(_frame(bytes(raw)))
+
+
+@_fresh_layouts()
+def test_a_layout_refuses_a_skeleton_that_differs_in_one_tag_or_class_id():
+    from repro.runtime import codec
+
+    value = Value(uid=7, payload=("append", "log-0", 1024, 17), size_bytes=1088, proposer="n2", created_at=1.25)
+    ballot = Ballot(1, "n0")
+    proposal = frame_message("n2", "n0", Proposal(group="ring-0", value=value))
+    phase2 = frame_message("n0", "n1", Phase2("ring-0", 41, 1, ballot, value, frozenset({"n0"}), "n0"))
+    for frame in (proposal, phase2, proposal, phase2):
+        _receive(frame)
+    is_skip = encode_value(value).rindex(b"\x02\x00")  # the False tag of ``is_skip``, trace None after it
+    ballot_id = phase2.index(encode_value(ballot)) + 2  # low byte of Ballot's class id
+    cases = [
+        (proposal, len(proposal) - len(encode_value(value)) + is_skip, 0x02 ^ 0x01),  # False -> True
+        (phase2, ballot_id, 3 ^ 36),  # Ballot(number, coordinator) -> TrimCommand(group, up_to)
+    ]
+    for frame, at, flip in cases:
+        mutated = bytearray(frame)
+        mutated[at] ^= flip
+        before = codec.decode_counts()
+        got = list(iter_frames(bytearray(mutated)))
+        assert codec.decode_counts()[1] == before[1] + 1, "the walk decoded it, not a layout"
+        assert got == _walked(lambda raw: list(iter_frames(bytearray(raw))), bytes(mutated))
+    assert got[0][2].ballot.__class__.__name__ == "TrimCommand"
+
+
+def _leaves(node):
+    from repro.runtime import codec
+
+    if isinstance(node, codec._Layout):
+        return 1 + (_leaves(node.next) if node.next is not None else 0)
+    return sum(_leaves(child) for child in node.children.values())
+
+
+@_fresh_layouts()
+def test_layout_tables_stay_bounded_and_every_shape_still_decodes():
+    from repro.runtime import codec
+
+    def payloads():
+        for length in range(41):
+            yield "x" * length
+            yield {"k" * (length % 7): length, "big": 2 ** (64 + length)}
+            yield ("append", "y" * length, -(2 ** (70 + length)))
+
+    shapes = 0
+    for index, payload in enumerate(payloads()):
+        for skip, trace in ((False, None), (True, None), (False, "t" * (index % 30))):
+            value = Value(index, payload, 64, "n" * (index % 5), float(index), skip, trace)
+            votes = frozenset(f"n{i}" for i in range(index % 4))
+            for message in (
+                Proposal(group="g" * (index % 3), value=value),
+                Phase2("g", index, 1, Ballot(index, "n0"), value, votes, "n0"),
+                Decision("g", index, 1, value, "n0"),
+            ):
+                frame = frame_message("n0", "n1", message)
+                for _ in range(2):  # learned by the walk while the class learns, then by a layout
+                    assert list(iter_frames(bytearray(frame))) == [("n0", "n1", message)]
+                shapes += 1
+            body = encode_value(value)
+            assert ValueBatch(count=2, body=body + body).decode() == (value, value)
+    assert shapes >= 1000
+    for table in (codec._FRAMES, codec._VALUES):
+        for class_id, root in table.roots.items():
+            assert _leaves(root) <= table.counts[class_id] <= codec._LAYOUTS_PER_CLASS_MAX
+
+
+@_fresh_layouts()
+def test_a_class_that_spent_its_learning_is_left_to_the_walk():
+    """Shapes that never repeat (a new payload length each time) compile at most the cap per class."""
+    from repro.runtime import codec
+
+    built = []
+    shape = codec._Shape
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_Shape", lambda: built.append(1) or shape())
+        for length in range(4 * codec._LAYOUTS_PER_CLASS_MAX):
+            value = Value(length, "p" * length, 64, "n1", 0.5)
+            assert list(iter_frames(bytearray(frame_message("n1", "n0", Proposal("g", value))))) == [
+                ("n1", "n0", Proposal("g", value))
+            ]
+            body = encode_value(value)
+            assert ValueBatch(count=1, body=body).decode() == (value,)
+    assert len(built) == 2 * codec._LAYOUTS_PER_CLASS_MAX  # Proposal frames and body values
+    before = codec.decode_counts()
+    frame = frame_message("n1", "n0", Proposal("g", Value(0, "", 64, "n1", 0.5)))
+    list(iter_frames(bytearray(frame)))  # the first shape learned is kept
+    assert codec.decode_counts()[0] == before[0] + 1
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["short-first", "long-first"])
+@_fresh_layouts()
+def test_shapes_that_differ_only_after_a_body_are_all_kept(order):
+    """Traced and untraced batch frames, votes of two sizes: after warm-up none takes the walk.
+
+    Learned longest first, a shorter frame alone in its buffer makes the
+    longer layouts read past its end before the right one is tried.
+    """
+    from repro.runtime import codec
+
+    batch = Value(uid=2001, payload=_canonical()[4], size_bytes=1200, proposer="n1", created_at=0.5)
+    ballot = Ballot(1, "n0")
+    messages = [
+        Decision("ring-0", 7, 1, batch, "n1"),
+        Decision("ring-0", 7, 1, batch, "n1", started_at=1.5, decided_at=2.5),
+        Phase2("ring-0", 7, 1, ballot, batch, frozenset({"n0"}), "n0"),
+        Phase2("ring-0", 7, 1, ballot, batch, frozenset({"n0", "n1"}), "n0"),
+        Phase2("ring-0", 7, 1, ballot, batch, frozenset({"n0"}), "n0", started_at=1.5),
+    ][::order]
+    frames = [frame_message("n0", "n1", message) for message in messages]
+    for frame in frames:  # warm-up: each shape is walked once and learned
+        _receive(frame)
+    before = codec.decode_counts()
+    for _ in range(20):
+        for frame, message in zip(frames, messages):
+            assert list(iter_frames(bytearray(frame))) == [("n0", "n1", message)]
+    compiled, walked = (after - start for after, start in zip(codec.decode_counts(), before))
+    assert (compiled, walked) == (20 * len(frames), 0)
+
+
+@_fresh_layouts()
+def test_a_new_shape_shorter_than_the_learned_ones_is_learned():
+    """The tree over learned shapes reads past the end of a short frame: that frame is still learned."""
+    from repro.runtime import codec
+
+    long_value = Value(1, "p" * 200, 64, "n1", 0.5)
+    for origin in ("n1", "n22"):  # two long shapes that differ only late, at the origin's length
+        _receive(frame_message("n0", "n1", Decision("ring-0", 7, 1, long_value, origin)))
+    short = frame_message("n0", "n1", Decision("g", 7, 1, Value(1, "", 64, "n1", 0.5), "n1"))
+    before = codec.decode_counts()
+    for _ in range(2):
+        _receive(short)
+    assert codec.decode_counts() == (before[0] + 1, before[1] + 1)  # walked once, then by its layout
+
+
+@_fresh_layouts()
+def test_long_decoded_strings_are_not_kept_by_their_bytes():
+    from repro.runtime import codec
+
+    value = Value(1, "q" * 1000, 1064, "n1", 0.5)
+    body = encode_value(value)
+    before = codec.decode_counts()
+    for _ in range(2):  # the walk, then a layout
+        assert ValueBatch(count=1, body=body).decode() == (value,)
+    assert codec.decode_counts() == (before[0] + 1, before[1] + 1)
+    assert all(len(raw) <= codec._ENCODED_STRING_CHARS for raw in codec._shared_raw)

@@ -345,9 +345,9 @@ def test_live_dlog_smoke_zero_lost_acked_writes():
     assert result["passed"], result["report"]
     metrics = result["metrics"]
     assert metrics["lost_acked_writes"] == 0
-    # A closed loop is stopped once 60 appends are acked, not at exactly 60:
-    # up to a window more were answered before the stop reached the client.
-    assert 60 <= metrics["acked"] <= 60 + 16
+    # The client stops itself at the 60th ack; the up to 15 appends still in
+    # flight are executed by the replicas but never acked.
+    assert metrics["acked"] == 60
     assert metrics["sequences_identical"] and metrics["state_identical"]
     # Every protocol hop crossed a real socket: client -> front-end, the
     # Phase2 / Decision circulation over six ring members, replica -> client.
@@ -590,6 +590,32 @@ def test_a_batch_is_decoded_once_per_node_that_delivers_it(body_decodes):
     assert {(node, message) for node, message, _, _ in body_decodes} <= {
         ("n0", "Proposal"), ("n1", "Phase2"), ("n1", "Decision"), ("n2", "Phase2"), ("n2", "Decision"),
     }
+
+
+def test_after_warm_up_a_live_ring_decodes_by_learned_layouts(monkeypatch):
+    """32 appends outstanding: >= 99 % of frame and body-value decodes take a layout."""
+    from repro.config import MultiRingConfig
+    from repro.runtime import codec
+
+    # Empty tables: the shapes earlier tests taught this process count
+    # against each class's cap, and this ring must learn its own.
+    monkeypatch.setattr(codec, "_FRAMES", codec._LayoutTable())
+    monkeypatch.setattr(codec, "_VALUES", codec._LayoutTable())
+    am = AtomicMulticast(backend="live", config=MultiRingConfig.datacenter(rate_leveling=False))
+    am.ring("g", ["n0", "n1", "n2"], coordinator="n0")
+
+    def counts():  # what every node's /metrics reports, read as a scrape would
+        snapshot = am._cluster.node("n1").runtime.obs.metrics.snapshot()["metrics"]
+        return snapshot["mrp_codec_compiled_decodes_total"], snapshot["mrp_codec_generic_decodes_total"]
+
+    with am:
+        _closed_loop(am, "g", total=300)  # warm-up: every shape of the run is learned
+        compiled, walked = counts()
+        assert walked > 0  # the first of each shape took the walk
+        _closed_loop(am, "g", total=1500)
+        compiled, walked = (after - before for after, before in zip(counts(), (compiled, walked)))
+    assert compiled > 1500
+    assert compiled >= 0.99 * (compiled + walked), (compiled, walked)
 
 
 def test_a_service_rings_pure_acceptors_never_decode(body_decodes):

@@ -1,32 +1,23 @@
-"""Public entry point: backend- and engine-agnostic atomic multicast.
+"""Public entry point: atomic multicast on either backend.
 
-:class:`AtomicMulticast` is the redesigned front door to the library.  It is
-a context-managed deployment builder with two orthogonal choices:
-
-* **backend** -- where the protocol runs: ``backend="sim"`` (default) is the
-  deterministic simulator; ``backend="live"`` runs every node as an asyncio
-  task with its own TCP server on localhost, every protocol message crossing
-  a socket through the versioned codec (the facade runs the event loop on a
-  background thread so the synchronous API below works unchanged).
-* **engine** -- *which protocol orders the messages*: ``engine="multiring"``
-  (default) is the paper's Multi-Ring Paxos; ``engine="whitebox"`` is
-  White-Box Atomic Multicast (genuine, no global rings).  Engines implement
-  the :class:`~repro.engines.base.OrderingEngine` seam and are resolved from
-  the :mod:`repro.engines` registry, so tests and downstream code can plug
-  in their own with :func:`repro.engines.register`.
+:class:`AtomicMulticast` is the front door to the library: a context-managed
+builder of one Multi-Ring Paxos :class:`~repro.multiring.deployment.Deployment`.
+The one choice is the **backend** -- where the protocol runs:
+``backend="sim"`` (default) is the deterministic simulator;
+``backend="live"`` runs every node as an asyncio task with its own TCP server
+on localhost, every protocol message crossing a socket through the versioned
+codec (the facade runs the event loop on a background thread so the
+synchronous API below works unchanged).
 
 Core surface::
 
-    with AtomicMulticast(seed=1) as am:                  # sim + multiring
+    with AtomicMulticast(seed=1) as am:                  # the simulator
         am.ring("ring-1", acceptors=["a1", "a2", "a3"], learners=["L1", "L2"])
         future = am.submit("ring-1", "hello", size_bytes=1024)
         am.run_for(1.0)
         delivery = future.result(timeout=0)              # acked: delivered
         for d in am.deliveries("ring-1"):
             ...
-
-    with AtomicMulticast(engine="whitebox", seed=1) as am:   # same code
-        ...
 
     with AtomicMulticast(backend="live") as am:          # same code, real TCP
         ...
@@ -35,21 +26,21 @@ Core surface::
 resolved with the :class:`~repro.multiring.merge.Delivery` once the value is
 delivered at the group's witness learner (the ack the "zero lost acked
 writes" invariant counts).  ``multicast(groups, payload)`` addresses several
-groups atomically.  ``deliveries(group)`` returns a stream that can be
-iterated synchronously or with ``async for``.
+groups atomically through the ring declared with ``multi_group_route=True``.
+``deliveries(group)`` returns a stream that can be iterated synchronously or
+with ``async for``.
 
-Both backends build through one path: ``ring()`` hands the same
-:class:`~repro.engines.base.EngineSpec` to the engine, and ``dlog()`` /
-``mrpstore()`` / ``client()`` hand the paper's services the facade's
-:class:`~repro.runtime.interfaces.Cluster` -- the simulated world, or the live
-cluster's per-node runtimes -- on which every acceptor, replica and client is
-placed the same way; ``monitor`` is that cluster's one monitor.  On the live
-backend all of them -- and ``workload()``, whose load generator is one more
-client node -- are declared before entering the context (the node set fixes
-the TCP topology).  Engines advertise
-:attr:`~repro.engines.base.OrderingEngine.supports_live` and the facade
-refuses unsupported combinations up front; only ``inject_failures()`` is
-still limited to the simulator.
+Both backends build through one path: ``ring()`` hands a
+:class:`~repro.multiring.deployment.RingSpec` to
+:meth:`Deployment.add_ring <repro.multiring.deployment.Deployment.add_ring>`,
+and ``dlog()`` / ``mrpstore()`` / ``client()`` hand the paper's services the
+facade's :class:`~repro.runtime.interfaces.Cluster` -- the simulated world,
+or the live cluster's per-node runtimes -- on which every acceptor, replica
+and client is placed the same way; ``monitor`` is that cluster's one monitor.
+On the live backend all of them -- and ``workload()``, whose load generator
+is one more client node -- are declared before entering the context (the
+node set fixes the TCP topology); only ``inject_failures()`` is still limited
+to the simulator.
 """
 
 from __future__ import annotations
@@ -62,10 +53,9 @@ import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import engines as engine_registry
 from repro.config import MultiRingConfig, RingConfig
-from repro.engines import EngineSpec
 from repro.errors import ConfigurationError, MulticastError
+from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.interfaces import StorageMode
 from repro.types import GroupId, Value
 
@@ -183,7 +173,7 @@ class DeliveryStream:
 
 
 class AtomicMulticast:
-    """Context-managed, backend- and engine-agnostic atomic multicast."""
+    """Context-managed atomic multicast on the simulator or over live TCP."""
 
     #: How long :meth:`__enter__` waits for the live backend to come up.
     #: A class attribute so tests can shrink it; a failed or timed-out
@@ -195,7 +185,6 @@ class AtomicMulticast:
         self,
         *,
         backend: str = "sim",
-        engine: str = "multiring",
         seed: int = 0,
         config: Optional[MultiRingConfig] = None,
         topology: Any = None,
@@ -208,16 +197,6 @@ class AtomicMulticast:
         if backend not in _BACKENDS:
             raise ConfigurationError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
 
-        # Unknown engine names raise ConfigurationError listing the registry.
-        self.engine = engine_registry.create(engine)
-        self._engine_name = engine
-        if backend == "live" and not self.engine.supports_live:
-            raise ConfigurationError(
-                f"engine {engine!r} does not support the live backend; "
-                f"engines that do: "
-                f"{[n for n in engine_registry.available() if engine_registry.create(n).supports_live]}"
-            )
-
         self._backend = backend
         self.seed = seed
         self.config = config or MultiRingConfig.datacenter()
@@ -226,6 +205,8 @@ class AtomicMulticast:
         #: The one condition every ack future of this facade waits on.
         self._ack_condition = threading.Condition()
         self._workloads = itertools.count()
+        #: The ring multi-group messages are ordered on (``ring(multi_group_route=True)``).
+        self._multi_route: Optional[GroupId] = None
 
         if backend == "sim":
             from repro.sim.world import World
@@ -254,7 +235,7 @@ class AtomicMulticast:
             self._ready = threading.Event()
             self._stop_event: Optional[asyncio.Event] = None
             self._startup_error: Optional[BaseException] = None
-        self.deployment = self.engine.build(self._cluster, self.config)
+        self.deployment = Deployment(self._cluster, self.config)
 
     # ------------------------------------------------------------------
     # deployment building
@@ -273,30 +254,24 @@ class AtomicMulticast:
         ring_config: Optional[RingConfig] = None,
         multi_group_route: bool = False,
     ) -> None:
-        """Declare one multicast group (historically named after the ring).
+        """Declare one multicast group: one ring of the deployment.
 
-        ``members`` defaults to ``acceptors + learners`` in that order;
-        ``proposers`` defaults to the acceptors.  ``multi_group_route`` marks
-        this group's ring as the route for multi-group messages on the
-        multiring engine (genuine engines ignore it).  On the live backend
-        rings must be declared before entering the context (the node set
-        fixes the TCP topology).
+        ``members`` (the ring order) defaults to the acceptors, then the
+        proposers, then the learners, each name once; ``proposers`` defaults
+        to the acceptors.  ``multi_group_route`` makes this group's ring the
+        one every multi-group :meth:`multicast` is ordered on (its learners
+        must cover every destination).  On the live backend rings must be
+        declared before entering the context (the node set fixes the TCP
+        topology).
         """
         if members is None:
             if acceptors is None:
                 raise ConfigurationError("a ring needs members or acceptors")
-            members = list(acceptors) + [
-                name for name in (learners or []) if name not in set(acceptors)
-            ]
+            members = list(dict.fromkeys([*acceptors, *(proposers or ()), *(learners or ())]))
         if proposers is None and acceptors is not None:
             proposers = list(acceptors)
-        options: Dict[str, Any] = {}
-        if ring_config is not None:
-            options["ring_config"] = ring_config
-        if multi_group_route:
-            options["multi_group_route"] = True
-        self.engine.add_group(
-            EngineSpec(
+        self.deployment.add_ring(
+            RingSpec(
                 group=group,
                 members=list(members),
                 acceptors=list(acceptors) if acceptors is not None else None,
@@ -304,10 +279,12 @@ class AtomicMulticast:
                 learners=list(learners) if learners is not None else None,
                 coordinator=coordinator,
                 storage_mode=storage,
-                sites=sites,
-                options=options,
-            )
+            ),
+            sites=sites,
+            ring_config=ring_config,
         )
+        if multi_group_route:
+            self._multi_route = group
 
     # -- service builders (live: before entering the context, like ring()) --
     def dlog(self, **kwargs):
@@ -351,7 +328,7 @@ class AtomicMulticast:
             return self
         # Hooked before the loop thread exists, so each stream sees its
         # group's deliveries from the first one.
-        for group in self.engine.groups():
+        for group in self.deployment.rings:
             self._hook_witness(group)
         self._thread = threading.Thread(
             target=self._live_thread_main, name="repro-live", daemon=True
@@ -435,18 +412,24 @@ class AtomicMulticast:
     # traffic
     # ------------------------------------------------------------------
     def node(self, name: str):
-        """The engine's protocol node object named ``name``."""
-        return self.engine.node(name)
+        """The protocol node (:class:`~repro.multiring.node.MultiRingNode`) named ``name``."""
+        return self.deployment.node(name)
 
     def coordinator_of(self, group: GroupId):
-        """The node currently coordinating (leading) ``group``."""
-        return self.engine.node(self.engine.descriptor(group).coordinator)
+        """The node currently coordinating ``group``'s ring."""
+        return self.deployment.coordinator_of(group)
 
     def _hook_witness(self, group: GroupId) -> None:
+        """Feed ``group``'s stream and acks from its witness: the ring's first learner."""
         if group in self._streams:
             return
+        learners = self.deployment.ring(group).learners
+        if not learners:
+            raise MulticastError(f"group {group!r} has no learners to deliver at")
         stream = DeliveryStream(self, group)
-        self.engine.on_deliver(group, lambda d: self._on_witness_delivery(stream, d))
+        self.deployment.node(learners[0]).on_deliver(
+            lambda d: self._on_witness_delivery(stream, d), group=group
+        )
         self._streams[group] = stream
 
     def _on_witness_delivery(self, stream: DeliveryStream, delivery) -> None:
@@ -466,7 +449,6 @@ class AtomicMulticast:
         backend it resolves from the node's event loop and can be awaited
         with ``future.result(timeout=...)``.
         """
-        self._hook_witness(group)
         return self._send((group,), payload, size_bytes)
 
     def multicast(
@@ -477,10 +459,10 @@ class AtomicMulticast:
     ) -> "concurrent.futures.Future":
         """Atomically multicast ``payload`` to every group in ``groups``.
 
-        The future resolves at the first witness delivery (any destination);
-        per-group streams via :meth:`deliveries` see every delivery.  The
-        multiring engine sends a multi-group message through its
-        ``multi_group_route`` ring, on both backends.
+        A message to one group is :meth:`submit`.  A message to several is
+        ordered on the ring declared with ``multi_group_route=True``, on both
+        backends, and its future resolves at that ring's witness; per-group
+        streams via :meth:`deliveries` see every delivery.
         """
         dests = tuple(groups)
         if not dests:
@@ -492,27 +474,42 @@ class AtomicMulticast:
     def _send(
         self, dests: Tuple[GroupId, ...], payload: Any, size_bytes: Optional[int]
     ) -> "concurrent.futures.Future":
-        """Hand one value addressed to ``dests`` to the engine; future = its ack."""
+        """Hand one value addressed to ``dests`` to its proposer; future = its ack.
+
+        The value is created here, on the caller's thread.  The simulator
+        proposes it at once; the live backend hands it to the proposer on the
+        loop thread, through the node's clock.
+        """
+        if self._backend == "live" and self._loop is None:
+            raise ConfigurationError("enter the live context before submitting traffic")
         if size_bytes is None:
             from repro.net.message import estimate_size
 
             size_bytes = estimate_size(payload)
+        route = self._route_of(dests)
+        self._hook_witness(route)
+        node = self.deployment.node(self.deployment.next_proposer(route))
+        node.check_proposer(route)
+        clock = node.world.sim
+        value = Value.create(payload, size_bytes, proposer=node.name, created_at=clock.now)
         future = _AckFuture(self._ack_condition)
+        self._pending[value.uid] = future
         if self._backend == "sim":
-            value = self.engine.multicast(dests, payload, size_bytes)
-            self._pending[value.uid] = future
+            node.propose_value(route, value)
         else:
-            if self._loop is None:
-                raise ConfigurationError("enter the live context before submitting traffic")
-            # The value is created here, on the caller's thread, and handed
-            # to its proposer on the loop thread through the node's clock.
-            group = self.engine.route_of(dests)
-            node = self.engine.node(self.engine.next_proposer(group))
-            clock = node.world.sim
-            value = Value.create(payload, size_bytes, proposer=node.name, created_at=clock.now)
-            self._pending[value.uid] = future
-            self._loop.call_soon_threadsafe(clock.post, node.propose_value, group, value)
+            self._loop.call_soon_threadsafe(clock.post, node.propose_value, route, value)
         return future
+
+    def _route_of(self, dests: Tuple[GroupId, ...]) -> GroupId:
+        """The group whose ring orders a message addressed to ``dests``."""
+        if len(dests) == 1:
+            return dests[0]
+        if self._multi_route is None:
+            raise MulticastError(
+                "multi-group messages need a designated ring: declare one with "
+                "multi_group_route=True whose learners cover every destination"
+            )
+        return self._multi_route
 
     def deliveries(self, group: GroupId) -> DeliveryStream:
         """The group's delivery stream at its witness learner (see class doc)."""
@@ -617,18 +614,9 @@ class AtomicMulticast:
         return self._backend
 
     @property
-    def engine_name(self) -> str:
-        """The registered name of the ordering engine in use."""
-        return self._engine_name
-
-    def engine_stats(self) -> Dict[str, Any]:
-        """The ordering engine's counters (see :meth:`OrderingEngine.stats`)."""
-        return self.engine.stats()
-
-    @property
     def monitor(self):
         """The cluster's one metric monitor (clients and replicas record into it)."""
         return self._cluster.monitor
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AtomicMulticast(backend={self._backend!r}, engine={self._engine_name!r})"
+        return f"AtomicMulticast(backend={self._backend!r}, rings={list(self.deployment.rings)!r})"

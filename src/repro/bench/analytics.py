@@ -21,7 +21,7 @@ layer:
 
   .. code-block:: sh
 
-      python -m repro.bench.analytics BENCH_workload.json BENCH_shootout.json
+      python -m repro.bench.analytics BENCH_workload.json previous/BENCH_workload.json
       python -m repro.bench.analytics --glob 'BENCH_*.json' --history
       python -m repro.bench.analytics BENCH_workload.json --slo 'openloop:p99<=250'
 
@@ -216,9 +216,8 @@ def extract_series(data: Any, source: str = "bench file") -> Tuple[Dict[str, Dic
     """Every latency-percentile table in a bench file, by series name.
 
     New-schema files contribute their ``analytics.series`` map; for older
-    files the whole document is scanned for ``p50_ms``/``p99_ms`` blocks
-    (e.g. the shootout's per-engine latency tables) so cross-run comparison
-    works across schema generations.
+    files the whole document is scanned for ``p50_ms``/``p99_ms`` blocks so
+    cross-run comparison works across schema generations.
     """
     section, warnings = analytics_of(data, source)
     if section is not None:

@@ -21,7 +21,6 @@ from repro.bench.figure7 import run_figure7
 from repro.bench.figure8 import run_figure8
 from repro.bench.perf import run_perf
 from repro.bench.reconfig import run_reconfig
-from repro.bench.shootout import run_shootout
 from repro.bench.workload import run_workload
 from repro.live import run_live
 
@@ -208,20 +207,6 @@ def run_experiment(name: str, scale: str = "quick") -> Dict:
                 paper={"duration": 5.0},
             )
         )
-    if name == "shootout":
-        return run_shootout(
-            **_params(
-                scale,
-                # smoke covers one single-group and one multi-group scenario
-                # so CI still exercises the global-ring routing path.
-                smoke={
-                    "values_per_scenario": 120,
-                    "scenarios": ("single-uniform", "multi-zipf"),
-                },
-                quick={"values_per_scenario": 400},
-                paper={"values_per_scenario": 2000, "spacing": 1e-3},
-            )
-        )
     if name == "workload":
         return run_workload(
             **_params(
@@ -286,6 +271,5 @@ EXPERIMENTS = (
     "chaos",
     "perf",
     "live",
-    "shootout",
     "workload",
 )

@@ -152,11 +152,15 @@ class MultiRingNode(RingHost):
     # ------------------------------------------------------------------
     def multicast(self, group: GroupId, payload, size_bytes: int) -> Value:
         """Atomically multicast ``payload`` to ``group`` (the paper's ``multicast(γ, m)``)."""
+        self.check_proposer(group)
+        return self.propose(group, payload, size_bytes)
+
+    def check_proposer(self, group: GroupId) -> None:
+        """Raise :class:`MulticastError` unless this node is on ``group``'s ring to propose."""
         if group not in self.roles:
             raise MulticastError(
                 f"{self.name} cannot multicast to {group!r}: it is not a proposer of that ring"
             )
-        return self.propose(group, payload, size_bytes)
 
     def on_deliver(self, callback: DeliveryCallback, group: Optional[GroupId] = None) -> None:
         """Register the application-level delivery callback (``deliver(m)``).

@@ -28,7 +28,6 @@ from repro.ringpaxos.messages import (
 )
 from repro.ringpaxos.role import RingRole
 from repro.ringpaxos.node import RingHost
-from repro.ringpaxos.broadcast import RingPaxosBroadcast, build_broadcast_ring
 
 __all__ = [
     "Proposal",
@@ -38,6 +37,4 @@ __all__ = [
     "RetransmitReply",
     "RingRole",
     "RingHost",
-    "RingPaxosBroadcast",
-    "build_broadcast_ring",
 ]

@@ -115,7 +115,7 @@ def _wire_types() -> Dict[int, Type]:
         RetransmitReply,
         RetransmitRequest,
     )
-    from repro.engines.whitebox import (
+    from repro.net.message import (
         WbAccept,
         WbAccepted,
         WbCommit,
@@ -156,7 +156,7 @@ def _wire_types() -> Dict[int, Type]:
         42: MigrationInstall,
         43: ForwardedCommand,
         44: ProposeControl,
-        # white-box atomic multicast (engine #2)
+        # white-box atomic multicast (its engine is removed; see net.message)
         50: WbSubmit,
         51: WbAccept,
         52: WbAccepted,

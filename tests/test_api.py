@@ -1,4 +1,4 @@
-"""Tests for the backend- and engine-agnostic :mod:`repro.api` facade."""
+"""Tests for the :mod:`repro.api` facade on both backends."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from repro import AtomicMulticast, engines
-from repro.engines.multiring import MultiRingEngine
+from repro import AtomicMulticast
 from repro.config import MultiRingConfig
 from repro.errors import ConfigurationError, MulticastError
+from repro.multiring.deployment import Deployment
 from repro.runtime.interfaces import StorageMode
 from repro.sim.failure import FailureSchedule
 from repro.workloads.simple import AppendWorkload
@@ -96,44 +96,27 @@ def test_sim_services_and_monitor_accessors():
         assert am.monitor is am.world.monitor
 
 
-# ----------------------------------------------------------------------
-# engine selection
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["multiring", "whitebox"])
-def test_submit_works_identically_on_both_engines(engine):
-    with AtomicMulticast(engine=engine, seed=6) as am:
-        assert am.engine_name == engine
-        _three_node_ring(am)
-        futures = [am.submit("ring-1", f"m{i}", size_bytes=128) for i in range(4)]
+def test_ring_members_default_to_acceptors_then_proposers_then_learners():
+    with AtomicMulticast(seed=6) as am:
+        am.ring("g", acceptors=["a1", "a2", "a3"], proposers=["p1"], learners=["l1"])
+        assert am.deployment.ring_specs["g"].members == ["a1", "a2", "a3", "p1", "l1"]
+        future = am.submit("g", "via-p1", size_bytes=64)
         am.run_for(1.0)
-        payloads = [f.result(timeout=0).value.payload for f in futures]
-        assert sorted(payloads) == [f"m{i}" for i in range(4)]
+        delivery = future.result(timeout=0)
+        assert (delivery.value.payload, delivery.value.proposer) == ("via-p1", "p1")
 
 
-def test_whitebox_multicast_reaches_every_group_genuinely():
-    with AtomicMulticast(engine="whitebox", seed=8) as am:
-        am.ring("r1", acceptors=["a1", "a2", "a3"], learners=["a1", "a2", "a3"])
-        am.ring("r2", acceptors=["b1", "b2", "b3"], learners=["b1", "b2", "b3"])
-        future = am.multicast(("r1", "r2"), "both", size_bytes=64)
+def test_sim_multicast_resolves_at_the_route_rings_witness():
+    with AtomicMulticast(seed=8) as am:
+        acceptors = ["a0", "a1", "a2"]
+        am.ring("r1", acceptors=acceptors, learners=["L1", "L3"])
+        am.ring("r2", acceptors=acceptors, learners=["L2", "L3"])
+        am.ring("both", acceptors=acceptors, learners=["L3", "L1", "L2"], multi_group_route=True)
+        future = am.multicast(("r1", "r2"), "to-both", size_bytes=64)
         am.run_for(1.0)
-        assert future.result(timeout=0).value.payload == "both"
-        seen = [
-            [d.value.payload for d in am.deliveries(group)] for group in ("r1", "r2")
-        ]
-        assert seen == [["both"], ["both"]]
-        stats = am.engine_stats()
-        assert stats["genuine"] is True
-        assert stats["non_destination_deliveries"] == 0
-
-
-def test_unknown_engine_error_names_the_registered_ones():
-    with pytest.raises(ConfigurationError, match="multiring"):
-        AtomicMulticast(engine="flexcast")
-
-
-def test_live_backend_refuses_sim_only_engines():
-    with pytest.raises(ConfigurationError, match="does not support the live backend"):
-        AtomicMulticast(backend="live", engine="whitebox")
+        delivery = future.result(timeout=0)
+        assert (delivery.group, delivery.value.payload) == ("both", "to-both")
+        assert am.node("L3").deliveries_count == 1
 
 
 def test_rejects_unknown_backend_and_missing_ring():
@@ -226,8 +209,8 @@ def test_live_multicast_resolves_at_the_route_rings_witness():
     with am:
         future = am.multicast(("r1", "r2"), "to-both", size_bytes=64)
         delivery = future.result(timeout=10.0)
-        # The multiring engine orders a multi-group message on its route
-        # ring; the ack is the delivery at that ring's witness.
+        # A multi-group message is ordered on the route ring; the ack is
+        # the delivery at that ring's witness.
         assert (delivery.group, delivery.value.payload) == ("both", "to-both")
         assert [d.value.payload for d in am.deliveries("both")] == ["to-both"]
         assert am.node("L3").deliveries_count == 1
@@ -277,43 +260,23 @@ def test_wedged_live_startup_times_out_and_reaps_the_thread(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# both backends reach the protocol only through the engine seam
+# both backends build one Deployment and drive it directly
 # ----------------------------------------------------------------------
-class RecordingEngine(MultiRingEngine):
-    """Multi-Ring Paxos with every seam call noted by name."""
-
-    name = "recording"
-    RECORDED = ("add_group", "descriptor", "node", "on_deliver", "multicast", "next_proposer")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.calls = set()
-
-    def __getattribute__(self, name):
-        if name in RecordingEngine.RECORDED:
-            object.__getattribute__(self, "calls").add(name)
-        return object.__getattribute__(self, name)
-
-
 @pytest.mark.parametrize("backend", ["sim", "live"])
 def test_both_backends_build_and_run_through_the_engine_seam(backend):
-    engines.register(RecordingEngine.name, RecordingEngine)
-    try:
-        am = AtomicMulticast(backend=backend, engine=RecordingEngine.name, seed=5)
-        am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
-        assert "add_group" in am.engine.calls
-        with am:
-            future = am.submit("g", "through-the-seam", size_bytes=128)
-            if backend == "sim":
-                am.run_for(1.0)
-            assert future.result(timeout=10.0).value.payload == "through-the-seam"
-            assert [d.value.payload for d in am.deliveries("g")] == ["through-the-seam"]
-            assert am.coordinator_of("g") is am.node("n0")
-        assert {"add_group", "descriptor", "node", "on_deliver"} <= am.engine.calls
-        # The hand-off differs (time is the backend's), the seam does not.
-        assert ("multicast" if backend == "sim" else "next_proposer") in am.engine.calls
-    finally:
-        engines.unregister(RecordingEngine.name)
+    """The seam between the facade and the protocol is one ``Deployment``."""
+    am = AtomicMulticast(backend=backend, seed=5)
+    am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
+    assert isinstance(am.deployment, Deployment)
+    assert list(am.deployment.rings) == ["g"]
+    with am:
+        assert all(am.node(n) is am.deployment.node(n) for n in ("n0", "n1", "n2"))
+        future = am.submit("g", "through-the-deployment", size_bytes=128)
+        if backend == "sim":
+            am.run_for(1.0)
+        assert future.result(timeout=10.0).value.payload == "through-the-deployment"
+        assert [d.value.payload for d in am.deliveries("g")] == ["through-the-deployment"]
+        assert am.coordinator_of("g") is am.node("n0")
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SingleRing
 from repro.bench.perf import build_perf_world, golden_delivery_sequence
 from repro.config import BatchingConfig, MultiRingConfig, RecoveryConfig, RingConfig
 from repro.errors import ConfigurationError
@@ -15,7 +16,6 @@ from repro.multiring.leveling import RateLeveler
 from repro.multiring.merge import DeterministicMerge
 from repro.reconfig.commands import SpliceRing
 from repro.ringpaxos.batching import PROPOSER, CoordinatorBatcher
-from repro.ringpaxos.broadcast import build_broadcast_ring
 from repro.ringpaxos.messages import Decision
 from repro.runtime import codec
 from repro.runtime.live import LiveClock
@@ -57,7 +57,7 @@ class TestFlushTriggers:
     def test_size_cap_flushes_before_timeout(self, world):
         # 4 values hit the value-count cap instantly; the 100 ms timeout
         # must play no part.
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["n1", "n2", "n3"],
             ring_config=_batched_ring_config(max_batch_values=4, max_batch_delay=0.1),
@@ -77,7 +77,7 @@ class TestFlushTriggers:
                 enabled=True, max_batch_values=100, max_batch_bytes=1024, max_batch_delay=0.1
             )
         )
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"], ring_config=config)
+        ring = SingleRing(world, ["n1", "n2", "n3"], ring_config=config)
         world.start()
         for i in range(3):  # 3 x 512 B > 1024 B on the second value
             ring.broadcast(f"m{i}", 512)
@@ -87,7 +87,7 @@ class TestFlushTriggers:
         assert "m0" in ring.delivered_payloads("n1")
 
     def test_flush_timeout_flushes_partial_batch(self, world):
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["n1", "n2", "n3"],
             ring_config=_batched_ring_config(max_batch_values=8, max_batch_delay=20e-3),
@@ -103,7 +103,7 @@ class TestFlushTriggers:
         assert batcher.size_flushes == 0
 
     def test_size_flush_cancels_timer_no_double_flush(self, world):
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["n1", "n2", "n3"],
             ring_config=_batched_ring_config(max_batch_values=2, max_batch_delay=10e-3),
@@ -121,7 +121,7 @@ class TestFlushTriggers:
         assert batcher.timeout_flushes == 1
 
     def test_batched_values_share_one_instance(self, world):
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["n1", "n2", "n3"],
             ring_config=_batched_ring_config(max_batch_values=5, max_batch_delay=1e-3),
@@ -406,7 +406,7 @@ class TestControlCommandIsolation:
 class TestPipelineWindow:
     def test_window_bounds_inflight_instances(self, world):
         config = RingConfig(pipeline_depth=2)
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"], ring_config=config)
+        ring = SingleRing(world, ["n1", "n2", "n3"], ring_config=config)
         world.start()
         for i in range(20):
             ring.broadcast(f"m{i}", 256)
@@ -420,7 +420,7 @@ class TestPipelineWindow:
 
     def test_zero_depth_disables_the_window(self, world):
         config = RingConfig(pipeline_depth=0)
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"], ring_config=config)
+        ring = SingleRing(world, ["n1", "n2", "n3"], ring_config=config)
         world.start()
         for i in range(20):
             ring.broadcast(f"m{i}", 256)
@@ -431,7 +431,7 @@ class TestPipelineWindow:
 
     def test_oversized_skip_range_passes_an_empty_window(self, world):
         config = RingConfig(pipeline_depth=4)
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"], ring_config=config)
+        ring = SingleRing(world, ["n1", "n2", "n3"], ring_config=config)
         world.start()
         role = ring.coordinator.role("broadcast")
         role.propose_skip(50)  # larger than the window: must not deadlock
@@ -444,7 +444,7 @@ class TestPipelineWindow:
         # the gap is filled by retransmission (inject_learned).  The release
         # must happen at injection time -- the ring may go quiescent and
         # never call _learn again.
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         world.start()
         order = []
         ring.on_deliver(lambda learner, instance, value: order.append((learner, instance)))
@@ -472,7 +472,7 @@ class TestPipelineWindow:
         # may still be circulating).  The cursor must wait at the hole and
         # resume when the missing decision arrives -- not strand everything
         # above it.
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         world.start()
         order = []
         ring.on_deliver(lambda learner, instance, value: order.append((learner, instance)))
@@ -497,7 +497,7 @@ class TestPipelineWindow:
         # A checkpoint covers everything below its cursor: the delivery
         # cursor jumps there (the gap will never circulate again) and live
         # decisions buffered above it are released immediately.
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         world.start()
         order = []
         ring.on_deliver(lambda learner, instance, value: order.append((learner, instance)))
@@ -519,7 +519,7 @@ class TestPipelineWindow:
         assert role._next_delivery == 52
 
     def test_learner_releases_out_of_order_decisions_in_order(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         world.start()
         order = []
         ring.on_deliver(lambda learner, instance, value: order.append((learner, instance)))
@@ -699,7 +699,7 @@ class TestBatchAwareLeveling:
         # A flushed batch of 4 values is ONE consensus instance: the leveler
         # must see the batched ring as 1 instance behind quota x 4 values,
         # so batching is accounted for in the counter, not the quota.
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["n1", "n2", "n3"],
             ring_config=_batched_ring_config(max_batch_values=4, max_batch_delay=1e-3),

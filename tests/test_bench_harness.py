@@ -123,7 +123,6 @@ class TestHarnessPresets:
             "chaos",
             "perf",
             "live",
-            "shootout",
             "workload",
         }
 

@@ -28,7 +28,7 @@ import typing
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engines.whitebox import (
+from repro.net.message import (
     WbAccept,
     WbAccepted,
     WbCommit,

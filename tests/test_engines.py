@@ -1,10 +1,13 @@
-"""The ordering-engine registry and the cross-engine conformance suite.
+"""Atomic multicast conformance, through the facade on the simulator.
 
-The conformance half runs the *same* workload against every registered
-built-in engine and asserts the :class:`~repro.engines.base.OrderingEngine`
-contract: total order per group, consistent relative order for multi-group
-messages, and validity.  Adding a third engine means adding its name to
-``BUILTIN_ENGINES`` and nothing else.
+One mixed single-/multi-group workload runs through
+:class:`~repro.AtomicMulticast`: three 3-member groups plus the global ring
+that orders every multi-group message.  The tests read that one run and
+check total order per group, that each destination delivers a message
+exactly once, that multi-group messages keep one relative order, and that
+the global ring reaches learners outside a message's destinations (the
+price Multi-Ring Paxos pays for not being genuine).  The suite is
+parametrized by protocol; Multi-Ring Paxos is the one the library runs.
 """
 
 from __future__ import annotations
@@ -13,313 +16,127 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro import AtomicMulticast, engines
-from repro.config import MultiRingConfig
-from repro.engines.base import EngineSpec, OrderingEngine
-from repro.errors import ConfigurationError, MulticastError
-from repro.multiring.merge import Delivery
+from repro import AtomicMulticast
+from repro.errors import MulticastError
 from repro.sim.topology import lan_topology
-from repro.sim.world import World
-from repro.types import Value
 
-BUILTIN_ENGINES = ("multiring", "whitebox")
+PROTOCOLS = ("multiring",)
 
 GROUPS = ("gA", "gB", "gC")
 
 
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-def test_builtin_engines_are_registered():
-    assert set(BUILTIN_ENGINES) <= set(engines.available())
+def _members(group: str) -> List[str]:
+    return [f"{group}-{i}" for i in range(3)]
 
 
-def test_unknown_engine_error_lists_the_registry():
-    with pytest.raises(ConfigurationError, match="multiring") as exc:
-        engines.get("flexcast")
-    assert "whitebox" in str(exc.value)
-    with pytest.raises(ConfigurationError, match="unknown ordering engine"):
-        AtomicMulticast(engine="flexcast")
+def _run_conformance_workload():
+    """Submit 30 messages, every third to two groups; record every delivery.
 
-
-def test_duplicate_registration_needs_replace():
-    class Stub(OrderingEngine):
-        name = "stub-dup"
-
-        def build(self, runtime, config):  # pragma: no cover - never driven
-            raise NotImplementedError
-
-        add_group = multicast = on_deliver = build
-        groups = descriptor = node = build
-
-    try:
-        engines.register("stub-dup", Stub)
-        with pytest.raises(ConfigurationError, match="already registered"):
-            engines.register("stub-dup", Stub)
-        engines.register("stub-dup", Stub, replace=True)
-    finally:
-        engines.unregister("stub-dup")
-    with pytest.raises(ConfigurationError, match="unknown ordering engine"):
-        engines.get("stub-dup")
-
-
-class LoopbackEngine(OrderingEngine):
-    """Test fake: delivers every message at its witness after one sim tick."""
-
-    name = "loopback-test"
-
-    def __init__(self) -> None:
-        self.runtime = None
-        self.directory: Dict[str, EngineSpec] = {}
-        self._callbacks: Dict[str, List] = {}
-        self._seq: Dict[str, int] = {}
-
-    def build(self, runtime, config):
-        self.runtime = runtime
-        return self
-
-    def add_group(self, spec: EngineSpec):
-        self.directory[spec.group] = spec
-        self._seq[spec.group] = 0
-        return self.descriptor(spec.group)
-
-    def multicast(self, dests, payload, size_bytes, via=None) -> Value:
-        value = Value.create(payload, size_bytes, created_at=self.runtime.sim.now)
-
-        def deliver() -> None:
-            for group in dests:
-                instance = self._seq[group]
-                self._seq[group] = instance + 1
-                delivery = Delivery(group=group, instance=instance, value=value)
-                for callback in self._callbacks.get(group, ()):
-                    callback(delivery)
-
-        self.runtime.sim.call_later(1e-6, deliver)
-        return value
-
-    def on_deliver(self, group, callback, node=None) -> str:
-        self._callbacks.setdefault(group, []).append(callback)
-        return node or self.descriptor(group).learners[0]
-
-    def groups(self):
-        return list(self.directory)
-
-    def descriptor(self, group):
-        from repro.engines.base import GroupDescriptor
-
-        spec = self.directory[group]
-        return GroupDescriptor(
-            group=group,
-            members=list(spec.members),
-            proposers=spec.resolved_proposers(),
-            acceptors=spec.resolved_acceptors(),
-            learners=spec.resolved_learners(),
-            coordinator=spec.resolved_coordinator(),
-        )
-
-    def node(self, name):  # pragma: no cover - the facade never needs it here
-        raise ConfigurationError("loopback engine has no protocol nodes")
-
-
-def test_registered_fake_engine_runs_behind_the_facade():
-    engines.register(LoopbackEngine.name, LoopbackEngine)
-    try:
-        with AtomicMulticast(engine="loopback-test", seed=3) as am:
-            assert am.engine_name == "loopback-test"
-            am.ring("g", acceptors=["a1"], learners=["a1"])
-            future = am.submit("g", "ping", size_bytes=16)
-            am.run_for(0.01)
-            assert future.result(timeout=0).value.payload == "ping"
-    finally:
-        engines.unregister(LoopbackEngine.name)
-
-
-# ----------------------------------------------------------------------
-# conformance: the same workload through every built-in engine
-# ----------------------------------------------------------------------
-def _build(engine_name: str, seed: int = 5):
-    """Three 3-member groups; the multiring engine also gets its global ring."""
-    world = World(topology=lan_topology(), seed=seed)
-    engine = engines.create(engine_name)
-    engine.build(world, MultiRingConfig.datacenter())
-    members = {group: [f"{group}-{i}" for i in range(3)] for group in GROUPS}
-    for group in GROUPS:
-        engine.add_group(EngineSpec(group=group, members=list(members[group])))
-    if engine_name == "multiring":
-        all_nodes = [name for group in GROUPS for name in members[group]]
-        anchors = [members[group][0] for group in GROUPS]
-        engine.add_group(
-            EngineSpec(
-                group="global",
-                members=all_nodes,
-                acceptors=anchors,
-                proposers=anchors,
-                learners=all_nodes,
-                options={"multi_group_route": True},
-            )
-        )
-    return world, engine, members
-
-
-def _run_conformance_workload(engine_name: str):
-    """Submit a mixed single-/multi-group workload; record every delivery.
-
-    Returns ``(sequences, submissions, stray)`` where ``sequences`` maps
-    ``(group, learner)`` to the uid sequence of deliveries *addressed to* the
-    learner's home group, ``submissions`` maps uid to its destination tuple,
-    and ``stray`` counts deliveries at learners whose home group was not a
-    destination (non-genuine deliveries; the multiring global ring produces
-    them by design, a genuine engine must not).
+    Returns ``(sequences, submissions, stray)``: ``sequences`` maps
+    ``(group, learner)`` to the payloads delivered at the learner that were
+    addressed to its home group, in order; ``submissions`` maps payload to
+    its destinations; ``stray`` counts deliveries at learners whose home
+    group was not a destination.
     """
-    world, engine, members = _build(engine_name)
+    am = AtomicMulticast(seed=5, topology=lan_topology())
+    for group in GROUPS:
+        am.ring(group, _members(group))
+    all_nodes = [name for group in GROUPS for name in _members(group)]
+    anchors = [_members(group)[0] for group in GROUPS]
+    am.ring(
+        "global",
+        all_nodes,
+        acceptors=anchors,
+        proposers=anchors,
+        learners=all_nodes,
+        multi_group_route=True,
+    )
     submissions: Dict[int, Tuple[str, ...]] = {}
     sequences: Dict[Tuple[str, str], List[int]] = {
-        (group, name): [] for group in GROUPS for name in members[group]
+        (group, name): [] for group in GROUPS for name in _members(group)
     }
     stray = 0
 
     def hook(home: str, name: str) -> None:
         def on_delivery(delivery) -> None:
             nonlocal stray
-            dests = submissions.get(delivery.value.uid)
-            if dests is None:
-                return
+            dests = submissions[delivery.value.payload]
             if home in dests:
-                sequences[(home, name)].append(delivery.value.uid)
+                sequences[(home, name)].append(delivery.value.payload)
             else:
                 stray += 1
 
-        engine.node(name).on_deliver(on_delivery)
+        am.node(name).on_deliver(on_delivery)
 
     for group in GROUPS:
-        for name in members[group]:
+        for name in _members(group):
             hook(group, name)
 
-    def submit(dests: Tuple[str, ...]) -> None:
-        value = engine.multicast(dests, None, 128)
-        submissions[value.uid] = dests
-
-    # 30 messages: every third targets two groups, the rest round-robin.
     patterns = [("gA", "gB"), ("gB", "gC"), ("gA", "gC")]
-    for i in range(30):
-        if i % 3 == 2:
-            dests = patterns[(i // 3) % len(patterns)]
-        else:
-            dests = (GROUPS[i % len(GROUPS)],)
-        world.sim.call_at(0.05 + i * 0.002, submit, dests)
-    world.run(until=1.5)
+    with am:
+        for i in range(30):
+            dests = patterns[(i // 3) % len(patterns)] if i % 3 == 2 else (GROUPS[i % len(GROUPS)],)
+            submissions[i] = dests
+            am.world.sim.call_at(0.05 + i * 0.002, am.multicast, dests, i, 128)
+        am.run(until=1.5)
     return sequences, submissions, stray
 
 
-@pytest.fixture(scope="module", params=BUILTIN_ENGINES)
+@pytest.fixture(scope="module", params=PROTOCOLS)
 def conformance_run(request):
-    return request.param, _run_conformance_workload(request.param)
+    return request.param, _run_conformance_workload()
 
 
 def test_total_order_per_group(conformance_run):
-    engine_name, (sequences, _, _) = conformance_run
+    protocol, (sequences, _, _) = conformance_run
     for group in GROUPS:
         learner_seqs = [seq for (g, _), seq in sequences.items() if g == group]
-        assert learner_seqs[0], f"{engine_name}/{group}: no deliveries recorded"
+        assert learner_seqs[0], f"{protocol}/{group}: no deliveries recorded"
         for seq in learner_seqs[1:]:
             assert seq == learner_seqs[0], (
-                f"{engine_name}/{group}: learners disagree on the delivery order"
+                f"{protocol}/{group}: learners disagree on the delivery order"
             )
 
 
 def test_validity_every_destination_delivers_exactly_once(conformance_run):
-    engine_name, (sequences, submissions, _) = conformance_run
+    protocol, (sequences, submissions, _) = conformance_run
     for group in GROUPS:
         witness_seq = sequences[(group, f"{group}-0")]
-        expected = [uid for uid, dests in submissions.items() if group in dests]
+        expected = [payload for payload, dests in submissions.items() if group in dests]
         assert sorted(witness_seq) == sorted(expected), (
-            f"{engine_name}/{group}: delivered set != addressed set"
+            f"{protocol}/{group}: delivered set != addressed set"
         )
-        assert len(witness_seq) == len(set(witness_seq)), (
-            f"{engine_name}/{group}: duplicate delivery"
-        )
+        assert len(witness_seq) == len(set(witness_seq)), f"{protocol}/{group}: duplicate delivery"
 
 
 def test_multi_group_messages_keep_a_consistent_relative_order(conformance_run):
-    engine_name, (sequences, submissions, _) = conformance_run
+    protocol, (sequences, submissions, _) = conformance_run
     for first, second in (("gA", "gB"), ("gB", "gC"), ("gA", "gC")):
-        shared = {
-            uid for uid, dests in submissions.items()
-            if first in dests and second in dests
-        }
-        order_first = [u for u in sequences[(first, f"{first}-0")] if u in shared]
-        order_second = [u for u in sequences[(second, f"{second}-0")] if u in shared]
+        shared = {p for p, dests in submissions.items() if first in dests and second in dests}
+        order_first = [p for p in sequences[(first, f"{first}-0")] if p in shared]
+        order_second = [p for p in sequences[(second, f"{second}-0")] if p in shared]
         assert order_first == order_second, (
-            f"{engine_name}: {first} and {second} disagree on multi-group order"
+            f"{protocol}: {first} and {second} disagree on multi-group order"
         )
 
 
 def test_genuine_engines_never_deliver_outside_the_destination_set(conformance_run):
-    engine_name, (_, _, stray) = conformance_run
-    if engine_name == "whitebox":
-        assert stray == 0
-    else:
-        # The multiring global ring reaches every subscriber by design.
-        assert stray > 0
+    """Multi-Ring Paxos is not genuine: its global ring reaches every subscriber."""
+    _, (_, _, stray) = conformance_run
+    assert stray > 0
 
 
-def test_whitebox_genuineness_ledger_agrees(conformance_run):
-    engine_name, _ = conformance_run
-    if engine_name != "whitebox":
-        pytest.skip("ledger is whitebox-specific")
-    # Re-run standalone so the engine object is in scope for stats().
-    world, engine, _ = _build("whitebox", seed=9)
-    engine.multicast(("gA", "gB"), None, 64)
-    world.run(until=0.5)
-    stats = engine.stats()
-    assert stats["genuine"] is True
-    assert stats["non_destination_deliveries"] == 0
-
-
-# ----------------------------------------------------------------------
-# engine-specific option and routing errors
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine_name", BUILTIN_ENGINES)
-def test_unknown_group_options_are_rejected(engine_name):
-    world = World(topology=lan_topology(), seed=1)
-    engine = engines.create(engine_name)
-    engine.build(world, MultiRingConfig.datacenter())
-    with pytest.raises(ConfigurationError, match="unknown"):
-        engine.add_group(
-            EngineSpec(group="g", members=["n0"], options={"bogus": 1})
-        )
-
-
-def test_whitebox_rejects_ring_config():
-    world = World(topology=lan_topology(), seed=1)
-    engine = engines.create("whitebox")
-    engine.build(world, MultiRingConfig.datacenter())
-    with pytest.raises(ConfigurationError, match="no rings"):
-        engine.add_group(
-            EngineSpec(group="g", members=["n0"], options={"ring_config": object()})
-        )
-
-
-def test_whitebox_leader_must_be_an_acceptor():
-    world = World(topology=lan_topology(), seed=1)
-    engine = engines.create("whitebox")
-    engine.build(world, MultiRingConfig.datacenter())
-    with pytest.raises(ConfigurationError, match="acceptors"):
-        engine.add_group(
-            EngineSpec(
-                group="g",
-                members=["n0", "n1", "n2"],
-                acceptors=["n0", "n1"],
-                coordinator="n2",
-            )
-        )
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_unknown_group_options_are_rejected(protocol):
+    with AtomicMulticast(seed=1, topology=lan_topology()) as am:
+        with pytest.raises(TypeError, match="bogus"):
+            am.ring("g", ["n0"], bogus=1)
+        assert not am.deployment.rings
 
 
 def test_multiring_multi_group_needs_a_designated_route():
-    world = World(topology=lan_topology(), seed=1)
-    engine = engines.create("multiring")
-    engine.build(world, MultiRingConfig.datacenter())
-    for group in ("gA", "gB"):
-        engine.add_group(EngineSpec(group=group, members=[f"{group}-0", f"{group}-1", f"{group}-2"]))
-    with pytest.raises(MulticastError, match="multi_group_route"):
-        engine.multicast(("gA", "gB"), None, 64)
+    with AtomicMulticast(seed=1, topology=lan_topology()) as am:
+        for group in ("gA", "gB"):
+            am.ring(group, _members(group))
+        with pytest.raises(MulticastError, match="multi_group_route"):
+            am.multicast(("gA", "gB"), None, 64)

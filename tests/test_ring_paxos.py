@@ -2,9 +2,9 @@
 
 import pytest
 
+from conftest import SingleRing
 from repro.config import RingConfig
 from repro.errors import MulticastError
-from repro.ringpaxos.broadcast import build_broadcast_ring
 from repro.ringpaxos.messages import RetransmitReply, RetransmitRequest
 from repro.sim.disk import StorageMode
 from repro.runtime.actor import Process
@@ -20,13 +20,13 @@ def _run_broadcasts(world, ring, payloads, via=None, until=2.0):
 
 class TestBasicBroadcast:
     def test_all_learners_deliver_all_messages_in_order(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         _run_broadcasts(world, ring, [f"m{i}" for i in range(10)])
         for learner in ("n1", "n2", "n3"):
             assert ring.delivered_payloads(learner) == [f"m{i}" for i in range(10)]
 
     def test_learners_deliver_in_the_same_order_with_multiple_proposers(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         world.start()
         for index in range(12):
             ring.broadcast(f"m{index}", 512, via=f"n{index % 3 + 1}")
@@ -36,18 +36,18 @@ class TestBasicBroadcast:
         assert sorted(orders[0]) == sorted(f"m{i}" for i in range(12))
 
     def test_instance_numbers_are_consecutive(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         _run_broadcasts(world, ring, ["a", "b", "c"])
         instances = [instance for instance, _value in ring.deliveries("n2")]
         assert instances == [0, 1, 2]
 
     def test_single_node_ring_works(self, world):
-        ring = build_broadcast_ring(world, ["solo"])
+        ring = SingleRing(world, ["solo"])
         _run_broadcasts(world, ring, ["only"])
         assert ring.delivered_payloads("solo") == ["only"]
 
     def test_five_node_ring_with_separate_roles(self, world):
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["p1", "a1", "a2", "a3", "l1"],
             acceptors=["a1", "a2", "a3"],
@@ -59,7 +59,7 @@ class TestBasicBroadcast:
         assert ring.delivered_payloads("p1") == ["x", "y"]
 
     def test_non_proposer_cannot_propose(self, world):
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["p1", "a1", "a2", "a3", "l1"],
             acceptors=["a1", "a2", "a3"],
@@ -71,7 +71,7 @@ class TestBasicBroadcast:
             ring.hosts["l1"].propose("broadcast", "nope", 100)
 
     def test_delivery_callback_invoked(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         events = []
         ring.on_deliver(lambda learner, instance, value: events.append((learner, instance)))
         _run_broadcasts(world, ring, ["a"])
@@ -83,7 +83,7 @@ class TestDurabilityAndCpu:
         latencies = {}
         for mode in (StorageMode.MEMORY, StorageMode.SYNC_HDD):
             world = World(seed=3)
-            ring = build_broadcast_ring(world, ["n1", "n2", "n3"], storage_mode=mode)
+            ring = SingleRing(world, ["n1", "n2", "n3"], storage_mode=mode)
             done = {}
             value_holder = {}
             ring.on_deliver(
@@ -97,7 +97,7 @@ class TestDurabilityAndCpu:
         assert latencies[StorageMode.SYNC_HDD] > latencies[StorageMode.MEMORY] * 5
 
     def test_acceptors_log_votes(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         _run_broadcasts(world, ring, ["a", "b"])
         coordinator = ring.coordinator
         role = coordinator.role("broadcast")
@@ -105,14 +105,14 @@ class TestDurabilityAndCpu:
         assert len(role.storage) >= 2
 
     def test_coordinator_cpu_is_charged(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         _run_broadcasts(world, ring, ["a"] * 20)
         assert ring.coordinator.cpu.total_busy_time > 0
 
 
 class TestFaultTolerance:
     def test_crashed_learner_is_skipped_and_others_still_deliver(self, world):
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["a1", "a2", "a3", "l1", "l2"],
             acceptors=["a1", "a2", "a3"],
@@ -129,7 +129,7 @@ class TestFaultTolerance:
     def test_messages_survive_one_acceptor_crash(self, world):
         # With 3 acceptors a majority of 2 remains after one crash; the ring
         # skips the dead member when forwarding.
-        ring = build_broadcast_ring(
+        ring = SingleRing(
             world,
             ["a1", "a2", "a3", "l1"],
             acceptors=["a1", "a2", "a3"],
@@ -143,7 +143,7 @@ class TestFaultTolerance:
         assert ring.delivered_payloads("l1") == ["resilient"]
 
     def test_retransmit_request_returns_logged_values(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         _run_broadcasts(world, ring, ["a", "b", "c"])
 
         replies = []
@@ -165,7 +165,7 @@ class TestFaultTolerance:
         assert payloads == ["a", "b", "c"]
 
     def test_retransmit_after_trim_reports_trimmed(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"])
+        ring = SingleRing(world, ["n1", "n2", "n3"])
         _run_broadcasts(world, ring, ["a", "b", "c"])
         ring.coordinator.role("broadcast").storage.trim(1)
 
@@ -188,7 +188,7 @@ class TestFaultTolerance:
         assert replies[0].entries == ()
 
     def test_in_memory_acceptor_state_is_lost_on_crash(self, world):
-        ring = build_broadcast_ring(world, ["n1", "n2", "n3"], storage_mode=StorageMode.MEMORY)
+        ring = SingleRing(world, ["n1", "n2", "n3"], storage_mode=StorageMode.MEMORY)
         _run_broadcasts(world, ring, ["a", "b"])
         node = ring.hosts["n2"]
         assert len(node.role("broadcast").storage) > 0

@@ -11,10 +11,13 @@ ring (possibly out of instance order during recovery); the merge buffers them
 and releases deliveries only in the globally deterministic order, so that any
 two learners subscribing to the same set of groups deliver the same sequence.
 Skip instances (rate leveling) are consumed by the merge but not delivered to
-the application.  Batched instances (coordinator-side batching packs several
-values into one consensus instance) are unpacked here: each inner value
-becomes its own application delivery, in packing order, while the instance
-still counts as a single slot of the M-per-ring round-robin quota.  A batch
+the application.  A skip range arrives as one decision and stays one buffered
+entry; the merge consumes as much of it as a slot takes at once, and jumps
+whole rounds in which every active group's next M instances are skips.
+Batched instances (coordinator-side batching packs several values into one
+consensus instance) are unpacked here: each inner value becomes its own
+application delivery, in packing order, while the instance still counts as a
+single slot of the M-per-ring round-robin quota.  A batch
 reaches the merge with its values decoded: the ring role (or recovery)
 decodes a body that crossed the wire before handing the instance over.
 
@@ -66,12 +69,15 @@ class DeterministicMerge:
         "m",
         "_deliver",
         "_buffers",
+        "_spans",
+        "_buffered_to",
         "_next_instance",
         "_join_round",
         "_round",
         "_round_index",
         "_delivered_in_round",
         "_active_cache",
+        "_next_join",
         "subscription_version",
         "delivered_count",
         "skipped_count",
@@ -95,7 +101,14 @@ class DeterministicMerge:
         self._groups: List[GroupId] = sorted(dict.fromkeys(groups))
         self.m = m
         self._deliver = deliver
+        #: Per group, what is decided and not yet consumed: first instance ->
+        #: value, and in ``_spans`` how many instances from there the value
+        #: stands for where that is more than one (a skip range).
         self._buffers: Dict[GroupId, Dict[InstanceId, Value]] = {g: {} for g in self._groups}
+        self._spans: Dict[GroupId, Dict[InstanceId, int]] = {g: {} for g in self._groups}
+        #: Per group, an instance no buffered entry reaches: a decision at or
+        #: above it overlaps none.
+        self._buffered_to: Dict[GroupId, InstanceId] = {g: 0 for g in self._groups}
         self._next_instance: Dict[GroupId, InstanceId] = {g: 0 for g in self._groups}
         #: Round at which each group joined the round-robin.  ``None`` marks a
         #: *pending* group: decisions are buffered but never delivered until a
@@ -104,14 +117,15 @@ class DeterministicMerge:
         if join_rounds:
             for group, round_ in join_rounds.items():
                 if group not in self._buffers:
-                    self._groups = sorted(self._groups + [group])
-                    self._buffers[group] = {}
-                    self._next_instance[group] = 0
+                    self._add_buffers(group)
                 self._join_round[group] = round_
         self._round = 0
         self._round_index = 0
         self._delivered_in_round = 0
         self._active_cache: Optional[List[GroupId]] = None
+        #: The lowest join round above the current round, computed with the
+        #: active set: the only round increment that can change that set.
+        self._next_join: Optional[int] = None
         #: Bumped on every subscription-set change (add/splice); lets nodes and
         #: the registry track which configuration epoch a learner runs.
         self.subscription_version = 0
@@ -204,25 +218,43 @@ class DeterministicMerge:
 
     def _register(self, group: GroupId, round_: Optional[int]) -> None:
         if group not in self._buffers:
-            self._groups = sorted(self._groups + [group])
-            self._buffers[group] = {}
-            self._next_instance[group] = 0
+            self._add_buffers(group)
         self._join_round[group] = round_
         self._invalidate_active()
         self.subscription_version += 1
 
+    def _add_buffers(self, group: GroupId) -> None:
+        self._groups = sorted(self._groups + [group])
+        self._buffers[group] = {}
+        self._spans[group] = {}
+        self._buffered_to[group] = 0
+        self._next_instance[group] = 0
+
     # ------------------------------------------------------------------
     # input
     # ------------------------------------------------------------------
-    def on_decision(self, group: GroupId, instance: InstanceId, value: Value) -> None:
-        """Feed one decided instance from ``group``; drains whatever became deliverable."""
+    def on_decision(
+        self, group: GroupId, instance: InstanceId, value: Value, count: int = 1
+    ) -> None:
+        """Feed ``value``, decided in ``group`` for ``count`` instances from
+        ``instance`` (a skip range is one call); drains whatever became deliverable."""
         buffer = self._buffers.get(group)
         if buffer is None:
             raise MulticastError(f"not subscribed to group {group!r}")
         next_instance = self._next_instance[group]
-        if instance < next_instance:
+        end = instance + count
+        if end <= next_instance:
             return  # duplicate (e.g. redelivered during recovery)
-        buffer[instance] = value
+        if instance < next_instance:
+            instance = next_instance
+        if instance >= self._buffered_to[group]:
+            # Above everything buffered: how the ring role hands decisions over.
+            buffer[instance] = value
+            if end - instance > 1:
+                self._put(group, instance, end, value)
+            self._buffered_to[group] = end
+        else:
+            self._overwrite(group, instance, end, value)
         # Only a decision at the group's cursor can unblock delivery right
         # now; instances buffered ahead of the cursor are consumed inside a
         # later advance loop when the cursor reaches them.  (advance()
@@ -233,6 +265,26 @@ class DeterministicMerge:
                 self._advance_loop()
             finally:
                 self._advancing = False
+
+    def _overwrite(self, group: GroupId, first: InstanceId, end: InstanceId, value: Value) -> None:
+        """Buffer ``value`` for ``[first, end)`` over what overlaps it there: a
+        later decision replaces an earlier one instance by instance."""
+        buffer = self._buffers[group]
+        spans = self._spans[group]
+        for start in [s for s in buffer if s < end and s + spans.get(s, 1) > first]:
+            earlier = buffer.pop(start)
+            stop = start + spans.pop(start, 1)
+            if start < first:
+                self._put(group, start, first, earlier)
+            if stop > end:
+                self._put(group, end, stop, earlier)
+        self._put(group, first, end, value)
+        self._buffered_to[group] = max(self._buffered_to[group], end)
+
+    def _put(self, group: GroupId, first: InstanceId, end: InstanceId, value: Value) -> None:
+        self._buffers[group][first] = value
+        if end - first > 1:
+            self._spans[group][first] = end - first
 
     # ------------------------------------------------------------------
     # output
@@ -251,11 +303,14 @@ class DeterministicMerge:
 
     def _active(self) -> List[GroupId]:
         if self._active_cache is None:
+            round_ = self._round
             self._active_cache = [
                 g
                 for g in self._groups
-                if self._join_round[g] is not None and self._join_round[g] <= self._round
+                if self._join_round[g] is not None and self._join_round[g] <= round_
             ]
+            later = [r for r in self._join_round.values() if r is not None and r > round_]
+            self._next_join = min(later) if later else None
         return self._active_cache
 
     def advance(self) -> int:
@@ -270,10 +325,11 @@ class DeterministicMerge:
 
     def _advance_loop(self) -> int:
         advanced = 0
-        # Hot-path bindings: this loop runs once per decided instance on
-        # every learner.  The outer dicts are only ever mutated in place, so
-        # the references stay valid across delivery callbacks.
+        # Hot-path bindings: this loop runs once per consumed slot on every
+        # learner.  The outer dicts are only ever mutated in place, so the
+        # references stay valid across delivery callbacks.
         buffers = self._buffers
+        spans_of = self._spans
         next_instance = self._next_instance
         deliver = self._deliver
         keep_history = self.keep_history
@@ -295,13 +351,30 @@ class DeterministicMerge:
             group = active[self._round_index]
             buffer = buffers[group]
             instance = next_instance[group]
-            if instance not in buffer:
-                break  # the current ring is behind: wait (this is what rate leveling unblocks)
-            value = buffer.pop(instance)
-            next_instance[group] = instance + 1
-            advanced += 1
+            spans = spans_of[group]
+            count = spans.get(instance, 1) if spans else 1
+            if count > 1:
+                # A range at the cursor.  Skips go as far as the slot takes
+                # (whole rounds of them at a round start); any other value is
+                # delivered instance by instance.
+                taken = 1
+                if buffer[instance].is_skip:
+                    if self._round_index == 0 and self._delivered_in_round == 0:
+                        skipped = self._skip_rounds(active)
+                        if skipped:
+                            advanced += skipped
+                            continue
+                    taken = min(count, m - self._delivered_in_round)
+                value = self._take(group, taken)
+            else:
+                value = buffer.pop(instance, None)
+                if value is None:
+                    break  # the current ring is behind: wait (this is what rate leveling unblocks)
+                taken = 1
+                next_instance[group] = instance + 1
+            advanced += taken
             if value.is_skip:
-                self.skipped_count += 1
+                self.skipped_count += taken
             else:
                 # A batched instance (coordinator-side batching) unpacks into
                 # several application deliveries, but still consumes exactly
@@ -325,15 +398,49 @@ class DeterministicMerge:
                             history.append(delivery)
                         if deliver is not None:
                             deliver(delivery)
-            self._delivered_in_round += 1
+            self._delivered_in_round += taken
             if self._delivered_in_round >= m:
                 self._delivered_in_round = 0
                 self._round_index += 1
                 if self._round_index >= len(active):
                     self._round_index = 0
                     self._round += 1
-                    self._invalidate_active()
+                    if self._round == self._next_join:
+                        self._invalidate_active()
         return advanced
+
+    def _skip_rounds(self, active: List[GroupId]) -> int:
+        """At a round start, consume every whole round in which each active
+        group's next M instances are buffered skips, up to the next join
+        round.  Returns how many instances that skipped (0: not one round)."""
+        rounds = self._next_join - self._round if self._next_join is not None else None
+        for group in active:
+            cursor = self._next_instance[group]
+            count = self._spans[group].get(cursor)
+            if count is None or not self._buffers[group][cursor].is_skip:
+                return 0
+            if rounds is None or count // self.m < rounds:
+                rounds = count // self.m
+        if not rounds:
+            return 0
+        step = rounds * self.m
+        for group in active:
+            self._take(group, step)
+        self.skipped_count += step * len(active)
+        self._round += rounds
+        if self._round == self._next_join:
+            self._invalidate_active()
+        return step * len(active)
+
+    def _take(self, group: GroupId, taken: int) -> Value:
+        """Consume ``taken`` instances of the range at ``group``'s cursor."""
+        cursor = self._next_instance[group]
+        value = self._buffers[group].pop(cursor)
+        end = cursor + self._spans[group].pop(cursor)
+        if cursor + taken < end:
+            self._put(group, cursor + taken, end, value)
+        self._next_instance[group] = cursor + taken
+        return value
 
     # ------------------------------------------------------------------
     # recovery support
@@ -373,9 +480,12 @@ class DeterministicMerge:
                     f"({self._next_instance[group]} -> {instance})"
                 )
             self._next_instance[group] = instance
-            self._buffers[group] = {
-                i: v for i, v in self._buffers[group].items() if i >= instance
-            }
+            buffer, spans = self._buffers[group], self._spans[group]
+            self._buffers[group], self._spans[group] = {}, {}
+            for first, value in buffer.items():
+                end = first + spans.get(first, 1)
+                if end > instance:
+                    self._put(group, max(first, instance), end, value)
         self._recompute_round_position()
         self.advance()
 
@@ -417,4 +527,6 @@ class DeterministicMerge:
 
     def pending(self, group: GroupId) -> int:
         """Number of buffered (decided but not yet deliverable) instances for ``group``."""
-        return len(self._buffers[group])
+        return len(self._buffers[group]) + sum(
+            count - 1 for count in self._spans[group].values()
+        )

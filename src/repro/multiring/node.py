@@ -181,18 +181,19 @@ class MultiRingNode(RingHost):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def notify_decision(self, group: GroupId, instance: InstanceId, value: Value) -> None:
+    def notify_decision(
+        self, group: GroupId, instance: InstanceId, value: Value, count: int = 1
+    ) -> None:
         # Overrides the RingHost hook: decision -> merge routing runs once
-        # per decided instance on every learner, so it is inlined here ahead
-        # of the generic sink fan-out (which is usually empty on multi-ring
-        # nodes -- the merge was previously just the first sink).
+        # per decision (a skip range is one) on every learner, so it is
+        # inlined here ahead of the generic sink fan-out (which is usually
+        # empty on multi-ring nodes -- the merge was previously just the
+        # first sink).
         merge = self.merge
         if merge.has_group(group):
-            merge.on_decision(group, instance, value)
-        sinks = self._decision_sinks
-        if sinks:
-            for sink in sinks:
-                sink(group, instance, value)
+            merge.on_decision(group, instance, value, count)
+        if self._decision_sinks:
+            super().notify_decision(group, instance, value, count)
 
     def _on_merged_delivery(self, delivery: Delivery) -> None:
         if isinstance(delivery.value.payload, ControlCommand):

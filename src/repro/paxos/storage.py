@@ -9,7 +9,8 @@ The paper's implementation keeps pre-allocated in-memory buffers (15000 slots
 of 32 KB) and uses Berkeley DB for disk persistence, with synchronous or
 asynchronous writes.  :class:`AcceptorStorage` models exactly that surface:
 
-* it records promises and votes per instance,
+* it records promises and votes per instance (a skip range as one record
+  that still answers per instance),
 * in :attr:`~repro.runtime.interfaces.StorageMode.MEMORY` mode the log *is*
   that ring of ``memory_slots`` (``RingConfig.memory_slots``): recording
   instance ``i`` overwrites the slot of instance ``i - memory_slots``, which
@@ -26,13 +27,13 @@ asynchronous writes.  :class:`AcceptorStorage` models exactly that surface:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from heapq import heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.paxos.types import Ballot, InstanceRecord
 from repro.runtime.interfaces import Clock, StableStore, StorageMode
-from heapq import heappush
-
 from repro.types import InstanceId, Value
 
 __all__ = ["AcceptorStorage"]
@@ -40,15 +41,26 @@ __all__ = ["AcceptorStorage"]
 #: Bytes of metadata persisted alongside each vote (instance id, ballot, CRC).
 _RECORD_OVERHEAD_BYTES = 64
 
+_ZERO_BALLOT = Ballot.zero()
+
 
 class AcceptorStorage:
-    """Per-ring stable storage of one acceptor."""
+    """Per-ring stable storage of one acceptor.
+
+    A record covers ``count`` instances in one state (a skip range is one
+    entry), yet every answer is what recording instance by instance gives.
+    ``_starts[_head:]`` lists the record starts in order, oldest first.
+    """
 
     __slots__ = (
         "sim",
         "mode",
         "disk",
         "_records",
+        "_starts",
+        "_head",
+        "_size",
+        "_ranges_end",
         "_slots",
         "_trimmed_up_to",
         "_highest_instance",
@@ -74,6 +86,12 @@ class AcceptorStorage:
         #: modes) never evicts.
         self._slots = memory_slots if mode is StorageMode.MEMORY else None
         self._records: Dict[InstanceId, InstanceRecord] = {}
+        self._starts: List[InstanceId] = []
+        self._head = 0
+        #: Instances the records cover; no record of more than one reaches
+        #: ``_ranges_end``.
+        self._size = 0
+        self._ranges_end = 0
         self._trimmed_up_to: Optional[InstanceId] = None
         self._highest_instance: Optional[InstanceId] = None
         self.bytes_logged = 0
@@ -96,36 +114,165 @@ class AcceptorStorage:
         """The (mutable) record for ``instance``, creating it if absent."""
         if self._trimmed_up_to is not None and instance <= self._trimmed_up_to:
             raise StorageError(f"instance {instance} has been trimmed")
-        record = self._records.get(instance)
+        record = self._find(instance)
         if record is None:
-            record = self._new_record(instance)
-        return record
+            return self._new_record(instance)
+        return self._single(instance) if record.count > 1 else record
 
     def _new_record(self, instance: InstanceId) -> InstanceRecord:
         """Take a slot for ``instance``, evicting the one ``memory_slots`` behind it."""
-        record = self._records[instance] = InstanceRecord(instance)
+        record = InstanceRecord(instance)
+        self._add(record)
         slots = self._slots
         if slots is not None and instance >= slots:
             evicted = instance - slots
-            self._records.pop(evicted, None)
+            self._evict(evicted)
             if self._trimmed_up_to is None or evicted > self._trimmed_up_to:
                 self._trimmed_up_to = evicted
-            if len(self._records) > slots:
+            if self._size > slots:
                 # A jump in the instance sequence left records below the floor.
                 self.trim(evicted)
         return record
 
     def has_instance(self, instance: InstanceId) -> bool:
-        return instance in self._records
+        return self._find(instance) is not None
 
     def is_trimmed(self, instance: InstanceId) -> bool:
         return self._trimmed_up_to is not None and instance <= self._trimmed_up_to
 
     def instances(self) -> List[InstanceId]:
-        return sorted(self._records)
+        records = self._records
+        return [
+            instance
+            for start in self._starts[self._head:]
+            for instance in range(start, start + records[start].count)
+        ]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._size
+
+    # ------------------------------------------------------------------
+    # records covering ranges
+    # ------------------------------------------------------------------
+    def _find(self, instance: InstanceId) -> Optional[InstanceRecord]:
+        """The record covering ``instance``, if any."""
+        record = self._records.get(instance)
+        if record is None and instance < self._ranges_end:
+            index = bisect_right(self._starts, instance, self._head) - 1
+            if index >= self._head:
+                record = self._records[self._starts[index]]
+                if instance >= record.instance + record.count:
+                    return None
+        return record
+
+    def _single(self, instance: InstanceId) -> Optional[InstanceRecord]:
+        """The record covering ``instance`` alone (a range is split around it)."""
+        record = self._find(instance)
+        if record is not None and record.count > 1:
+            if record.instance < instance:
+                record = self._split(record, instance)
+            if record.count > 1:
+                self._split(record, instance + 1)
+        return record
+
+    def _split(self, record: InstanceRecord, at: InstanceId) -> InstanceRecord:
+        """Cut ``record`` at ``at`` (inside it); returns the upper part."""
+        upper = InstanceRecord(
+            at, record.promised, record.accepted_ballot, record.accepted_value,
+            record.decided, record.instance + record.count - at,
+        )
+        record.count -= upper.count
+        self._size -= upper.count
+        self._add(upper)
+        return upper
+
+    def _add(self, record: InstanceRecord) -> None:
+        start = record.instance
+        self._records[start] = record
+        starts = self._starts
+        if self._head == len(starts) or start > starts[-1]:
+            starts.append(start)
+        else:
+            insort(starts, start, self._head)
+        self._size += record.count
+        if record.count > 1 and start + record.count > self._ranges_end:
+            self._ranges_end = start + record.count
+
+    def _drop(self, record: InstanceRecord) -> None:
+        del self._records[record.instance]
+        self._size -= record.count
+        if self._starts[self._head] != record.instance:
+            del self._starts[bisect_left(self._starts, record.instance, self._head)]
+            return
+        self._head += 1
+        if self._head >= 64 and 2 * self._head >= len(self._starts):
+            del self._starts[: self._head]
+            self._head = 0
+
+    def _cut_front(self, record: InstanceRecord, up_to: InstanceId) -> None:
+        """Remove the instances ``<= up_to`` from a record that extends past it."""
+        self._starts[bisect_left(self._starts, record.instance, self._head)] = up_to + 1
+        del self._records[record.instance]
+        self._size -= up_to + 1 - record.instance
+        record.count -= up_to + 1 - record.instance
+        record.instance = up_to + 1
+        self._records[up_to + 1] = record
+
+    def _evict(self, instance: InstanceId) -> None:
+        """Remove ``instance`` alone, wherever it lies."""
+        record = self._records.get(instance) or self._find(instance)
+        if record is None:
+            return
+        if record.count > 1:
+            if record.instance == instance:
+                self._cut_front(record, instance)
+                return
+            record = self._single(instance)
+        self._drop(record)
+
+    def _drop_through(self, up_to: InstanceId) -> int:
+        """Remove every instance ``<= up_to``; returns how many there were."""
+        removed = 0
+        starts = self._starts
+        while self._head < len(starts) and starts[self._head] <= up_to:
+            record = self._records[starts[self._head]]
+            if record.instance + record.count > up_to + 1:
+                removed += up_to + 1 - record.instance
+                self._cut_front(record, up_to)
+                break
+            removed += record.count
+            self._drop(record)
+        return removed
+
+    def _append_range(
+        self, first: InstanceId, count: int, ballot: Ballot, value: Value, decided: bool
+    ) -> bool:
+        """Record ``count`` fresh instances from ``first`` as one entry if that is
+        what recording them one by one leaves: the range lies above every record
+        and the trim point, and no record sits below the window it evicts (one
+        left by a jump in the sequence may or may not survive that).  Else no-op.
+        """
+        trimmed = self._trimmed_up_to
+        if (trimmed is not None and first <= trimmed) or not ballot >= _ZERO_BALLOT:
+            return False
+        slots = self._slots
+        starts = self._starts
+        if self._head < len(starts):
+            top = self._records[starts[-1]]
+            if top.instance + top.count > first:
+                return False
+            if slots is not None and starts[self._head] < first - slots:
+                return False
+        self._add(InstanceRecord(first, ballot, ballot, value, decided, count))
+        last = first + count - 1
+        if slots is not None and last >= slots:
+            floor = last - slots
+            self._drop_through(floor)
+            if trimmed is None or floor > trimmed:
+                self._trimmed_up_to = floor
+        if self._highest_instance is None or last > self._highest_instance:
+            self._highest_instance = last
+        return True
 
     # ------------------------------------------------------------------
     # persistence
@@ -193,43 +340,68 @@ class AcceptorStorage:
         """
         if count < 1:
             raise StorageError("a vote range must cover at least one instance")
-        if count == 1:
-            # Fast path: everything except skip ranges logs one instance.
-            self.record(first).accept(ballot, value)
-            if self._highest_instance is None or first > self._highest_instance:
-                self._highest_instance = first
-        else:
-            for offset in range(count):
-                instance = first + offset
+        if count == 1 or not self._append_range(first, count, ballot, value, False):
+            for instance in range(first, first + count):
                 self.record(instance).accept(ballot, value)
                 if self._highest_instance is None or instance > self._highest_instance:
                     self._highest_instance = instance
         nbytes = _RECORD_OVERHEAD_BYTES + value.size_bytes
         return self._persist(nbytes, callback, callback_args)
 
-    def mark_decided(self, instance: InstanceId) -> None:
-        """Mark an instance as decided (used when the decision passes by)."""
+    def mark_decided(self, instance: InstanceId, count: int = 1) -> None:
+        """Mark ``count`` instances from ``instance`` decided (when the decision
+        passes by); trimmed and unknown instances are ignored."""
+        end = instance + count
         if self._trimmed_up_to is not None and instance <= self._trimmed_up_to:
-            return
+            instance = self._trimmed_up_to + 1
         record = self._records.get(instance)
-        if record is not None:
-            record.decided = True
+        if record is not None and record.instance + record.count == end:
+            record.decided = True  # the range this acceptor voted for
+            return
+        for single in range(instance, end):
+            record = self._find(single)
+            if record is not None and not record.decided:
+                self._single(single).decided = True
 
-    def note_decided(self, instance: InstanceId, ballot: Ballot, value: Value) -> None:
-        """Log ``value`` (if no vote exists yet) and mark ``instance`` decided.
+    def note_decided(
+        self, instance: InstanceId, ballot: Ballot, value: Value, count: int = 1
+    ) -> None:
+        """Log ``value`` (where no vote exists yet) and mark ``count`` instances
+        from ``instance`` decided.
 
         Fuses the ``is_trimmed`` / ``accepted_value`` / ``log_votes_range`` /
         ``mark_decided`` sequence acceptors run for every decision that
-        passes by without having voted on it -- once per instance per
+        passes by without having voted on it -- once per decision per
         acceptor, the hottest storage path after vote logging.  Bookkeeping
-        (write counters, disk reservation) matches that sequence exactly.
+        (write counters, disk reservation) matches that sequence run once per
+        instance: every instance logged here is a write of its own.
         """
+        end = instance + count
         if self._trimmed_up_to is not None and instance <= self._trimmed_up_to:
-            return
+            instance = self._trimmed_up_to + 1
+            if instance >= end:
+                return
         record = self._records.get(instance)
-        if record is None or record.accepted_value is None:
-            if record is None:
-                record = self._new_record(instance)
+        if record is not None:
+            if record.accepted_value is not None and record.instance + record.count == end:
+                # Voted on already (the coordinator, a voting acceptor).
+                record.decided = True
+                return
+        elif end - instance > 1 and self._append_range(instance, end - instance, ballot, value, True):
+            nbytes = _RECORD_OVERHEAD_BYTES + value.size_bytes
+            if self.mode is StorageMode.MEMORY or self.disk is None:
+                self.writes += end - instance
+                self.bytes_logged += nbytes * (end - instance)
+            else:
+                for _ in range(instance, end):
+                    self._persist(nbytes, None)
+            return
+        for single in range(instance, end):
+            self._note_decided(single, ballot, value)
+
+    def _note_decided(self, instance: InstanceId, ballot: Ballot, value: Value) -> None:
+        record = self.record(instance)
+        if record.accepted_value is None:
             record.accept(ballot, value)
             if self._highest_instance is None or instance > self._highest_instance:
                 self._highest_instance = instance
@@ -243,7 +415,7 @@ class AcceptorStorage:
         """The value this acceptor voted for in ``instance``, if any."""
         if self.is_trimmed(instance):
             raise StorageError(f"instance {instance} has been trimmed")
-        record = self._records.get(instance)
+        record = self._find(instance)
         return record.accepted_value if record is not None else None
 
     def read_range(
@@ -251,7 +423,8 @@ class AcceptorStorage:
     ) -> List[Tuple[InstanceId, Value]]:
         """Accepted values for instances in ``[first, last]`` (for retransmission).
 
-        With ``decided_only`` the result is restricted to instances this
+        One entry per instance, a range record included.  With
+        ``decided_only`` the result is restricted to instances this
         acceptor knows were decided -- the learner gap-repair path must not
         deliver a value that never reached a quorum.  Raises
         :class:`StorageError` if any requested instance has been trimmed --
@@ -264,23 +437,22 @@ class AcceptorStorage:
                 f"instances up to {self._trimmed_up_to} have been trimmed, requested from {first}"
             )
         result: List[Tuple[InstanceId, Value]] = []
-        for instance in sorted(self._records):
-            if instance < first or instance > last:
+        starts = self._starts
+        index = max(bisect_right(starts, first, self._head) - 1, self._head)
+        while index < len(starts) and starts[index] <= last:
+            record = self._records[starts[index]]
+            index += 1
+            value = record.accepted_value
+            if value is None or (decided_only and not record.decided):
                 continue
-            record = self._records[instance]
-            if record.accepted_value is None:
-                continue
-            if decided_only and not record.decided:
-                continue
-            result.append((instance, record.accepted_value))
+            low = max(record.instance, first)
+            high = min(record.instance + record.count - 1, last)
+            result.extend((instance, value) for instance in range(low, high + 1))
         return result
 
     def trim(self, up_to: InstanceId) -> int:
         """Delete all records for instances ``<= up_to``.  Returns how many were removed."""
-        removed = 0
-        for instance in [i for i in self._records if i <= up_to]:
-            del self._records[instance]
-            removed += 1
+        removed = self._drop_through(up_to)
         if self._trimmed_up_to is None or up_to > self._trimmed_up_to:
             self._trimmed_up_to = up_to
         return removed
@@ -288,7 +460,10 @@ class AcceptorStorage:
     def log_size_bytes(self) -> int:
         """Approximate size of the live (untrimmed) log."""
         return sum(
-            _RECORD_OVERHEAD_BYTES
-            + (record.accepted_value.size_bytes if record.accepted_value is not None else 0)
+            record.count
+            * (
+                _RECORD_OVERHEAD_BYTES
+                + (record.accepted_value.size_bytes if record.accepted_value is not None else 0)
+            )
             for record in self._records.values()
         )

@@ -59,7 +59,9 @@ class InstanceRecord:
     ``promised`` is the highest ballot the acceptor promised not to undercut
     (Phase 1); ``accepted_ballot``/``accepted_value`` reflect its most recent
     Phase 2 vote; ``decided`` is set once a quorum is known to have voted for
-    the value (the learner/decision path).
+    the value (the learner/decision path).  A record with ``count > 1``
+    stands for that many consecutive instances in the same state (a skip
+    range, which the acceptor log keeps as one entry).
     """
 
     instance: InstanceId
@@ -67,6 +69,7 @@ class InstanceRecord:
     accepted_ballot: Optional[Ballot] = None
     accepted_value: Optional[Value] = None
     decided: bool = False
+    count: int = 1
 
     def can_promise(self, ballot: Ballot) -> bool:
         """Phase 1: may the acceptor promise ``ballot``?"""

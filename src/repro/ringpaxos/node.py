@@ -139,10 +139,14 @@ class RingHost(Process):
         """Register a callback invoked for every decision learned by this host."""
         self._decision_sinks.append(sink)
 
-    def notify_decision(self, group: GroupId, instance: InstanceId, value: Value) -> None:
-        """Called by ring roles when a decision is learned on this host."""
-        for sink in self._decision_sinks:
-            sink(group, instance, value)
+    def notify_decision(
+        self, group: GroupId, instance: InstanceId, value: Value, count: int = 1
+    ) -> None:
+        """Called by ring roles when ``value`` is learned for ``count`` instances
+        from ``instance`` on this host; every sink hears each instance."""
+        for offset in range(count):
+            for sink in self._decision_sinks:
+                sink(group, instance + offset, value)
 
     # ------------------------------------------------------------------
     # infrastructure used by the roles

@@ -139,17 +139,23 @@ class RingRole:
             self.batcher = CoordinatorBatcher(self, self.config.batching, stage)
 
         # Learner state: which instances were already learned (dedup between
-        # the Phase2-completion path and the Decision path), plus the in-order
-        # delivery cursor -- decisions learned out of instance order (possible
-        # around failures) are buffered and released in order.  Instances
-        # supplied to the node outside the ring (checkpoint install, acceptor
-        # retransmission) are tracked in ``_injected``: the cursor passes over
-        # them without a notification, but never jumps a hole -- a decision
-        # that is still circulating fills its hole when it arrives.
-        self._learned: Set[InstanceId] = set()
+        # the Phase2-completion path and the Decision path) -- every instance
+        # below the watermark ``_learned_below``, plus the stretches
+        # ``start -> end`` learned above a hole -- and the in-order delivery
+        # cursor: decisions learned out of instance order (possible around
+        # failures) are buffered and released in order, a range as one entry
+        # (``_out_of_order_counts`` holds how many instances an entry stands
+        # for where that is more than one).  Instances supplied to the node
+        # outside the ring (checkpoint install, acceptor retransmission) are
+        # tracked in ``_injected``: the cursor passes over them without a
+        # notification, but never jumps a hole -- a decision that is still
+        # circulating fills its hole when it arrives.
+        self._learned_below: InstanceId = 0
+        self._learned_above: Dict[InstanceId, InstanceId] = {}
         self.highest_learned: InstanceId = -1
         self._next_delivery: InstanceId = 0
         self._out_of_order: Dict[InstanceId, Value] = {}
+        self._out_of_order_counts: Dict[InstanceId, int] = {}
         self._injected: Set[InstanceId] = set()
 
         # Instance repair (chaos resilience, enabled by config.repair_interval):
@@ -409,7 +415,10 @@ class RingRole:
             self._forward(msg, origin=msg.origin)
 
     def _on_decision(self, msg: Decision) -> None:
-        cpu_bytes = msg.value.size_bytes if msg.instance not in self._learned else 0
+        learned = msg.instance < self._learned_below or (
+            self._learned_above and self._learned_end(msg.instance) > msg.instance
+        )
+        cpu_bytes = 0 if learned else msg.value.size_bytes
         self.host.after_cpu(cpu_bytes, self._apply_decision, msg)
 
     def _apply_decision(self, msg: Decision) -> None:
@@ -424,11 +433,7 @@ class RingRole:
             # Acceptors downstream of the decision never cast a vote; they
             # still log the decided value (as it came: a batch stays bytes)
             # so that any acceptor can serve retransmissions during recovery.
-            if msg.count == 1:
-                storage.note_decided(msg.instance, self.ballot, msg.value)
-            else:
-                for offset in range(msg.count):
-                    storage.note_decided(msg.instance + offset, self.ballot, msg.value)
+            storage.note_decided(msg.instance, self.ballot, msg.value, msg.count)
         self._forward(msg, origin=msg.origin)
 
     def _on_retransmit_request(self, msg: RetransmitRequest) -> None:
@@ -475,7 +480,11 @@ class RingRole:
         keeps, logs and forwards the bytes.
         """
         batch = value.payload
-        if batch.__class__ is not ValueBatch or batch.values is not None or instance in self._learned:
+        if (
+            batch.__class__ is not ValueBatch
+            or batch.values is not None
+            or self._learned_end(instance) > instance
+        ):
             return value
         if self.is_coordinator and self.storage is not None:
             try:
@@ -506,10 +515,44 @@ class RingRole:
         )
 
     def _mark_decided_range(self, first: InstanceId, count: int) -> None:
-        if self.storage is None:
-            return
-        for offset in range(count):
-            self.storage.mark_decided(first + offset)
+        if self.storage is not None:
+            self.storage.mark_decided(first, count)
+
+    def _learned_end(self, instance: InstanceId) -> InstanceId:
+        """The end of the learned stretch holding ``instance``; ``instance`` itself
+        if it was not learned."""
+        if instance < self._learned_below:
+            return self._learned_below
+        for start, end in self._learned_above.items():
+            if start <= instance < end:
+                return end
+        return instance
+
+    def _mark_learned(self, first: InstanceId, end: InstanceId) -> List[Tuple[InstanceId, InstanceId]]:
+        """Record ``[first, end)`` as learned; returns the stretches that were not."""
+        below = self._learned_below
+        if end <= below:
+            return []
+        if first < below:
+            first = below
+        above = self._learned_above
+        pieces = []
+        low, high, cursor = first, end, first
+        for start, stop in sorted(above.items()):
+            if stop < first or start > end:
+                continue  # apart from [first, end), not even adjacent
+            if start > cursor:
+                pieces.append((cursor, start))
+            cursor = max(cursor, stop)
+            low, high = min(low, start), max(high, stop)
+            del above[start]
+        if cursor < end:
+            pieces.append((cursor, end))
+        if low == below:
+            self._learned_below = high
+        else:
+            above[low] = high
+        return pieces
 
     def _learn(
         self,
@@ -518,48 +561,38 @@ class RingRole:
         value: Value,
         decided_at: Optional[float] = None,
     ) -> None:
-        newly_learned = 0
-        learned = self._learned
-        if count == 1:
-            # Fast path: all but skip ranges cover a single instance.
-            if first not in learned:
-                learned.add(first)
-                newly_learned = 1
-                if first > self.highest_learned:
-                    self.highest_learned = first
-                if value.is_skip:
-                    self.skips_learned += 1
-                else:
-                    self.decisions_learned += 1
-                if self.is_learner and first >= self._next_delivery:
-                    self._out_of_order[first] = value
+        end = first + count
+        if first == self._learned_below and not self._learned_above:
+            self._learned_below = end  # in order and above no hole: all but failures
+            pieces, newly_learned = ((first, end),), count
         else:
-            for offset in range(count):
-                instance = first + offset
-                if instance in learned:
-                    continue
-                learned.add(instance)
-                newly_learned += 1
-                if instance > self.highest_learned:
-                    self.highest_learned = instance
-                if value.is_skip:
-                    self.skips_learned += 1
-                else:
-                    self.decisions_learned += 1
-                if self.is_learner and instance >= self._next_delivery:
-                    self._out_of_order[instance] = value
-        if newly_learned and not value.is_skip and self._tracer.enabled:
-            self._trace_learned(value, first, decided_at)
+            pieces = self._mark_learned(first, end)
+            newly_learned = sum(stop - start for start, stop in pieces)
+        if newly_learned:
+            if pieces[-1][1] - 1 > self.highest_learned:
+                self.highest_learned = pieces[-1][1] - 1
+            if value.is_skip:
+                self.skips_learned += newly_learned
+            else:
+                self.decisions_learned += newly_learned
+            if self.is_learner:
+                for start, stop in pieces:
+                    self._buffer(start, stop, value)
+            if not value.is_skip and self._tracer.enabled:
+                self._trace_learned(value, first, decided_at)
         self._release_in_order()
         if self.is_coordinator and newly_learned:
             self._inflight = max(0, self._inflight - newly_learned)
             self._drain_start_queue()
-        # Bound the dedup set: everything below the lowest unlearned instance
-        # can be forgotten (kept coarse to stay cheap).
-        if len(self._learned) > 100000:
-            floor = self.highest_learned - 50000
-            self._learned = {i for i in self._learned if i >= floor}
-            self._injected = {i for i in self._injected if i >= self._next_delivery}
+
+    def _buffer(self, first: InstanceId, end: InstanceId, value: Value) -> None:
+        """Hold the part of ``[first, end)`` at or above the cursor for release."""
+        if first < self._next_delivery:
+            first = self._next_delivery
+        if first < end:
+            self._out_of_order[first] = value
+            if end - first > 1:
+                self._out_of_order_counts[first] = end - first
 
     def _trace_learned(self, value: Value, instance: InstanceId, decided_at) -> None:
         """Close ``decide`` spans and open the merge-wait interval.
@@ -594,15 +627,17 @@ class RingRole:
         if not self.is_learner:
             return
         out_of_order = self._out_of_order
+        counts = self._out_of_order_counts
         while True:
             cursor = self._next_delivery
             value = out_of_order.pop(cursor, _MISSING)
             if value is not _MISSING:
+                count = counts.pop(cursor, 1) if counts else 1
                 # Commit the cursor before notifying: the callback chain may
                 # fast-forward it (checkpoint install), and the loop re-reads
                 # it afterwards.
-                self._next_delivery = cursor + 1
-                self.host.notify_decision(self.group, cursor, value)
+                self._next_delivery = cursor + count
+                self.host.notify_decision(self.group, cursor, value, count)
             elif cursor in self._injected:
                 self._injected.discard(cursor)
                 self._next_delivery = cursor + 1
@@ -629,14 +664,30 @@ class RingRole:
         cursor must wait at such a hole for the live decision rather than
         jump it and drop the decision when it arrives.
         """
-        self._learned.add(instance)
+        self._mark_learned(instance, instance + 1)
         if instance > self.highest_learned:
             self.highest_learned = instance
         if self.is_learner and instance >= self._next_delivery:
             # Externally supplied: supersedes any buffered live copy.
-            self._out_of_order.pop(instance, None)
+            self._unbuffer(instance)
             self._injected.add(instance)
             self._release_in_order()
+
+    def _unbuffer(self, instance: InstanceId) -> None:
+        """Drop ``instance`` from the release buffer, splitting a range around it."""
+        counts = self._out_of_order_counts
+        first = instance
+        if instance not in self._out_of_order:
+            first = next(
+                (start for start, count in counts.items() if start < instance < start + count),
+                None,
+            )
+            if first is None:
+                return
+        value = self._out_of_order.pop(first)
+        end = first + counts.pop(first, 1)
+        self._buffer(first, instance, value)
+        self._buffer(instance + 1, end, value)
 
     def fast_forward_delivery(self, next_instance: InstanceId) -> None:
         """Jump the in-order delivery cursor to ``next_instance``.
@@ -651,9 +702,10 @@ class RingRole:
         if next_instance - 1 > self.highest_learned:
             self.highest_learned = next_instance - 1
         self._next_delivery = next_instance
-        self._out_of_order = {
-            i: v for i, v in self._out_of_order.items() if i >= next_instance
-        }
+        buffered, counts = self._out_of_order, self._out_of_order_counts
+        self._out_of_order, self._out_of_order_counts = {}, {}
+        for first, value in buffered.items():
+            self._buffer(first, first + counts.get(first, 1), value)
         self._injected = {i for i in self._injected if i >= next_instance}
         self._release_in_order()
 
@@ -697,14 +749,14 @@ class RingRole:
         in-flight decisions one repair interval of grace.
         """
         while self._repair_floor < self.next_instance and (
-            self._repair_floor in self._learned
+            self._learned_end(self._repair_floor) > self._repair_floor
             or (self.storage is not None and self.storage.is_trimmed(self._repair_floor))
         ):
             self._repair_floor += 1
         undecided: List[InstanceId] = []
         instance = self._repair_floor
         while instance < self.next_instance and len(undecided) < self.config.repair_batch:
-            if instance not in self._learned:
+            if self._learned_end(instance) == instance:
                 undecided.append(instance)
             instance += 1
         due = [i for i in undecided if i in self._repair_pending]
@@ -802,7 +854,7 @@ class RingRole:
                 recovery.begin_recovery()
             return
         for instance, value in msg.entries:
-            if instance < self._next_delivery or instance in self._learned:
+            if instance < self._next_delivery or self._learned_end(instance) > instance:
                 continue
             value = self._learnable(instance, value)
             if value is None:

@@ -651,7 +651,7 @@ class TestBatchesArriveAsBytes:
         )
         assert after == before and list(before[0]) == [1]
         assert node.bodies_rejected == 1
-        assert 0 not in role._learned and role.storage.accepted_value(0) is None
+        assert role._learned_end(0) == 0 and role.storage.accepted_value(0) is None  # not learned
         # The intact decision still goes through, and releases the buffered one.
         self._decide(world, node, 0, good, origin="n1")
         assert [v.payload for v in delivered] == [f"{p}{i}" for p in ("good", "late") for i in range(3)]

@@ -29,9 +29,8 @@ def _run_profiled(name: str, scale: str):
     """Run one experiment under cProfile, printing the top cumulative hotspots.
 
     This is the profiling entry point the performance guide in
-    CONTRIBUTING.md points at: when the perf gate regresses, rerun the
-    offending experiment with ``--cprofile`` and compare the table against a
-    good commit.
+    CONTRIBUTING.md points at: when an experiment slows down, rerun it with
+    ``--cprofile`` and compare the table against a good commit.
     """
     import cProfile
     import pstats

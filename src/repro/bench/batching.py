@@ -12,8 +12,8 @@ batching amortizes the dominant per-instance cost exactly as in the paper's
 deployments.  In-memory mode shows a smaller, CPU-bound gain (the per-message
 intake cost is not amortized by coordinator batching).
 
-The regression-gated CI smoke run uses this experiment's throughput/latency
-numbers (see :mod:`repro.bench.regression`).
+Its smoke-scale throughput, latency and speedup are pinned exactly by
+``tests/golden/bench_gates.json``.
 """
 
 from __future__ import annotations

@@ -8,16 +8,19 @@ second of **wall-clock** time on two fixed scenarios (a LAN ring pair and the
 paper-scale figure benches are bound by exactly this number, so regressions
 here translate directly into slower CI and less routine paper-scale data.
 
-Two metric families come out of a run:
+Three metric families come out of a run:
 
 * **simulated-time metrics** (events and deliveries per simulated second,
-  total event/delivery counts) -- fully deterministic, gated hard by
-  :mod:`repro.bench.regression` against ``benchmarks/baselines/perf.json``.
-  A drift here means the *model* changed (different message counts), which
-  is never an accident worth ignoring;
+  total event/delivery counts) -- fully deterministic, pinned exactly by
+  ``tests/golden/bench_gates.json``.  A drift here means the *model* changed
+  (different message counts), which is never an accident worth ignoring;
 * **wall-clock metrics** (events/sec and delivered-commands/sec of wall
-  time) -- the actual speed, subject to runner jitter, reported warn-only by
-  the gate and recorded in ``BENCH_perf.json`` for trend tracking.
+  time) -- the actual speed, subject to runner jitter, recorded in
+  ``BENCH_perf.json`` for inspection;
+* **the cost of watching** -- every scenario runs a second time with causal
+  tracing at the default sampling: traced events/sec, the overhead ratio,
+  and the traced event/delivery counts, which must equal the untraced ones
+  (tracing schedules no simulator events).
 
 ``run_perf`` writes ``BENCH_perf.json`` next to the working directory by
 default so both CI lanes can upload it as an artifact.  Profile a scenario
@@ -32,7 +35,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.drivers import ClosedLoopProposerDriver
 from repro.bench.report import format_table
@@ -75,10 +78,10 @@ def build_perf_world(
 
     ``lan`` is three nodes on one 10 Gbps site sharing two in-memory rings;
     ``wan3`` spreads the same ring pair over the three-continent preset used
-    by the chaos campaigns.  Both are deliberately frozen: the perf baseline
-    is only comparable while the scenario stays byte-identical.  ``tracing``
-    turns on sampled causal tracing -- used by the observability-overhead
-    check to measure what default-sampling instrumentation costs here.
+    by the chaos campaigns.  Both are deliberately frozen: their golden numbers
+    only hold while the scenario stays byte-identical.  ``tracing``
+    turns on sampled causal tracing -- :func:`run_perf`'s traced pass, which
+    measures what default-sampling instrumentation costs here.
     """
     if scenario == "lan":
         world = World(
@@ -158,13 +161,13 @@ def _run_scenario(
         "scenario": scenario,
         "tracing": tracing,
         "sim_duration_s": duration,
-        # Deterministic (simulated-time) metrics: gated hard.
+        # Deterministic (simulated-time) metrics: pinned by the goldens.
         "events": events,
         "deliveries": deliveries,
         "completed_commands": completed,
         "sim_events_per_sim_sec": events / duration,
         "deliveries_per_sim_sec": deliveries / duration,
-        # Wall-clock metrics: the actual simulator speed, warn-only.
+        # Wall-clock metrics: the actual simulator speed, never pinned.
         "wall_seconds": wall_seconds,
         "events_per_wall_sec": events / wall_seconds if wall_seconds > 0 else 0.0,
         "deliveries_per_wall_sec": deliveries / wall_seconds if wall_seconds > 0 else 0.0,
@@ -176,18 +179,29 @@ def run_perf(
     scenarios: Sequence[str] = PERF_SCENARIOS,
     threads: int = 8,
     output: Optional[Path] = Path("BENCH_perf.json"),
-    seed: int = 7,
 ) -> Dict:
     """Measure wall-clock simulator throughput on the fixed scenarios.
 
+    Each scenario runs untraced, then traced; the traced pass adds
+    ``traced_events``, ``traced_deliveries``, ``traced_events_per_wall_sec``
+    and ``obs_overhead_x`` (untraced over traced events/sec) to its cell.
     Writes the raw results to ``output`` (``BENCH_perf.json`` by default;
     pass ``None`` to skip) so CI can upload them as an artifact.
     """
-    del seed  # the scenarios pin their own seed; kept for signature stability
     results: Dict[str, Dict] = {}
     for scenario in scenarios:
         scaled = duration * _DURATION_SCALE.get(scenario, 1.0)
-        results[scenario] = _run_scenario(scenario, duration=scaled, threads=threads)
+        cell = _run_scenario(scenario, duration=scaled, threads=threads)
+        traced = _run_scenario(scenario, duration=scaled, threads=threads, tracing=True)
+        cell["traced_events"] = traced["events"]
+        cell["traced_deliveries"] = traced["deliveries"]
+        cell["traced_events_per_wall_sec"] = traced["events_per_wall_sec"]
+        cell["obs_overhead_x"] = (
+            cell["events_per_wall_sec"] / traced["events_per_wall_sec"]
+            if traced["events_per_wall_sec"] > 0
+            else 0.0
+        )
+        results[scenario] = cell
 
     rows = []
     for scenario in scenarios:
@@ -198,12 +212,22 @@ def run_perf(
                 cell["events"],
                 f"{cell['events_per_wall_sec']:,.0f}",
                 f"{cell['deliveries_per_wall_sec']:,.0f}",
+                f"{cell['traced_events_per_wall_sec']:,.0f}",
+                f"{cell['obs_overhead_x']:.2f}x",
                 f"{cell['wall_seconds']:.2f}",
             ]
         )
     report = format_table(
         "Simulator perf: wall-clock events/sec (hot-path health)",
-        ["scenario", "events", "events/s (wall)", "deliveries/s (wall)", "wall s"],
+        [
+            "scenario",
+            "events",
+            "events/s (wall)",
+            "deliveries/s (wall)",
+            "events/s (traced)",
+            "trace overhead",
+            "wall s",
+        ],
         rows,
     )
     result = {

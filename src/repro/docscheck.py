@@ -6,8 +6,9 @@ Walks the repo's markdown (README.md, CONTRIBUTING.md, docs/) and fails on:
   does not exist, or whose ``#anchor`` matches no heading in the target
   (external ``http(s)://``/``mailto:`` links are not fetched);
 * **references to deleted modules** — inline ``repro.foo.bar`` dotted names
-  that no longer resolve to a module, package, or attribute of one under
-  ``src/repro``.
+  that no longer resolve to a module or package under ``src/repro``, or to a
+  name defined at the top level of one (a def, class, assignment or import,
+  or an entry of its ``__all__``).
 
 The CI docs job runs this over the checkout; ``tests/test_docs.py`` runs
 the same checks as part of tier 1, so a PR that deletes a module or a docs
@@ -16,6 +17,7 @@ page cannot leave a dangling reference behind.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -27,8 +29,8 @@ __all__ = ["check_file", "check_tree", "github_slug", "main"]
 # in our docs); images share the syntax via a leading ! which we ignore.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Dotted module references such as ``repro.bench.analytics`` in prose or
-# code blocks.  A trailing dotted segment may be an attribute (class or
-# function) of the last resolvable module.
+# code blocks.  A trailing dotted segment may be a top-level name (class,
+# function, constant) of the last resolvable module.
 _MODULE_REF = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _EXTERNAL = ("http://", "https://", "mailto:")
@@ -51,6 +53,27 @@ def _anchors_of(path: Path) -> set[str]:
     return {github_slug(m.group(1)) for m in _HEADING.finditer(text)}
 
 
+def _top_level_names(path: Path) -> set[str]:
+    """Names a module defines at top level: defs, classes, assignments,
+    imports, and whatever its ``__all__`` lists."""
+    names: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                if isinstance(node.value, (ast.List, ast.Tuple)):
+                    names.update(
+                        e.value for e in node.value.elts if isinstance(e, ast.Constant)
+                    )
+    return names
+
+
 def _module_resolves(dotted: str, src: Path) -> bool:
     parts = dotted.split(".")[1:]  # drop the leading "repro"
     node = src / "repro"
@@ -61,8 +84,13 @@ def _module_resolves(dotted: str, src: Path) -> bool:
             node = node / f"{part}.py"
         else:
             # Unresolved tail: allowed only for a single final component
-            # hanging off a module/package we did resolve (an attribute).
-            return index == len(parts) - 1
+            # defined at the top level of the module/package we resolved.
+            module = node / "__init__.py" if node.is_dir() else node
+            return (
+                index == len(parts) - 1
+                and module.is_file()
+                and part in _top_level_names(module)
+            )
     return True
 
 

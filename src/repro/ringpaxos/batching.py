@@ -26,7 +26,7 @@ byte cap, or -- whichever comes first -- when its wait ends:
   event is its own turn, so a value leaves at once, as without a batcher;
 * ``max_batch_delay > 0``, at the coordinator only: when a timer armed by
   the first value of an empty batch expires.  This is the only way the
-  simulator forms batches (the ``batching`` bench and its regression gate),
+  simulator forms batches (the ``batching`` bench and its golden numbers),
   and it trades latency for fuller batches where per-turn packing would
   leave them small.
 

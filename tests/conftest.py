@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,12 @@ from repro.runtime.interfaces import StorageMode
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.types import unpack_value
+
+#: The simulator's deterministic benchmark numbers at smoke scale, asserted
+#: with exact equality by the tests that run those experiments (the two
+#: latency means within a relative 1e-12: 3.12's ``sum()`` is compensated).
+#: A change to the model that moves one re-records the file in the same commit.
+BENCH_GATES = json.loads((Path(__file__).parent / "golden" / "bench_gates.json").read_text())
 
 
 @pytest.fixture

@@ -1,26 +1,12 @@
-"""The bench analytics layer: summaries, SLOs, tolerant readers, the CLI."""
+"""The bench analytics layer: latency summaries and SLO verdicts."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench.analytics import (
-    SLOTarget,
-    analytics_of,
-    compare_runs,
-    evaluate_slo,
-    extract_series,
-    latency_summary,
-    main,
-    make_analytics,
-)
+from repro.bench.analytics import SLOTarget, evaluate_slo, latency_summary, make_analytics
 
 
-# ----------------------------------------------------------------------
-# summaries and SLOs
-# ----------------------------------------------------------------------
 def test_latency_summary_percentiles():
     samples = [i / 1000.0 for i in range(1, 101)]  # 1ms .. 100ms
     summary = latency_summary(samples)
@@ -31,11 +17,8 @@ def test_latency_summary_percentiles():
     assert latency_summary([]) == {"count": 0}
 
 
-def test_slo_target_parse_and_evaluate():
-    target = SLOTarget.parse("openloop:p99<=250,p50<=80")
-    assert target.series == "openloop"
-    assert target.p99_ms == 250.0 and target.p50_ms == 80.0
-
+def test_slo_target_evaluate():
+    target = SLOTarget("openloop", p99_ms=250.0, p50_ms=80.0)
     verdict = evaluate_slo({"p50_ms": 70.0, "p99_ms": 300.0}, target)
     assert not verdict["ok"]
     by_pct = {check["percentile"]: check for check in verdict["checks"]}
@@ -43,11 +26,6 @@ def test_slo_target_parse_and_evaluate():
 
     # A percentile the summary cannot provide fails its check.
     assert not evaluate_slo({}, SLOTarget("x", p99_ms=1.0))["ok"]
-
-    with pytest.raises(ValueError):
-        SLOTarget.parse("no-clauses")
-    with pytest.raises(ValueError):
-        SLOTarget.parse("s:p42<=10")
 
 
 def test_make_analytics_embeds_series_and_verdicts():
@@ -60,112 +38,3 @@ def test_make_analytics_embeds_series_and_verdicts():
     assert section["slo"][0]["ok"] is True
     assert section["slo"][1]["ok"] is False  # 500ms > 1ms
     assert section["slo_ok"] is False
-
-
-# ----------------------------------------------------------------------
-# tolerant readers (satellite: old-schema files warn, never KeyError)
-# ----------------------------------------------------------------------
-def test_analytics_of_warns_on_old_schema_instead_of_raising():
-    section, warnings = analytics_of({"experiment": "figure6", "results": {}})
-    assert section is None
-    assert warnings and "older schema" in warnings[0]
-
-    section, warnings = analytics_of({"analytics": "bogus"})
-    assert section is None and "malformed" in warnings[0]
-
-    section, warnings = analytics_of(["not", "a", "dict"])
-    assert section is None and warnings
-
-    good = make_analytics({"s": [0.001]})
-    section, warnings = analytics_of({"analytics": good})
-    assert section is not None and not warnings
-
-    future = dict(good, schema=99)
-    section, warnings = analytics_of({"analytics": future})
-    assert section is not None  # best-effort read
-    assert any("schema" in note for note in warnings)
-
-
-def test_extract_series_deep_scans_old_schema_files():
-    old = {
-        "results": {
-            "multi": {"enginex": {"latency_ms": {"p50_ms": 1.0, "p99_ms": 2.0}}}
-        }
-    }
-    series, warnings = extract_series(old)
-    assert "results/multi/enginex/latency_ms" in series
-    assert series["results/multi/enginex/latency_ms"]["p99_ms"] == 2.0
-
-    empty, warnings = extract_series({"nothing": 1})
-    assert empty == {} and warnings
-
-
-def test_regression_gate_tolerates_old_schema_baseline(tmp_path, capsys):
-    # The regression entry point must warn -- not KeyError -- when the
-    # committed baseline predates the analytics schema.
-    from repro.bench.analytics import analytics_of as tolerant
-
-    old_baseline = {"scale": "smoke", "metrics": {"workload/p50_ms": 1.0}}
-    section, warnings = tolerant(old_baseline, source="baseline")
-    assert section is None
-    assert warnings and "baseline" in warnings[0]
-
-
-# ----------------------------------------------------------------------
-# cross-run comparison + CLI
-# ----------------------------------------------------------------------
-def _bench_file(tmp_path, name, p50, p99, recorded_at=None):
-    payload = {
-        "experiment": "workload",
-        "analytics": {
-            "schema": 1,
-            "series": {"sim/openloop": {"count": 10, "p50_ms": p50, "p99_ms": p99}},
-            "slo": [],
-            "slo_ok": True,
-        },
-    }
-    if recorded_at is not None:
-        payload["recorded_at"] = recorded_at
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def test_compare_runs_deltas_and_single_run_series(tmp_path):
-    first = json.loads(_bench_file(tmp_path, "a.json", 10.0, 50.0).read_text())
-    second = json.loads(_bench_file(tmp_path, "b.json", 12.0, 40.0).read_text())
-    second["analytics"]["series"]["only-b"] = {"p50_ms": 1.0, "p99_ms": 2.0}
-    rows, warnings = compare_runs([("a", first), ("b", second)])
-    assert not warnings
-    by_key = {(r["series"], r["percentile"]): r for r in rows}
-    assert by_key[("sim/openloop", "p50_ms")]["delta_pct"] == pytest.approx(20.0)
-    assert by_key[("sim/openloop", "p99_ms")]["delta_pct"] == pytest.approx(-20.0)
-    # A series present in one run only gets no delta.
-    assert by_key[("only-b", "p50_ms")]["delta_pct"] is None
-
-
-def test_cli_renders_comparison_and_checks_slos(tmp_path, capsys):
-    a = _bench_file(tmp_path, "BENCH_a.json", 10.0, 50.0, recorded_at=100.0)
-    b = _bench_file(tmp_path, "BENCH_b.json", 20.0, 80.0, recorded_at=200.0)
-    assert main([str(a), str(b), "--history"]) == 0
-    out = capsys.readouterr().out
-    assert "sim/openloop" in out and "+100.0%" in out
-
-    # --slo flags evaluate against every matching series; --strict gates.
-    assert main([str(a), str(b), "--slo", "openloop:p99<=60"]) == 0
-    assert main([str(a), str(b), "--slo", "openloop:p99<=60", "--strict"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out or "PASS" in out
-
-    # Structured output lands next to the terminal table.
-    dest = tmp_path / "cmp.json"
-    assert main([str(a), str(b), "--json", str(dest)]) == 0
-    payload = json.loads(dest.read_text())
-    assert payload["runs"] == ["BENCH_a.json", "BENCH_b.json"]
-    assert payload["rows"]
-
-
-def test_cli_errors_cleanly_without_files(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main([]) == 2
-    assert main([str(tmp_path / "missing.json")]) == 2

@@ -32,7 +32,7 @@ def _repo(tmp_path: Path) -> Path:
     (tmp_path / "docs").mkdir()
     (tmp_path / "src" / "repro").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "__init__.py").write_text("")
-    (tmp_path / "src" / "repro" / "good.py").write_text("")
+    (tmp_path / "src" / "repro" / "good.py").write_text("class Attr:\n    pass\n")
     (tmp_path / "README.md").write_text("# Top\n")
     return tmp_path
 
@@ -55,13 +55,33 @@ def test_checker_flags_dead_links_and_anchors(tmp_path):
 
 def test_checker_flags_references_to_deleted_modules(tmp_path):
     repo = _repo(tmp_path)
+    bench = repo / "src" / "repro" / "bench"
+    bench.mkdir()
+    (bench / "__init__.py").write_text("from repro.bench.analytics import make_analytics\n")
+    (bench / "analytics.py").write_text(
+        "import json\n__all__ = ['exported']\nLIMIT: int = 3\n\n"
+        "def make_analytics():\n    def nested():\n        pass\n"
+    )
     page = repo / "docs" / "mods.md"
     page.write_text(
         "`repro.good` is fine, `repro.good.Attr` is an attribute,\n"
-        "but `repro.deleted.module` is gone.\n"
+        "`repro.bench.make_analytics`, `repro.bench.analytics.LIMIT`,\n"
+        "`repro.bench.analytics.json` and `repro.bench.analytics.exported` resolve,\n"
+        "but `repro.deleted.module` is gone, and so are `repro.nosuch`,\n"
+        "`repro.bench.nonexistent`, `repro.bench.analytics.no_such_fn`\n"
+        "and `repro.bench.analytics.nested`.\n"
     )
     problems = check_file(page, repo)
-    assert problems == ["docs/mods.md: reference to missing module -> repro.deleted.module"]
+    assert problems == [
+        f"docs/mods.md: reference to missing module -> {name}"
+        for name in (
+            "repro.bench.analytics.nested",
+            "repro.bench.analytics.no_such_fn",
+            "repro.bench.nonexistent",
+            "repro.deleted.module",
+            "repro.nosuch",
+        )
+    ]
 
 
 def test_checker_cli_exit_codes(tmp_path, capsys):

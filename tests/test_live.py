@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.actor import Process
 from repro.runtime.codec import frame_message
-from repro.runtime.interfaces import StorageMode
+from repro.runtime.interfaces import Clock, StorageMode, Transport
 from repro.runtime.live import (
     LiveClock,
     LiveDeployment,
@@ -24,7 +24,6 @@ from repro.runtime.live import (
     LiveNodeRuntime,
     RemotePeer,
 )
-from repro.runtime.simbackend import as_runtime
 from repro.live import run_live_dlog
 from repro.scenarios.invariants import check_no_acked_write_lost, check_replica_convergence
 from repro.services.dlog import DLog
@@ -93,7 +92,26 @@ def test_live_clock_periodic_timer_reschedules():
 # ----------------------------------------------------------------------
 # runtime compliance + transport
 # ----------------------------------------------------------------------
+def as_runtime(world):
+    """Check that ``world`` provides the ``Runtime`` surface and return it.
+
+    Structural, like the protocols themselves: what a new backend is
+    validated with.  The simulator ``World`` and ``LiveNodeRuntime`` pass.
+    """
+    for attr in ("sim", "network", "monitor", "rng", "trace", "default_site", "cpu_config"):
+        assert hasattr(world, attr), f"{type(world).__name__} lacks {attr!r}"
+    assert isinstance(world.sim, Clock)
+    assert isinstance(world.network, Transport)
+    for method in ("register", "get_process", "has_process", "start", "new_store"):
+        assert callable(getattr(world, method, None)), f"{type(world).__name__}.{method}"
+    return world
+
+
 def test_live_runtime_satisfies_runtime_protocol():
+    from repro.sim.world import World
+
+    world = World(seed=1)
+    assert as_runtime(world) is world
     runtime = LiveNodeRuntime("n0")
     assert as_runtime(runtime) is runtime
     runtime.add_peer("far-away", ("127.0.0.1", 1))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BENCH_GATES
 from repro.bench.perf import PERF_SCENARIOS, build_perf_world, golden_delivery_sequence, run_perf
 from repro.net.message import HEADER_BYTES, estimate_size
 from repro.paxos.types import Ballot
@@ -302,15 +303,24 @@ class TestPerfHarness:
 
         assert "perf" in EXPERIMENTS
 
-    def test_gate_metric_directions(self):
-        from repro.bench.regression import SUITES, _is_higher_better
+    def test_perf_smoke_matches_bench_gates(self, tmp_path, monkeypatch):
+        from repro.bench.harness import run_experiment
 
-        assert "perf" in SUITES
-        assert _is_higher_better("perf/lan_sim_events_ops") is True
-        assert _is_higher_better("perf/lan_sim_deliveries_ops") is True
-        # Wall-clock metrics deliberately have no direction: the gate
-        # reports them as warn-only notes instead of failing on jitter.
-        assert _is_higher_better("perf/lan_wall_events_per_sec") is None
+        monkeypatch.chdir(tmp_path)  # run_perf writes BENCH_perf.json here
+        result = run_experiment("perf", "smoke")
+        for scenario in ("lan", "wan3"):
+            cell = result["results"][scenario]
+            assert cell["sim_events_per_sim_sec"] == BENCH_GATES[f"perf/{scenario}_sim_events_ops"]
+            assert (
+                cell["deliveries_per_sim_sec"]
+                == BENCH_GATES[f"perf/{scenario}_sim_deliveries_ops"]
+            )
+            # The traced pass schedules no simulator events: watching a run
+            # must not change what it does.
+            assert cell["traced_events"] == cell["events"]
+            assert cell["traced_deliveries"] == cell["deliveries"]
+            assert cell["traced_events_per_wall_sec"] > 0
+        assert "events/s (traced)" in result["report"]
 
 
 class TestBenchCli:

@@ -517,85 +517,3 @@ class TestChaosBenchWiring:
         assert cli.main(["all", "--smoke", "--skip", "chaos"]) == 0
         assert ran and "chaos" not in ran
         capsys.readouterr()
-
-
-class TestRegressionGateHardening:
-    def test_missing_baseline_skip_exits_green(self, tmp_path, monkeypatch, capsys):
-        from repro.bench import regression
-
-        monkeypatch.setattr(
-            regression,
-            "collect_smoke_metrics",
-            lambda scale="smoke": {"scale": "smoke", "metrics": {"x_ops": 1.0}},
-        )
-        code = regression.main(
-            [
-                "--output",
-                str(tmp_path / "out.json"),
-                "--baseline",
-                str(tmp_path / "missing.json"),
-                "--missing-baseline",
-                "skip",
-            ]
-        )
-        assert code == 0
-        assert "gate skipped" in capsys.readouterr().out
-
-    def test_scale_mismatch_skip_exits_green(self, tmp_path, monkeypatch, capsys):
-        from repro.bench import regression
-
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"scale": "quick", "metrics": {}}))
-        monkeypatch.setattr(
-            regression,
-            "collect_smoke_metrics",
-            lambda scale="smoke": {"scale": "smoke", "metrics": {"x_ops": 1.0}},
-        )
-        code = regression.main(
-            [
-                "--output",
-                str(tmp_path / "out.json"),
-                "--baseline",
-                str(baseline),
-                "--missing-baseline",
-                "skip",
-            ]
-        )
-        assert code == 0
-        assert "gate skipped" in capsys.readouterr().out
-
-    def test_corrupt_baseline_still_fails_strict_mode(self, tmp_path, monkeypatch, capsys):
-        from repro.bench import regression
-
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("{not json")
-        monkeypatch.setattr(
-            regression,
-            "collect_smoke_metrics",
-            lambda scale="smoke": {"scale": "smoke", "metrics": {"x_ops": 1.0}},
-        )
-        code = regression.main(
-            ["--output", str(tmp_path / "out.json"), "--baseline", str(baseline)]
-        )
-        assert code == 2
-        capsys.readouterr()
-
-    def test_partially_matching_baseline_warns_not_crashes(self):
-        from repro.bench.regression import compare_metrics
-
-        current = {"metrics": {"new_ops": 5.0, "weird_metric": 1.0, "old_ops": 10.0}}
-        baseline = {"metrics": {"old_ops": 10.0, "weird_metric": 2.0}}
-        regressions, improvements, notes = compare_metrics(current, baseline, tolerance=0.2)
-        assert regressions == [] and improvements == []
-        assert any("new_ops" in note for note in notes)
-        assert any("weird_metric" in note and "skipped" in note for note in notes)
-
-    def test_non_dict_baseline_metrics_handled(self):
-        from repro.bench.regression import compare_metrics
-
-        current = {"metrics": {"a_ops": 1.0}}
-        regressions, improvements, notes = compare_metrics(
-            current, {"metrics": "corrupt"}, tolerance=0.2
-        )
-        assert regressions == [] and improvements == []
-        assert notes

@@ -1,4 +1,4 @@
-"""The ``workload`` experiment and its scenario/regression glue."""
+"""The ``workload`` experiment, its scenario glue and its golden numbers."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import BENCH_GATES
 from repro.bench.workload import run_workload
 from repro.errors import ConfigurationError
 from repro.scenarios import flash_crowd_fault_plan
@@ -71,12 +72,16 @@ def test_flash_crowd_fault_plan_lands_inside_the_peak_phase():
         flash_crowd_fault_plan(schedule, "ring-g0", crash_fraction=1.5)
 
 
-def test_workload_regression_suite_is_wired():
-    from repro.bench.regression import SUITES
+def test_sim_storm_matches_bench_gates():
+    from repro.bench.harness import EXPERIMENTS
 
-    collector, baseline, output = SUITES["workload"]
-    assert baseline.name == "workload.json"
-    assert output.name == "BENCH_workload_metrics.json"
+    # The smoke storm on the simulator only: deterministic.
+    _runner, presets = EXPERIMENTS["workload"]
+    result = run_workload(**presets["smoke"], backends=("sim",), output=None)
+    series = result["analytics"]["series"]["sim/openloop"]
+    assert result["sim"]["completed"] == BENCH_GATES["workload/completed_ops"]
+    assert series["p50_ms"] == BENCH_GATES["workload/p50_ms"]
+    assert series["p99_ms"] == BENCH_GATES["workload/p99_ms"]
 
 
 def test_workload_is_a_harness_experiment():

@@ -28,7 +28,12 @@ delivered at the group's witness learner (the ack the "zero lost acked
 writes" invariant counts).  ``multicast(groups, payload)`` addresses several
 groups atomically through the ring declared with ``multi_group_route=True``.
 ``deliveries(group)`` returns a stream that can be iterated synchronously or
-with ``async for``.
+with ``async for``; it keeps a window of the last :data:`STREAM_WINDOW`
+deliveries, not the run's history.  The witness resolves the acks of one
+clock turn together, with one hold of their shared condition (on the
+simulator a turn is one event).  Leaving the context, on either backend,
+closes the streams and fails every ack still outstanding with
+:class:`~repro.errors.MulticastError`.
 
 Both backends build through one path: ``ring()`` hands a
 :class:`~repro.multiring.deployment.RingSpec` to
@@ -51,7 +56,8 @@ import concurrent.futures._base as _futures_base
 import itertools
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import MultiRingConfig, RingConfig
 from repro.errors import ConfigurationError, MulticastError
@@ -59,34 +65,84 @@ from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.interfaces import StorageMode
 from repro.types import GroupId, Value
 
-__all__ = ["AtomicMulticast", "DeliveryStream"]
+__all__ = ["AtomicMulticast", "DeliveryStream", "STREAM_WINDOW"]
 
 _BACKENDS = ("sim", "live")
 
 _UNSETTLED = (_futures_base.PENDING, _futures_base.RUNNING)
 
+#: Deliveries a :class:`DeliveryStream` keeps per group.  A saturated live
+#: ring on one core (``live-closed-mem``) acks 7-21k appends/s on a 2-vCPU
+#: VM, so 4 096 give a reader iterating behind it 0.2-0.6 s of slack before
+#: it misses one -- and is told so.  Each delivery kept costs its ``Delivery``
+#: and its ``Value`` (~1.5 KB with a 1 KB payload), so the window stays a few
+#: MB however long the run; keep it at most 8 192.
+STREAM_WINDOW = 4096
+
 
 class _AckFuture(concurrent.futures.Future):
     """An ack future sharing one condition with every other ack of its facade.
 
-    A stock ``Future`` builds its own ``threading.Condition`` -- an ``RLock``,
-    a waiter ``deque`` and bound methods, three quarters of the future's size
-    -- and a closed loop keeps every ack it got.  Here all acks of one
-    :class:`AtomicMulticast` share one (re-entrant) condition, so resolving
-    any of them wakes every waiter: :meth:`result` and :meth:`exception`
-    wait again until *their* future is done or their deadline has passed.
-    ``concurrent.futures.wait``/``as_completed`` wait on their own waiter
-    objects and hold the condition re-entrantly, so they work unchanged.
+    A stock ``Future`` builds its own ``threading.Condition``, a waiter list
+    and a callback list, and a closed loop keeps every ack it got.  Here all
+    acks of one :class:`AtomicMulticast` share one (re-entrant) condition, so
+    resolving any of them wakes every waiter: :meth:`result` and
+    :meth:`exception` wait again until *their* future is done or their
+    deadline has passed.  The waiter list is made only when
+    ``concurrent.futures.wait``/``as_completed`` ask for it, one callback is
+    held without a list, and a callback is dropped once it has run: a held,
+    resolved ack keeps only itself, its ``Delivery`` and that one's ``Value``.
+    The witness settles a turn's acks together (:meth:`DeliveryStream._end_turn`).
     """
 
     def __init__(self, condition: threading.Condition) -> None:
-        # The stock __init__, minus the condition it would build.
+        # The stock __init__, minus the condition and the two lists.
         self._condition = condition
         self._state = _futures_base.PENDING
         self._result = None
         self._exception = None
-        self._waiters = []
-        self._done_callbacks = []
+        self._waiter_list: Optional[list] = None
+        #: None, the one callback, or a list of two or more.
+        self._done_callbacks: Any = None
+
+    @property
+    def _waiters(self) -> list:
+        """The waiters ``wait``/``as_completed`` install, made on first use."""
+        if self._waiter_list is None:
+            self._waiter_list = []
+        return self._waiter_list
+
+    def add_done_callback(self, fn) -> None:
+        with self._condition:
+            if self._state in _UNSETTLED:
+                callbacks = self._done_callbacks
+                if callbacks is None:
+                    self._done_callbacks = fn
+                elif type(callbacks) is list:
+                    callbacks.append(fn)
+                else:
+                    self._done_callbacks = [callbacks, fn]
+                return
+        super().add_done_callback(fn)  # settled: the stock path runs it at once
+
+    def _invoke_callbacks(self) -> None:
+        # Once settled, when nothing can add a callback: each runs once, then goes.
+        callbacks, self._done_callbacks = self._done_callbacks, None
+        if callbacks is None:
+            return
+        for fn in callbacks if type(callbacks) is list else (callbacks,):
+            try:
+                fn(self)
+            except Exception:
+                _futures_base.LOGGER.exception("exception calling callback for %r", self)
+
+    def _finish(self, result: Any) -> None:
+        """Settle with ``result``; the caller holds the condition and notifies it."""
+        self._result = result
+        self._state = _futures_base.FINISHED
+        if self._waiter_list:
+            for waiter in self._waiter_list:
+                waiter.add_result(self)
 
     def _wait(self, timeout: Optional[float]) -> None:
         """Hold the shared condition until this future is done or ``timeout`` passed."""
@@ -114,53 +170,98 @@ class _AckFuture(concurrent.futures.Future):
 class DeliveryStream:
     """Deliveries of one group at its witness learner, oldest first.
 
+    The stream keeps the last :data:`STREAM_WINDOW` of them.  Each iteration
+    starts at the group's first delivery and yields every one in order; an
+    iteration that would have to skip deliveries the window has dropped -- it
+    fell more than ``STREAM_WINDOW`` behind, or began after that many --
+    raises :class:`~repro.errors.MulticastError` naming how many it missed,
+    never a silent gap.  ``len()`` counts every delivery, dropped ones too.
+
     Iterable synchronously (yields what has been delivered so far; on the
     live backend it keeps blocking up to ``idle_timeout`` for more) and
     asynchronously (``async for`` -- the sim backend advances the simulation
-    on demand, the live backend awaits real deliveries).
+    on demand, the live backend awaits real deliveries).  Once the facade
+    has exited, both end after the last delivery.
     """
 
-    def __init__(self, api: "AtomicMulticast", group: GroupId) -> None:
+    def __init__(self, api: "AtomicMulticast", group: GroupId, clock: Any) -> None:
         self._api = api
         self._group = group
-        self.items: List[Any] = []
+        #: The witness's clock: a turn's deliveries are settled at its end.
+        self._clock = clock
+        self._arrived: List[Any] = []
+        self._window: Deque[Any] = deque(maxlen=STREAM_WINDOW)
+        self._count = 0
         self._closed = False
         #: Live backend: how long a blocking iteration waits for the next
         #: delivery before concluding the stream is idle.
         self.idle_timeout = 1.0
 
-    # -- producer side (called on the backend's execution context) -------
-    def _push(self, delivery: Any) -> None:
-        self.items.append(delivery)
+    # -- producer side (called on the witness's clock) ---------------------
+    def _on_delivery(self, delivery: Any) -> None:
+        arrived = self._arrived
+        arrived.append(delivery)
+        if len(arrived) == 1:
+            self._clock.at_turn_end(self._end_turn)
 
-    def _close(self) -> None:
-        self._closed = True
+    def _end_turn(self) -> None:
+        """Keep the turn's deliveries and resolve their acks: one hold, one wake-up."""
+        arrived, self._arrived = self._arrived, []
+        api, settled = self._api, []
+        with api._ack_condition:
+            self._window.extend(arrived)
+            self._count += len(arrived)
+            for delivery in arrived:
+                future = api._pending.pop(delivery.value.uid, None)
+                if future is not None and future._state in _UNSETTLED:
+                    future._finish(delivery)
+                    settled.append(future)
+            api._ack_condition.notify_all()
+        for future in settled:
+            future._invoke_callbacks()
+
+    def _get(self, index: int) -> Any:
+        """The group's ``index``-th delivery, or None while it has not happened."""
+        with self._api._ack_condition:
+            if index >= self._count:
+                return None
+            first = self._count - len(self._window)
+            if index < first:
+                raise MulticastError(
+                    f"{first - index} deliveries of {self._group!r} were dropped before this "
+                    f"iteration reached them: the stream keeps the last {STREAM_WINDOW}"
+                )
+            return self._window[index - first]
 
     # -- sync iteration ----------------------------------------------------
     def __iter__(self) -> Iterator[Any]:
         index = 0
         while True:
-            while index < len(self.items):
-                yield self.items[index]
+            delivery = self._get(index)
+            if delivery is not None:
+                yield delivery
                 index += 1
+                continue
             if self._api._backend == "sim" or self._closed:
                 return
             deadline = time.monotonic() + self.idle_timeout
-            while len(self.items) <= index and not self._closed:
+            while self._count <= index and not self._closed:
                 if time.monotonic() > deadline:
                     return
                 time.sleep(0.005)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self._count
 
     # -- async iteration -----------------------------------------------------
     async def __aiter__(self):
         index = 0
         while True:
-            while index < len(self.items):
-                yield self.items[index]
+            delivery = self._get(index)
+            if delivery is not None:
+                yield delivery
                 index += 1
+                continue
             if self._closed:
                 return
             if self._api._backend == "sim":
@@ -201,8 +302,9 @@ class AtomicMulticast:
         self.seed = seed
         self.config = config or MultiRingConfig.datacenter()
         self._streams: Dict[GroupId, DeliveryStream] = {}
-        self._pending: Dict[int, concurrent.futures.Future] = {}
-        #: The one condition every ack future of this facade waits on.
+        self._pending: Dict[int, _AckFuture] = {}
+        #: The one condition every ack future of this facade waits on; it
+        #: also guards the streams' windows.
         self._ack_condition = threading.Condition()
         self._workloads = itertools.count()
         #: The ring multi-group messages are ordered on (``ring(multi_group_route=True)``).
@@ -346,14 +448,13 @@ class AtomicMulticast:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._backend == "sim":
-            return
-        if self._loop is not None and self._stop_event is not None:
+        live = self._backend == "live"
+        if live and self._loop is not None and self._stop_event is not None:
             try:
                 self._loop.call_soon_threadsafe(self._stop_event.set)
             except RuntimeError:
                 pass  # loop already closed
-        if self._thread is not None:
+        if live and self._thread is not None:
             self._thread.join(timeout=self._STARTUP_TIMEOUT)
             if self._thread.is_alive():
                 # Graceful stop stalled (e.g. a wedged shutdown path): cancel
@@ -362,12 +463,13 @@ class AtomicMulticast:
                 self._thread.join(timeout=5.0)
             self._thread = None
         for stream in self._streams.values():
-            stream._close()
-        # The loop is gone: nothing can deliver what is still outstanding.
-        for future in self._pending.values():
+            stream._closed = True
+        # Nothing runs the deployment any more: nothing can deliver what is
+        # still outstanding (a callback may submit again: that one stays).
+        pending, self._pending = self._pending, {}
+        for future in pending.values():
             if not future.done():
                 future.set_exception(MulticastError("deployment closed before delivery"))
-        self._pending.clear()
 
     def _abort_live(self) -> None:
         """Tear down a live loop thread after a failed startup.
@@ -426,17 +528,10 @@ class AtomicMulticast:
         learners = self.deployment.ring(group).learners
         if not learners:
             raise MulticastError(f"group {group!r} has no learners to deliver at")
-        stream = DeliveryStream(self, group)
-        self.deployment.node(learners[0]).on_deliver(
-            lambda d: self._on_witness_delivery(stream, d), group=group
-        )
+        witness = self.deployment.node(learners[0])
+        stream = DeliveryStream(self, group, witness.world.sim)
+        witness.on_deliver(stream._on_delivery, group=group)
         self._streams[group] = stream
-
-    def _on_witness_delivery(self, stream: DeliveryStream, delivery) -> None:
-        stream._push(delivery)
-        future = self._pending.pop(delivery.value.uid, None)
-        if future is not None and not future.done():
-            future.set_result(delivery)
 
     def submit(
         self, group: GroupId, payload: Any, size_bytes: Optional[int] = None

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import gc
+import logging
 import threading
 import time
+from functools import partial
 
 import pytest
 
-from repro import AtomicMulticast
+from repro import AtomicMulticast, api
 from repro.config import MultiRingConfig
 from repro.errors import ConfigurationError, MulticastError
 from repro.multiring.deployment import Deployment
@@ -53,7 +56,8 @@ def test_sim_delivery_stream_sync_iteration():
         # stream reports exactly the witness learner's delivery sequence.
         delivered = [d.value.payload for d in stream]
         assert sorted(delivered) == [0, 1, 2, 3]
-        # Iterating again replays from the start (the stream is a recording).
+        # Iterating again replays from the start: the stream keeps a window of
+        # the last STREAM_WINDOW deliveries, and these four are all in it.
         assert [d.value.payload for d in stream] == delivered
 
 
@@ -358,3 +362,247 @@ def test_live_exit_fails_futures_that_can_no_longer_be_delivered(monkeypatch):
         stranded = am.submit("g", "never-delivered", size_bytes=64)
     with pytest.raises(MulticastError, match="closed before delivery"):
         stranded.result(timeout=5.0)
+
+
+def test_sim_exit_fails_outstanding_acks_and_closes_the_streams():
+    with AtomicMulticast(seed=14) as am:
+        _three_node_ring(am)
+        stranded = am.submit("ring-1", "never-run", size_bytes=64)
+        stream = am.deliveries("ring-1")
+    # Nothing runs the world after the block, so nothing can deliver it.
+    with pytest.raises(MulticastError, match="closed before delivery"):
+        stranded.result(timeout=0)
+    assert not am._pending
+
+    async def drain() -> list:
+        return [delivery async for delivery in stream]
+
+    # The closed stream ends at once instead of stepping the world.
+    assert asyncio.run(drain()) == []
+    assert am.world.sim.processed_events == 0
+
+
+# ----------------------------------------------------------------------
+# the facade keeps a window, not a history
+# ----------------------------------------------------------------------
+def test_stream_keeps_a_window_and_a_reader_behind_it_fails_loudly(monkeypatch):
+    monkeypatch.setattr(api, "STREAM_WINDOW", 8)
+    with AtomicMulticast(seed=13) as am:
+        _three_node_ring(am)
+        stream = am.deliveries("ring-1")
+        reader = iter(stream)
+        for i in range(5):
+            am.submit("ring-1", i, size_bytes=64)
+        am.run_for(1.0)
+        assert sorted(next(reader).value.payload for _ in range(5)) == [0, 1, 2, 3, 4]
+        for i in range(5, 25):
+            am.submit("ring-1", i, size_bytes=64)
+        am.run_for(1.0)
+        assert len(stream) == 25
+        # Deliveries 5..16 left the window before the reader got to them.
+        with pytest.raises(MulticastError, match=r"^12 deliveries of 'ring-1' were dropped"):
+            next(reader)
+        # A fresh iteration starts at the first delivery, which is gone too.
+        with pytest.raises(MulticastError, match=r"^17 deliveries .* keeps the last 8"):
+            list(stream)
+
+
+@pytest.mark.parametrize("hold, bound", [(True, 3.0), (False, 0.05)], ids=["held", "dropped"])
+def test_acked_submits_retain_a_bounded_number_of_objects(hold, bound):
+    """GC-tracked objects left per acked submit, between 20k and 40k of them.
+
+    A held ack keeps itself, its Delivery and that delivery's Value (3) --
+    no waiter list, no callback list, not the callback once it has run; a
+    dropped one keeps nothing once the stream's window is full.
+    """
+    am = AtomicMulticast(seed=11)
+    _three_node_ring(am)
+    held, marks, submitted, acked = [], [], 0, [0]
+
+    def count_ack(index, future) -> None:
+        acked[0] += 1
+
+    with am:
+        for target in (20_000, 40_000):
+            while submitted < target:
+                for _ in range(1000):
+                    future = am.submit("ring-1", submitted, size_bytes=64)
+                    future.add_done_callback(partial(count_ack, submitted))
+                    if hold:
+                        held.append(future)
+                    submitted += 1
+                am.run_for(0.05)
+            while acked[0] < submitted:
+                am.run_for(0.05)
+            gc.collect()
+            marks.append(len(gc.get_objects()))
+    # To two places: what is in flight at either mark (a Phase2, a few
+    # timers) moves the total by a handful, 0.0003 per submit.
+    assert round((marks[1] - marks[0]) / 20_000, 2) <= bound
+
+
+# ----------------------------------------------------------------------
+# _AckFuture overrides concurrent.futures internals: stock behaviour holds
+# ----------------------------------------------------------------------
+def _sim_ring(seed: int) -> AtomicMulticast:
+    am = AtomicMulticast(seed=seed)
+    am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
+    return am
+
+
+def _drive_later(am: AtomicMulticast) -> threading.Thread:
+    """Run the simulation from another thread once the caller is blocked waiting."""
+
+    def drive() -> None:
+        time.sleep(0.05)
+        am.run_for(1.0)
+
+    thread = threading.Thread(target=drive)
+    thread.start()
+    return thread
+
+
+@pytest.mark.parametrize("return_when", [concurrent.futures.FIRST_COMPLETED,
+                                         concurrent.futures.ALL_COMPLETED])
+def test_wait_over_done_and_pending_acks(return_when):
+    with _sim_ring(21) as am:
+        settled = [am.submit("g", f"d{i}", size_bytes=64) for i in range(3)]
+        am.run_for(1.0)
+        pending = [am.submit("g", f"p{i}", size_bytes=64) for i in range(3)]
+        done, not_done = concurrent.futures.wait(
+            settled + pending, timeout=0, return_when=return_when
+        )
+        assert (done, not_done) == (set(settled), set(pending))
+        later = [am.submit("g", f"l{i}", size_bytes=64) for i in range(3)]
+        driver = _drive_later(am)
+        done, not_done = concurrent.futures.wait(later, timeout=10.0, return_when=return_when)
+        driver.join()
+        assert done and done <= set(later)
+        if return_when == concurrent.futures.ALL_COMPLETED:
+            assert not not_done
+        # Every waiter was taken out again.
+        assert all(not f._waiter_list for f in settled + pending + later)
+
+
+def test_as_completed_yields_done_acks_then_pending_ones():
+    with _sim_ring(22) as am:
+        settled = [am.submit("g", f"d{i}", size_bytes=64) for i in range(3)]
+        am.run_for(1.0)
+        pending = [am.submit("g", f"p{i}", size_bytes=64) for i in range(3)]
+        driver = _drive_later(am)
+        order = list(concurrent.futures.as_completed(settled + pending, timeout=10.0))
+        driver.join()
+        assert set(order[:3]) == set(settled) and set(order[3:]) == set(pending)
+
+
+def test_wrap_future_awaits_an_ack_and_cancels_it():
+    async def main(am: AtomicMulticast):
+        acked = asyncio.wrap_future(am.submit("g", "awaited", size_bytes=64))
+        dropped = am.submit("g", "cancelled", size_bytes=64)
+        asyncio.wrap_future(dropped).cancel()
+        await asyncio.sleep(0)  # the wrapper's cancel reaches the ack
+        am.run_for(1.0)
+        return (await acked).value.payload, dropped
+
+    with _sim_ring(23) as am:
+        payload, dropped = asyncio.run(main(am))
+    assert payload == "awaited"
+    assert dropped.cancelled()
+
+
+def test_callbacks_added_before_and_after_resolution_run_exactly_once():
+    with _sim_ring(24) as am:
+        one, two = am.submit("g", "one", size_bytes=64), am.submit("g", "two", size_bytes=64)
+        calls = []
+        one.add_done_callback(lambda f: calls.append(("one", "before")))
+        two.add_done_callback(lambda f: calls.append(("two", "first")))
+        two.add_done_callback(lambda f: calls.append(("two", "second")))
+        am.run_for(1.0)
+        one.add_done_callback(lambda f: calls.append(("one", "after")))
+        am.run_for(1.0)
+    assert sorted(calls) == [("one", "after"), ("one", "before"),
+                             ("two", "first"), ("two", "second")]
+    # A callback that has run is not kept.
+    assert one._done_callbacks is None and two._done_callbacks is None
+
+
+def test_a_raising_callback_is_logged_not_propagated(caplog):
+    with _sim_ring(25) as am:
+        future = am.submit("g", "x", size_bytes=64)
+        ran = []
+
+        def boom(f):
+            raise RuntimeError("callback failed")
+
+        future.add_done_callback(boom)
+        future.add_done_callback(ran.append)
+        with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+            am.run_for(1.0)
+            future.add_done_callback(boom)  # after resolution: run at once
+    assert ran == [future] and future.result(timeout=0).value.payload == "x"
+    failures = [r for r in caplog.records if "exception calling callback" in r.getMessage()]
+    assert len(failures) == 2
+
+
+def test_cancel_and_set_exception_on_a_pending_ack():
+    with _sim_ring(26) as am:
+        cancelled = am.submit("g", "c", size_bytes=64)
+        failed = am.submit("g", "f", size_bytes=64)
+        calls = []
+        cancelled.add_done_callback(calls.append)
+        failed.add_done_callback(calls.append)
+        assert cancelled.cancel() and cancelled.cancelled()
+        failed.set_exception(MulticastError("given up"))
+        assert calls == [cancelled, failed]
+        # Their values are still delivered; the acks stay as they were set.
+        am.run_for(1.0)
+        assert len(am.deliveries("g")) == 2 and calls == [cancelled, failed]
+        assert cancelled.cancelled() and not failed.cancelled()
+        with pytest.raises(MulticastError, match="given up"):
+            failed.result(timeout=0)
+
+
+def test_stream_readers_racing_the_witness_see_each_delivery_at_its_place(monkeypatch):
+    """Reader threads index the window while the witness fills it, turns at a time."""
+    import sys
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(api, "STREAM_WINDOW", 64)
+    am = _sim_ring(27)
+    stream = am.deliveries("g")
+    total, torn = 20_000, []
+
+    def witness() -> None:  # stands in for the loop thread: turns of 1..7 deliveries
+        index = 0
+        while index < total:
+            for _ in range(1 + index % 7):
+                stream._arrived.append(SimpleNamespace(n=index, value=SimpleNamespace(uid=-1)))
+                index += 1
+            stream._end_turn()
+
+    def reader() -> None:
+        index = 0
+        while index < total:
+            try:
+                delivery = stream._get(index)
+            except MulticastError as exc:
+                index += int(str(exc).split()[0])  # skip what it says was dropped
+                continue
+            if delivery is not None:
+                if delivery.n != index:
+                    torn.append((index, delivery.n))
+                index += 1
+
+    threads = [threading.Thread(target=witness)]
+    threads += [threading.Thread(target=reader) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not torn and len(stream) == total

@@ -7,11 +7,14 @@ the first ring, then delivers messages decided in M consensus instances from
 the second ring, and so on."*
 
 :class:`DeterministicMerge` implements exactly that.  Decisions arrive per
-ring (possibly out of instance order during recovery); the merge buffers them
-and releases deliveries only in the globally deterministic order, so that any
-two learners subscribing to the same set of groups deliver the same sequence.
-Skip instances (rate leveling) are consumed by the merge but not delivered to
-the application.  A skip range arrives as one decision and stays one buffered
+ring in instance order -- the ring role is the learner's only reorder buffer
+and releases them that way, recovery and gap repair included -- so each
+group's buffer is a FIFO; the merge releases deliveries only in the globally
+deterministic order, so that any two learners subscribing to the same set of
+groups deliver the same sequence.  A decision that only repeats what a group
+already holds is dropped, one that would leave a hole is an error.  Skip
+instances (rate leveling) are consumed by the merge but not delivered to the
+application.  A skip range arrives as one decision and stays one buffered
 entry; the merge consumes as much of it as a slot takes at once, and jumps
 whole rounds in which every active group's next M instances are skips.
 Batched instances (coordinator-side batching packs several values into one
@@ -38,8 +41,9 @@ the ring at exactly the same point and determinism is preserved.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MulticastError
 from repro.types import GroupId, InstanceId, Value, ValueBatch
@@ -69,8 +73,6 @@ class DeterministicMerge:
         "m",
         "_deliver",
         "_buffers",
-        "_spans",
-        "_buffered_to",
         "_next_instance",
         "_join_round",
         "_round",
@@ -101,14 +103,12 @@ class DeterministicMerge:
         self._groups: List[GroupId] = sorted(dict.fromkeys(groups))
         self.m = m
         self._deliver = deliver
-        #: Per group, what is decided and not yet consumed: first instance ->
-        #: value, and in ``_spans`` how many instances from there the value
-        #: stands for where that is more than one (a skip range).
-        self._buffers: Dict[GroupId, Dict[InstanceId, Value]] = {g: {} for g in self._groups}
-        self._spans: Dict[GroupId, Dict[InstanceId, int]] = {g: {} for g in self._groups}
-        #: Per group, an instance no buffered entry reaches: a decision at or
-        #: above it overlaps none.
-        self._buffered_to: Dict[GroupId, InstanceId] = {g: 0 for g in self._groups}
+        #: Per group, what is decided and not yet consumed, in instance order
+        #: from the group's cursor: ``(first, count, value)``, a skip range
+        #: as one entry.
+        self._buffers: Dict[GroupId, Deque[Tuple[InstanceId, int, Value]]] = {
+            g: deque() for g in self._groups
+        }
         self._next_instance: Dict[GroupId, InstanceId] = {g: 0 for g in self._groups}
         #: Round at which each group joined the round-robin.  ``None`` marks a
         #: *pending* group: decisions are buffered but never delivered until a
@@ -170,10 +170,6 @@ class DeterministicMerge:
     def join_round(self, group: GroupId) -> Optional[int]:
         return self._join_round[group]
 
-    def subscription_schedule(self) -> Dict[GroupId, Optional[int]]:
-        """``group -> join round`` (``None`` for pending groups)."""
-        return dict(self._join_round)
-
     def add_group(self, group: GroupId) -> None:
         """Subscribe to an additional group (only before any delivery from it)."""
         if group in self._join_round and self._join_round[group] is not None:
@@ -225,9 +221,7 @@ class DeterministicMerge:
 
     def _add_buffers(self, group: GroupId) -> None:
         self._groups = sorted(self._groups + [group])
-        self._buffers[group] = {}
-        self._spans[group] = {}
-        self._buffered_to[group] = 0
+        self._buffers[group] = deque()
         self._next_instance[group] = 0
 
     # ------------------------------------------------------------------
@@ -236,25 +230,34 @@ class DeterministicMerge:
     def on_decision(
         self, group: GroupId, instance: InstanceId, value: Value, count: int = 1
     ) -> None:
-        """Feed ``value``, decided in ``group`` for ``count`` instances from
-        ``instance`` (a skip range is one call); drains whatever became deliverable."""
+        """Append ``value``, decided in ``group`` for ``count`` instances from
+        ``instance`` (a skip range is one call), to the group's decisions;
+        drains whatever became deliverable.
+
+        Decisions come in instance order per group.  One that only repeats
+        what the group already holds is dropped; one that would leave a hole
+        raises :class:`MulticastError` -- the merge never reorders.
+        """
         buffer = self._buffers.get(group)
         if buffer is None:
             raise MulticastError(f"not subscribed to group {group!r}")
         next_instance = self._next_instance[group]
-        end = instance + count
-        if end <= next_instance:
-            return  # duplicate (e.g. redelivered during recovery)
-        if instance < next_instance:
-            instance = next_instance
-        if instance >= self._buffered_to[group]:
-            # Above everything buffered: how the ring role hands decisions over.
-            buffer[instance] = value
-            if end - instance > 1:
-                self._put(group, instance, end, value)
-            self._buffered_to[group] = end
+        if buffer:
+            first, held, _ = buffer[-1]
+            held += first
         else:
-            self._overwrite(group, instance, end, value)
+            held = next_instance
+        if instance != held:
+            end = instance + count
+            if end <= held:
+                return  # a repeat (e.g. redelivered after a fast-forward)
+            if instance > held:
+                raise MulticastError(
+                    f"decision {instance} of group {group!r} would leave a hole: "
+                    f"the group holds up to instance {held}"
+                )
+            instance, count = held, end - held
+        buffer.append((instance, count, value))
         # Only a decision at the group's cursor can unblock delivery right
         # now; instances buffered ahead of the cursor are consumed inside a
         # later advance loop when the cursor reaches them.  (advance()
@@ -265,26 +268,6 @@ class DeterministicMerge:
                 self._advance_loop()
             finally:
                 self._advancing = False
-
-    def _overwrite(self, group: GroupId, first: InstanceId, end: InstanceId, value: Value) -> None:
-        """Buffer ``value`` for ``[first, end)`` over what overlaps it there: a
-        later decision replaces an earlier one instance by instance."""
-        buffer = self._buffers[group]
-        spans = self._spans[group]
-        for start in [s for s in buffer if s < end and s + spans.get(s, 1) > first]:
-            earlier = buffer.pop(start)
-            stop = start + spans.pop(start, 1)
-            if start < first:
-                self._put(group, start, first, earlier)
-            if stop > end:
-                self._put(group, end, stop, earlier)
-        self._put(group, first, end, value)
-        self._buffered_to[group] = max(self._buffered_to[group], end)
-
-    def _put(self, group: GroupId, first: InstanceId, end: InstanceId, value: Value) -> None:
-        self._buffers[group][first] = value
-        if end - first > 1:
-            self._spans[group][first] = end - first
 
     # ------------------------------------------------------------------
     # output
@@ -329,7 +312,6 @@ class DeterministicMerge:
         # learner.  The outer dicts are only ever mutated in place, so the
         # references stay valid across delivery callbacks.
         buffers = self._buffers
-        spans_of = self._spans
         next_instance = self._next_instance
         deliver = self._deliver
         keep_history = self.keep_history
@@ -350,26 +332,24 @@ class DeterministicMerge:
                 continue
             group = active[self._round_index]
             buffer = buffers[group]
-            instance = next_instance[group]
-            spans = spans_of[group]
-            count = spans.get(instance, 1) if spans else 1
+            if not buffer:
+                break  # the current ring is behind: wait (this is what rate leveling unblocks)
+            instance, count, value = buffer[0]
             if count > 1:
                 # A range at the cursor.  Skips go as far as the slot takes
                 # (whole rounds of them at a round start); any other value is
                 # delivered instance by instance.
                 taken = 1
-                if buffer[instance].is_skip:
+                if value.is_skip:
                     if self._round_index == 0 and self._delivered_in_round == 0:
                         skipped = self._skip_rounds(active)
                         if skipped:
                             advanced += skipped
                             continue
                     taken = min(count, m - self._delivered_in_round)
-                value = self._take(group, taken)
+                self._take(group, taken)
             else:
-                value = buffer.pop(instance, None)
-                if value is None:
-                    break  # the current ring is behind: wait (this is what rate leveling unblocks)
+                buffer.popleft()
                 taken = 1
                 next_instance[group] = instance + 1
             advanced += taken
@@ -415,9 +395,11 @@ class DeterministicMerge:
         round.  Returns how many instances that skipped (0: not one round)."""
         rounds = self._next_join - self._round if self._next_join is not None else None
         for group in active:
-            cursor = self._next_instance[group]
-            count = self._spans[group].get(cursor)
-            if count is None or not self._buffers[group][cursor].is_skip:
+            buffer = self._buffers[group]
+            if not buffer:
+                return 0
+            _, count, value = buffer[0]
+            if not value.is_skip:
                 return 0
             if rounds is None or count // self.m < rounds:
                 rounds = count // self.m
@@ -432,15 +414,13 @@ class DeterministicMerge:
             self._invalidate_active()
         return step * len(active)
 
-    def _take(self, group: GroupId, taken: int) -> Value:
+    def _take(self, group: GroupId, taken: int) -> None:
         """Consume ``taken`` instances of the range at ``group``'s cursor."""
-        cursor = self._next_instance[group]
-        value = self._buffers[group].pop(cursor)
-        end = cursor + self._spans[group].pop(cursor)
-        if cursor + taken < end:
-            self._put(group, cursor + taken, end, value)
-        self._next_instance[group] = cursor + taken
-        return value
+        buffer = self._buffers[group]
+        first, count, value = buffer.popleft()
+        if taken < count:
+            buffer.appendleft((first + taken, count - taken, value))
+        self._next_instance[group] = first + taken
 
     # ------------------------------------------------------------------
     # recovery support
@@ -480,12 +460,12 @@ class DeterministicMerge:
                     f"({self._next_instance[group]} -> {instance})"
                 )
             self._next_instance[group] = instance
-            buffer, spans = self._buffers[group], self._spans[group]
-            self._buffers[group], self._spans[group] = {}, {}
-            for first, value in buffer.items():
-                end = first + spans.get(first, 1)
-                if end > instance:
-                    self._put(group, max(first, instance), end, value)
+            buffer = self._buffers[group]
+            while buffer and buffer[0][0] + buffer[0][1] <= instance:
+                buffer.popleft()
+            if buffer and buffer[0][0] < instance:
+                first, count, value = buffer.popleft()
+                buffer.appendleft((instance, first + count - instance, value))
         self._recompute_round_position()
         self.advance()
 
@@ -527,6 +507,4 @@ class DeterministicMerge:
 
     def pending(self, group: GroupId) -> int:
         """Number of buffered (decided but not yet deliverable) instances for ``group``."""
-        return len(self._buffers[group]) + sum(
-            count - 1 for count in self._spans[group].values()
-        )
+        return sum(count for _, count, _ in self._buffers[group])

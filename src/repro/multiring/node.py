@@ -70,8 +70,10 @@ class MultiRingNode(RingHost):
         # running node joining a new ring apart from a not-yet-started node.
         self._leveling_started = False
         #: Set by the recovery manager: hold deliveries after a restart until
-        #: a checkpoint has been installed.  Nodes without a recovery manager
-        #: simply resume delivering from instance 0.
+        #: a checkpoint has been installed.  A node without one restarts its
+        #: merge at instance 0 and waits at that hole; ring gap repair (when
+        #: ``RingConfig.repair_interval`` is set) refills it from the
+        #: acceptors' logs.
         self.pause_on_recover = False
 
     # ------------------------------------------------------------------
@@ -184,16 +186,12 @@ class MultiRingNode(RingHost):
     def notify_decision(
         self, group: GroupId, instance: InstanceId, value: Value, count: int = 1
     ) -> None:
-        # Overrides the RingHost hook: decision -> merge routing runs once
-        # per decision (a skip range is one) on every learner, so it is
-        # inlined here ahead of the generic sink fan-out (which is usually
-        # empty on multi-ring nodes -- the merge was previously just the
-        # first sink).
+        # Overrides the RingHost hook: the role releases each group's
+        # decisions in instance order (a skip range as one), straight into
+        # the merge.
         merge = self.merge
         if merge.has_group(group):
             merge.on_decision(group, instance, value, count)
-        if self._decision_sinks:
-            super().notify_decision(group, instance, value, count)
 
     def _on_merged_delivery(self, delivery: Delivery) -> None:
         if isinstance(delivery.value.payload, ControlCommand):
@@ -318,12 +316,15 @@ class MultiRingNode(RingHost):
 
     def on_crash(self) -> None:
         super().on_crash()
-        # Everything the learner holds in memory is gone: the merge buffers,
-        # its cursor, and the roles' learned-instance bookkeeping.  Stable
-        # acceptor logs (handled in RingRole.on_host_crash) survive.  The
-        # subscription schedule (which ring joined at which round) is restored
-        # from the node's configuration view so that the rebuilt merge has the
-        # same round structure as before the crash.
+        # Everything the learner holds in memory is gone: the merge buffers
+        # and its cursor, and with them the roles' release state, which
+        # restarts at instance 0 with the merge so that a role's release end
+        # stays the merge's end for its group.  Stable acceptor logs (handled
+        # in RingRole.on_host_crash) survive, and so does the roles' learned
+        # set, which a coordinator's repair relies on.  The subscription
+        # schedule (which ring joined at which round) is restored from the
+        # node's configuration view so that the rebuilt merge has the same
+        # round structure as before the crash.
         self.merge = DeterministicMerge(
             groups=self.subscriptions,
             m=self.config.m,
@@ -331,6 +332,8 @@ class MultiRingNode(RingHost):
             join_rounds=dict(self._join_rounds),
         )
         self.merge.keep_history = False
+        for role in self.roles.values():
+            role.restart_release()
 
     def on_recover(self) -> None:
         super().on_recover()

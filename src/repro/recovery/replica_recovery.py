@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import RecoveryConfig
-from repro.errors import CodecError, RecoveryError
+from repro.errors import RecoveryError
 from repro.recovery.checkpoint import Checkpoint, CheckpointStore, cursor_leq, cursor_max
 from repro.recovery.messages import (
     CheckpointData,
@@ -28,7 +28,7 @@ from repro.recovery.messages import (
     CheckpointQuery,
 )
 from repro.ringpaxos.messages import RetransmitReply, RetransmitRequest
-from repro.types import GroupId, InstanceId, decoded
+from repro.types import GroupId, InstanceId
 
 __all__ = ["ReplicaRecovery"]
 
@@ -255,21 +255,11 @@ class ReplicaRecovery:
                 f"acceptor {sender} trimmed its log up to {msg.trimmed_up_to}; "
                 f"the installed checkpoint is too old to recover from"
             )
-        try:
-            # Batches arrive as their bodies: decode all before the merge moves.
-            entries = [(instance, decoded(value)) for instance, value in msg.entries]
-        except CodecError:
-            self.node.bodies_rejected += 1
-            return
         role = self.node.roles.get(msg.group)
-        for instance, value in entries:
-            self.node.merge.on_decision(msg.group, instance, value)
-            if role is not None:
-                # The instance reached the merge without passing through the
-                # ring role; advance the role's in-order delivery cursor so
-                # live decisions arriving above it are not held back waiting
-                # for instances that will never circulate again.
-                role.inject_learned(instance)
+        if role is not None:
+            # The role decodes, buffers and releases them in order into the
+            # (paused) merge, beside the live decisions it already holds.
+            role.learn_retransmitted(msg.entries)
         self._pending_retransmits.discard(msg.group)
         if not self._pending_retransmits:
             self._finish_recovery()

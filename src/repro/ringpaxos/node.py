@@ -33,9 +33,6 @@ from repro.types import GroupId, InstanceId, Value
 
 __all__ = ["RingHost"]
 
-#: Signature of a decision sink: ``(group, instance, value)``.
-DecisionSink = Callable[[GroupId, InstanceId, Value], None]
-
 #: Message types handled by the per-ring roles; everything else goes to the
 #: host-level handlers (client requests, recovery traffic, ...).
 _RING_MESSAGE_TYPES = (Proposal, Phase2, Decision, RetransmitRequest)
@@ -65,7 +62,6 @@ class RingHost(Process):
         self._tracer = self.obs.tracer
         self.obs.metrics.add_collector(self._metric_samples)
         self.roles: Dict[GroupId, RingRole] = {}
-        self._decision_sinks: List[DecisionSink] = []
         self._handlers: Dict[type, List[Callable[[str, object], None]]] = {}
         self._repair_reply_handler_registered = False
         #: Batch bodies that arrived framed but did not decode (message dropped).
@@ -135,18 +131,12 @@ class RingHost(Process):
             if role.batcher is not None:
                 role.batcher.flush()
 
-    def add_decision_sink(self, sink: DecisionSink) -> None:
-        """Register a callback invoked for every decision learned by this host."""
-        self._decision_sinks.append(sink)
-
     def notify_decision(
         self, group: GroupId, instance: InstanceId, value: Value, count: int = 1
     ) -> None:
-        """Called by ring roles when ``value`` is learned for ``count`` instances
-        from ``instance`` on this host; every sink hears each instance."""
-        for offset in range(count):
-            for sink in self._decision_sinks:
-                sink(group, instance + offset, value)
+        """Called by a learner role, in instance order, when ``value`` is
+        released for ``count`` instances from ``instance``; a subclass that
+        delivers (the Multi-Ring learner) overrides it."""
 
     # ------------------------------------------------------------------
     # infrastructure used by the roles

@@ -141,22 +141,22 @@ class RingRole:
         # Learner state: which instances were already learned (dedup between
         # the Phase2-completion path and the Decision path) -- every instance
         # below the watermark ``_learned_below``, plus the stretches
-        # ``start -> end`` learned above a hole -- and the in-order delivery
-        # cursor: decisions learned out of instance order (possible around
-        # failures) are buffered and released in order, a range as one entry
+        # ``start -> end`` learned above a hole -- and the release state, the
+        # learner's only reorder buffer: decisions learned out of instance
+        # order (possible around failures) are buffered and released to the
+        # host in order from ``_next_delivery``, a range as one entry
         # (``_out_of_order_counts`` holds how many instances an entry stands
-        # for where that is more than one).  Instances supplied to the node
-        # outside the ring (checkpoint install, acceptor retransmission) are
-        # tracked in ``_injected``: the cursor passes over them without a
-        # notification, but never jumps a hole -- a decision that is still
-        # circulating fills its hole when it arrives.
+        # for where that is more than one).  Instances an acceptor
+        # retransmits (gap repair, replica recovery) enter the same buffer
+        # through :meth:`learn_retransmitted`; the release never jumps a
+        # hole -- a decision that is still circulating fills it when it
+        # arrives.
         self._learned_below: InstanceId = 0
         self._learned_above: Dict[InstanceId, InstanceId] = {}
         self.highest_learned: InstanceId = -1
         self._next_delivery: InstanceId = 0
         self._out_of_order: Dict[InstanceId, Value] = {}
         self._out_of_order_counts: Dict[InstanceId, int] = {}
-        self._injected: Set[InstanceId] = set()
 
         # Instance repair (chaos resilience, enabled by config.repair_interval):
         # the coordinator re-executes Phase 2 for started-but-undecided
@@ -619,10 +619,8 @@ class RingRole:
         """Release buffered decisions in instance order (pipelining keeps
         several instances open, but learners observe a gap-free sequence).
 
-        The cursor also passes over *injected* instances -- supplied through
-        recovery straight to the merge -- without re-notifying them.  It stops
-        at a genuine hole: the missing decision is still circulating and will
-        resume the release when it arrives.
+        It stops at a hole: the missing decision is still circulating (or
+        gap repair fetches it) and resumes the release when it arrives.
         """
         if not self.is_learner:
             return
@@ -631,18 +629,14 @@ class RingRole:
         while True:
             cursor = self._next_delivery
             value = out_of_order.pop(cursor, _MISSING)
-            if value is not _MISSING:
-                count = counts.pop(cursor, 1) if counts else 1
-                # Commit the cursor before notifying: the callback chain may
-                # fast-forward it (checkpoint install), and the loop re-reads
-                # it afterwards.
-                self._next_delivery = cursor + count
-                self.host.notify_decision(self.group, cursor, value, count)
-            elif cursor in self._injected:
-                self._injected.discard(cursor)
-                self._next_delivery = cursor + 1
-            else:
+            if value is _MISSING:
                 break
+            count = counts.pop(cursor, 1) if counts else 1
+            # Commit the cursor before notifying: the callback chain may
+            # fast-forward it (checkpoint install), and the loop re-reads
+            # it afterwards.
+            self._next_delivery = cursor + count
+            self.host.notify_decision(self.group, cursor, value, count)
 
     def _forward(self, msg, origin: str) -> None:
         """Forward ``msg`` to the next live ring member, stopping at ``origin``."""
@@ -654,40 +648,46 @@ class RingRole:
             return
         host.ring_send(next_hop, msg)
 
-    def inject_learned(self, instance: InstanceId) -> None:
-        """Mark one instance as learned outside the ring (recovery retransmission).
+    def learn_retransmitted(self, entries) -> int:
+        """Learn instances an acceptor retransmitted: gap-repair replies
+        (:data:`REPAIR_TOKEN`) and replica-recovery replies (token 0) alike.
 
-        The instance was fed straight into the merge, so the in-order
-        delivery cursor passes over it without a notification -- but only in
-        order: retransmitted instances can be sparse (a decision may still
-        have been circulating when the acceptor served the request), and the
-        cursor must wait at such a hole for the live decision rather than
-        jump it and drop the decision when it arrives.
+        The gate is the release state, not the learned set: an entry is
+        taken if it is at or above the release cursor and not already
+        buffered, because a restarted replica must be given again what it
+        learned before it crashed.  A taken entry is decoded, learned,
+        buffered and released in order; retransmitted entries can be sparse
+        (a decision may still have been circulating when the acceptor served
+        the request), and the release waits at such a hole for the live
+        decision.  Returns how many entries were taken.
         """
-        self._mark_learned(instance, instance + 1)
-        if instance > self.highest_learned:
-            self.highest_learned = instance
-        if self.is_learner and instance >= self._next_delivery:
-            # Externally supplied: supersedes any buffered live copy.
-            self._unbuffer(instance)
-            self._injected.add(instance)
-            self._release_in_order()
+        taken = 0
+        for instance, value in entries:
+            if instance < self._next_delivery or self._buffered(instance):
+                continue
+            value = self._decoded(value)
+            if value is None:
+                continue
+            taken += 1
+            # Buffered whether or not it is learned already; _learn releases.
+            self._buffer(instance, instance + 1, value)
+            self._learn(instance, 1, value)
+        return taken
 
-    def _unbuffer(self, instance: InstanceId) -> None:
-        """Drop ``instance`` from the release buffer, splitting a range around it."""
-        counts = self._out_of_order_counts
-        first = instance
-        if instance not in self._out_of_order:
-            first = next(
-                (start for start, count in counts.items() if start < instance < start + count),
-                None,
-            )
-            if first is None:
-                return
-        value = self._out_of_order.pop(first)
-        end = first + counts.pop(first, 1)
-        self._buffer(first, instance, value)
-        self._buffer(instance + 1, end, value)
+    def _buffered(self, instance: InstanceId) -> bool:
+        """Whether the release buffer holds ``instance``."""
+        if instance in self._out_of_order:
+            return True
+        return any(
+            start < instance < start + count for start, count in self._out_of_order_counts.items()
+        )
+
+    def restart_release(self) -> None:
+        """Start the release over at instance 0 with an empty buffer (the host
+        restarted its merge); the learned set is kept."""
+        self._next_delivery = 0
+        self._out_of_order = {}
+        self._out_of_order_counts = {}
 
     def fast_forward_delivery(self, next_instance: InstanceId) -> None:
         """Jump the in-order delivery cursor to ``next_instance``.
@@ -706,7 +706,6 @@ class RingRole:
         self._out_of_order, self._out_of_order_counts = {}, {}
         for first, value in buffered.items():
             self._buffer(first, first + counts.get(first, 1), value)
-        self._injected = {i for i in self._injected if i >= next_instance}
         self._release_in_order()
 
     # ------------------------------------------------------------------
@@ -836,7 +835,7 @@ class RingRole:
         return None
 
     def on_repair_reply(self, msg: RetransmitReply) -> None:
-        """Inject retransmitted instances fetched by :meth:`_repair_gap`."""
+        """Learn the retransmitted instances fetched by :meth:`_repair_gap`."""
         if (
             msg.trimmed_up_to is not None
             and not msg.entries
@@ -853,14 +852,7 @@ class RingRole:
                 )
                 recovery.begin_recovery()
             return
-        for instance, value in msg.entries:
-            if instance < self._next_delivery or self._learned_end(instance) > instance:
-                continue
-            value = self._learnable(instance, value)
-            if value is None:
-                continue
-            self.gap_instances_recovered += 1
-            self._learn(instance, 1, value)
+        self.gap_instances_recovered += self.learn_retransmitted(msg.entries)
 
     def on_host_crash(self) -> None:
         """Volatile-state handling when the hosting process crashes."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,6 @@ from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.interfaces import StorageMode
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
-from repro.types import unpack_value
 
 #: The simulator's deterministic benchmark numbers at smoke scale, asserted
 #: with exact equality by the tests that run those experiments (the two
@@ -78,8 +76,9 @@ class SingleRing:
     off and its interval lies past any test's horizon, so the ring starts
     only the instances its values need and no leveling tick resets the
     coordinator's level counter.  Deliveries are read from each node's
-    decision sink: every value of every decided instance, in instance order,
-    ahead of the merge.
+    merge (``on_deliver`` for the ring's group): for a one-ring node, every
+    value of every decided instance in instance order, skips dropped and
+    batches unpacked.
     """
 
     GROUP = "broadcast"
@@ -111,15 +110,12 @@ class SingleRing:
         self._deliveries = {name: [] for name in members}
         self._callbacks = []
         for name, host in self.hosts.items():
-            host.add_decision_sink(partial(self._on_decision, name))
+            host.on_deliver(lambda delivery, name=name: self._on_delivery(name, delivery), group=self.GROUP)
 
-    def _on_decision(self, learner, group, instance, value) -> None:
-        if value.is_skip:
-            return
-        for inner in unpack_value(value):
-            self._deliveries[learner].append((instance, inner))
-            for callback in self._callbacks:
-                callback(learner, instance, inner)
+    def _on_delivery(self, learner, delivery) -> None:
+        self._deliveries[learner].append((delivery.instance, delivery.value))
+        for callback in self._callbacks:
+            callback(learner, delivery.instance, delivery.value)
 
     def on_deliver(self, callback) -> None:
         """Call ``callback(learner, instance, value)`` for every delivered value."""

@@ -441,9 +441,9 @@ class TestPipelineWindow:
 
     def test_inject_learned_releases_already_buffered_decisions(self, world):
         # Recovery scenario: live decisions above a gap are buffered while
-        # the gap is filled by retransmission (inject_learned).  The release
-        # must happen at injection time -- the ring may go quiescent and
-        # never call _learn again.
+        # the gap is filled by retransmission (learn_retransmitted).  The
+        # release must happen when the retransmission arrives -- the ring may
+        # go quiescent and never call _learn again.
         ring = SingleRing(world, ["n1", "n2", "n3"])
         world.start()
         order = []
@@ -460,12 +460,10 @@ class TestPipelineWindow:
             )
         world.run(until=0.01)
         assert [i for l, i in order if l == "n2"] == []
-        # Retransmission supplies 0-1 straight to the merge; the role only
-        # hears about it through inject_learned.
-        role.inject_learned(0)
-        role.inject_learned(1)
-        # Buffered 2 and 3 must now flow without any further ring traffic.
-        assert [i for l, i in order if l == "n2"] == [2, 3]
+        # Retransmission supplies 0-1 to the role, the learner's one reorder
+        # buffer: they and the buffered 2 and 3 flow without further ring traffic.
+        assert role.learn_retransmitted([(i, Value.create(f"v{i}", 64)) for i in (0, 1)]) == 2
+        assert [i for l, i in order if l == "n2"] == [0, 1, 2, 3]
 
     def test_sparse_injection_does_not_jump_holes(self, world):
         # An acceptor's log can be sparse at retransmission time (a decision
@@ -477,21 +475,19 @@ class TestPipelineWindow:
         order = []
         ring.on_deliver(lambda learner, instance, value: order.append((learner, instance)))
         role = ring.hosts["n2"].role("broadcast")
-        role.inject_learned(0)
-        role.inject_learned(2)  # hole at 1
+        role.learn_retransmitted([(i, Value.create(f"v{i}", 64)) for i in (0, 2)])  # hole at 1
         role.on_message(
             "n1",
             Decision(group="broadcast", instance=3, count=1, value=Value.create("v3", 64), origin="n1"),
         )
         world.run(until=0.01)
-        assert [i for l, i in order if l == "n2"] == []  # waiting at the hole
+        assert [i for l, i in order if l == "n2"] == [0]  # waiting at the hole
         role.on_message(
             "n1",
             Decision(group="broadcast", instance=1, count=1, value=Value.create("v1", 64), origin="n1"),
         )
         world.run(until=0.02)
-        # 1 delivered, 2 passed over silently (injected), 3 released.
-        assert [i for l, i in order if l == "n2"] == [1, 3]
+        assert [i for l, i in order if l == "n2"] == [0, 1, 2, 3]
 
     def test_fast_forward_delivery_jumps_checkpoint_gap(self, world):
         # A checkpoint covers everything below its cursor: the delivery
@@ -512,7 +508,7 @@ class TestPipelineWindow:
             )
         world.run(until=0.01)
         assert [i for l, i in order if l == "n2"] == []
-        role.fast_forward_delivery(50)  # checkpoint covers 0..49
+        ring.hosts["n2"].fast_forward({"broadcast": 50})  # checkpoint covers 0..49
         assert [i for l, i in order if l == "n2"] == [50, 51]
         # Jumping backwards is a no-op.
         role.fast_forward_delivery(10)

@@ -19,11 +19,32 @@ def _feed(merge, group, instance, payload=None, skip=False):
 
 class TestRoundRobinDelivery:
     def test_single_group_delivers_in_instance_order(self):
+        # The ring role is the learner's reorder buffer: the merge takes a
+        # group's decisions in instance order and refuses one past a hole.
         merge = DeterministicMerge(["g1"], m=1)
-        _feed(merge, "g1", 1, "b")
+        with pytest.raises(MulticastError):
+            _feed(merge, "g1", 1, "b")
         _feed(merge, "g1", 0, "a")
+        _feed(merge, "g1", 1, "b")
         _feed(merge, "g1", 2, "c")
         assert [d.value.payload for d in merge.deliveries] == ["a", "b", "c"]
+
+    def test_a_decision_past_a_hole_raises_and_a_repeat_is_dropped(self):
+        merge = DeterministicMerge(["g1", "g2"], m=1)
+        merge.on_decision("g1", 0, skip_value(), 4)  # held: 0-3, waiting for g2
+        with pytest.raises(MulticastError):
+            _feed(merge, "g1", 5, "past-the-hole")
+        merge.on_decision("g1", 1, skip_value(), 2)  # a repeat of 1-2: dropped
+        _feed(merge, "g1", 0, "repeat")
+        assert merge.pending("g1") == 3 and merge.skipped_count == 1
+        merge.on_decision("g1", 2, skip_value(), 3)  # 2-4: only 4 is new
+        _feed(merge, "g1", 5, "next")
+        assert merge.pending("g1") == 5
+        for instance in range(6):
+            _feed(merge, "g2", instance, f"g2-{instance}")
+        assert [d.value.payload for d in merge.deliveries] == [f"g2-{i}" for i in range(5)] + [
+            "next", "g2-5",
+        ]
 
     def test_two_groups_interleave_round_robin(self):
         merge = DeterministicMerge(["g1", "g2"], m=1)
@@ -121,13 +142,15 @@ class TestPauseAndCursor:
         merge = DeterministicMerge(["g1", "g2"], m=1)
         merge.pause()
         _feed(merge, "g1", 0, "old")
-        _feed(merge, "g1", 5, "new")
-        merge.fast_forward({"g1": 5, "g2": 5})
+        merge.on_decision("g1", 1, skip_value(), 5)  # instances 1-5
+        merge.fast_forward({"g1": 5, "g2": 5})  # into the range: only 5 stays
+        assert merge.pending("g1") == 1
+        _feed(merge, "g1", 6, "new")
+        _feed(merge, "g2", 5, "g2-5")
         merge.resume()
-        assert merge.delivery_cursor()["g1"] == 6  # instance 5 was deliverable
-        payloads = [d.value.payload for d in merge.deliveries]
-        assert "old" not in payloads
-        assert "new" in payloads
+        assert merge.delivery_cursor() == {"g1": 7, "g2": 6}
+        assert [d.value.payload for d in merge.deliveries] == ["g2-5", "new"]
+        assert merge.skipped_count == 1
 
     def test_fast_forward_backwards_rejected(self):
         merge = DeterministicMerge(["g1"], m=1)
@@ -155,7 +178,8 @@ class TestMergeProperties:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_delivery_order_is_independent_of_arrival_order(self, group_count, per_group, m, seed):
-        """Any arrival interleaving yields the same delivery sequence (determinism)."""
+        """Any interleaving of the groups' in-order streams yields the same
+        delivery sequence (determinism)."""
         import random
 
         groups = [f"g{i}" for i in range(group_count)]
@@ -169,11 +193,14 @@ class TestMergeProperties:
             reference.on_decision(group, instance, value)
         expected = [(d.group, d.instance) for d in reference.deliveries]
 
-        shuffled = list(decisions)
-        random.Random(seed).shuffle(shuffled)
+        # Shuffle which group's next decision arrives; each group stays in
+        # instance order, as its ring role releases it.
+        turns = [group for group, _, _ in decisions]
+        random.Random(seed).shuffle(turns)
+        streams = {group: iter([d for d in decisions if d[0] == group]) for group in groups}
         merge = DeterministicMerge(groups, m=m)
-        for group, instance, value in shuffled:
-            merge.on_decision(group, instance, value)
+        for group in turns:
+            merge.on_decision(*next(streams[group]))
         assert [(d.group, d.instance) for d in merge.deliveries] == expected
 
     @settings(max_examples=60, deadline=None)

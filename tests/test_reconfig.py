@@ -66,10 +66,12 @@ class TestMergeSplice:
             merge = DeterministicMerge(["g1"], m=1)
             merge.add_pending_group("g2")
             merge.set_join_round("g2", 2)
-            shuffled = list(decisions)
-            random.Random(order_seed).shuffle(shuffled)
-            for group, instance, value in shuffled:
-                merge.on_decision(group, instance, value)
+            # Any interleaving of the two rings; each stays in instance order.
+            turns = [group for group, _, _ in decisions]
+            random.Random(order_seed).shuffle(turns)
+            streams = {g: iter([d for d in decisions if d[0] == g]) for g in ("g1", "g2")}
+            for group in turns:
+                merge.on_decision(*next(streams[group]))
             return [(d.group, d.instance) for d in merge.deliveries]
 
         reference = build(0)

@@ -1,5 +1,9 @@
 """Tests for checkpointing, trimming and replica recovery (Section 5)."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +22,10 @@ from repro.sim.engine import Simulator
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient
+from repro.types import Value
 from repro.workloads.simple import UpdateWorkload
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 class TestCursorPredicates:
@@ -163,6 +170,17 @@ def crash_and_recovery():
     )
     survivor, _, victim = store.replicas_of("p0")
     seen = SimpleNamespace(world=world, store=store, victim=victim, survivor=survivor)
+    # Every delivery at the three replicas, crash and replay included; value
+    # uids relative to a sentinel, as in bench.perf.golden_delivery_sequence.
+    uid_base = Value.create(None, 0).uid
+    seen.deliveries = []
+    for replica in store.replicas_of("p0"):
+        replica.on_deliver(
+            lambda delivery, name=replica.name: seen.deliveries.append(
+                [name, delivery.group, delivery.instance,
+                 delivery.value.uid - uid_base, world.sim.now.hex()]
+            )
+        )
 
     world.run(until=2.0)
     seen.entries_before_crash = len(victim.state_machine)
@@ -182,6 +200,7 @@ def crash_and_recovery():
     world.run(until=9.0)
     client.crash()
     world.run(until=10.0)
+    seen.events_processed = world.sim.processed_events
     return seen
 
 
@@ -211,6 +230,15 @@ class TestEndToEndRecovery:
     def test_crash_clears_volatile_state_until_recovery(self, crash_and_recovery):
         assert crash_and_recovery.entries_before_crash > 0
         assert crash_and_recovery.entries_after_crash == 0
+
+    def test_delivery_sequence_matches_golden(self, crash_and_recovery):
+        """The whole timeline, crash, checkpoint install and replay included,
+        reproduces the recorded delivery sequence and event count exactly."""
+        golden = json.loads((GOLDEN_DIR / "recovery_deliveries.json").read_text())
+        blob = json.dumps(crash_and_recovery.deliveries, separators=(",", ":")).encode("utf-8")
+        assert len(crash_and_recovery.deliveries) == golden["deliveries"]
+        assert crash_and_recovery.events_processed == golden["events_processed"]
+        assert hashlib.sha256(blob).hexdigest() == golden["sha256"]
 
     def test_monitor_records_recovery_events(self, crash_and_recovery):
         monitor = crash_and_recovery.world.monitor

@@ -142,6 +142,26 @@ class TestFaultTolerance:
         world.run(until=2.0)
         assert ring.delivered_payloads("l1") == ["resilient"]
 
+    def test_restarted_learner_without_recovery_redelivers_through_gap_repair(self, world):
+        # No recovery manager: the restarted node's merge starts over at
+        # instance 0, and gap repair refills it from the acceptors' logs
+        # before the values decided after the restart follow.
+        ring = SingleRing(world, ["n1", "n2", "n3"], ring_config=RingConfig(repair_interval=0.05))
+        world.start()
+        for index in range(20):
+            ring.broadcast(f"a{index}", 256)
+        world.run(until=0.5)
+        ring.hosts["n3"].crash()
+        world.run(until=0.6)
+        ring.hosts["n3"].recover()
+        for index in range(20):
+            ring.broadcast(f"b{index}", 256)
+        world.run(until=2.5)
+        before = [f"a{index}" for index in range(20)]
+        after = [f"b{index}" for index in range(20)]
+        assert ring.delivered_payloads("n3") == before + before + after
+        assert ring.hosts["n3"].merge.pending(SingleRing.GROUP) == 0
+
     def test_retransmit_request_returns_logged_values(self, world):
         ring = SingleRing(world, ["n1", "n2", "n3"])
         _run_broadcasts(world, ring, ["a", "b", "c"])

@@ -264,9 +264,11 @@ def _decided_log(draw, length=40):
 
 
 @st.composite
-def _pieces(draw, chunks):
-    """Pieces ``(first, count, value)`` of ``chunks`` in a random order, with
-    duplicates and overlaps: each lies inside one chunk, as a decision does."""
+def _pieces(draw, chunks, ordered=False):
+    """Pieces ``(first, count, value)`` of ``chunks`` with duplicates and
+    overlaps, each inside one chunk as a decision is: in a random order, or
+    ``ordered`` as a ring role releases them (then a duplicate only repeats
+    what came before it)."""
     pieces = []
     for first, count, value in chunks:
         cuts = sorted(draw(st.sets(st.integers(1, count - 1), max_size=2))) if count > 1 else []
@@ -275,7 +277,7 @@ def _pieces(draw, chunks):
         if draw(st.booleans()):  # a decision seen twice, possibly as a sub-range
             a = draw(st.integers(0, count - 1))
             pieces.append((first + a, draw(st.integers(1, count - a)), value))
-    return draw(st.permutations(pieces))
+    return pieces if ordered else draw(st.permutations(pieces))
 
 
 # ----------------------------------------------------------------------
@@ -283,20 +285,18 @@ def _pieces(draw, chunks):
 # ----------------------------------------------------------------------
 def _learner():
     ring = SingleRing(World(topology=lan_topology(), seed=1), ["n1", "n2", "n3"])
-    heard = []
-    ring.hosts["n2"].add_decision_sink(lambda group, instance, value: heard.append((instance, value)))
-    return ring.hosts["n2"].role(SingleRing.GROUP), heard
+    return ring.hosts["n2"].role(SingleRing.GROUP), ring
 
 
-def _learner_state(role, heard):
+def _learner_state(role, ring):
     buffered = {}
     for first, value in role._out_of_order.items():
         for instance in range(first, first + role._out_of_order_counts.get(first, 1)):
             buffered[instance] = value
     merge = role.host.merge
     return (
-        list(heard), role.skips_learned, role.decisions_learned, role.highest_learned,
-        role._next_delivery, buffered, sorted(role._injected),
+        ring.deliveries("n2"), role.skips_learned, role.decisions_learned, role.highest_learned,
+        role._next_delivery, buffered,
         [role._learned_end(i) > i for i in range(HORIZON)],
         merge.skipped_count, merge.delivered_count, merge.delivery_cursor(), merge.pending(SingleRing.GROUP),
     )
@@ -306,35 +306,41 @@ def _learner_state(role, heard):
 @given(data=st.data())
 def test_a_range_in_the_learner_reads_as_its_instances(data):
     chunks = data.draw(_decided_log())
+    decided = {i: value for first, count, value in chunks for i in range(first, first + count)}
     steps = [("learn", piece) for piece in data.draw(_pieces(chunks))]
     for _ in range(data.draw(st.integers(0, 3))):
-        kind = data.draw(st.sampled_from(["inject", "forward"]))
-        steps.insert(data.draw(st.integers(0, len(steps))), (kind, data.draw(st.integers(0, 44))))
-    role, heard = _learner()
-    reference, reference_heard = _learner()
+        kind = data.draw(st.sampled_from(["retransmit", "forward"]))
+        bound = len(decided) - 1 if kind == "retransmit" else 44
+        steps.insert(data.draw(st.integers(0, len(steps))), (kind, data.draw(st.integers(0, bound))))
+    role, ring = _learner()
+    reference, reference_ring = _learner()
     for kind, argument in steps:
         if kind == "learn":
             first, count, value = argument
             role._learn(first, count, value)
             for instance in range(first, first + count):
                 reference._learn(instance, 1, value)
-        elif kind == "inject":
-            role.inject_learned(argument)
-            reference.inject_learned(argument)
+        elif kind == "retransmit":
+            role.learn_retransmitted([(argument, decided[argument])])
+            reference.learn_retransmitted([(argument, decided[argument])])
         else:
-            role.fast_forward_delivery(argument)
-            reference.fast_forward_delivery(argument)
-        assert _learner_state(role, heard) == _learner_state(reference, reference_heard), (kind, argument)
+            # Checkpoint install: merge and release jump together, never back.
+            cursor = {SingleRing.GROUP: max(argument, role.host.merge.next_instance(SingleRing.GROUP))}
+            role.host.fast_forward(cursor)
+            reference.host.fast_forward(cursor)
+        assert _learner_state(role, ring) == _learner_state(reference, reference_ring), (kind, argument)
 
 
 def test_injecting_inside_a_buffered_range_splits_it():
-    role, heard = _learner()
+    """A retransmitted instance inside a buffered range is already held: the
+    range is neither split nor fed twice, and releases once the hole fills."""
+    role, ring = _learner()
     role._learn(3, 10, SKIP)  # buffered: 0-2 are missing
-    role.inject_learned(6)
-    assert role._out_of_order_counts == {3: 3, 7: 6}
-    for instance in range(3):
-        role._learn(instance, 1, SKIP)
-    assert [instance for instance, _ in heard] == [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12]
+    assert role.learn_retransmitted([(6, SKIP)]) == 0
+    assert role._out_of_order_counts == {3: 10}
+    assert role.learn_retransmitted([(i, Value.create(f"r{i}", 16)) for i in range(3)]) == 3
+    assert [instance for instance, _ in ring.deliveries("n2")] == [0, 1, 2]
+    assert role.host.merge.skipped_count == 10
     assert role._next_delivery == 13 and role._out_of_order == {}
 
 
@@ -380,12 +386,12 @@ def test_a_range_in_the_merge_reads_as_its_instances(data, m):
     groups = ["g0", "g1", "g2"]
     pending = data.draw(st.sets(st.sampled_from(groups[1:])))
     logs = {group: data.draw(_decided_log(length=36)) for group in groups}
-    steps = [
-        ("decide", group, piece)
-        for group in groups
-        for piece in data.draw(_pieces(logs[group]))
-    ]
-    steps = data.draw(st.permutations(steps))
+    # Each group's decisions in instance order, as its ring role releases
+    # them; the groups interleave at random.
+    pieces = {group: data.draw(_pieces(logs[group], ordered=True)) for group in groups}
+    streams = {group: iter(pieces[group]) for group in groups}
+    turns = [group for group in groups for _ in pieces[group]]
+    steps = [("decide", group, next(streams[group])) for group in data.draw(st.permutations(turns))]
     for group in sorted(pending):
         steps.insert(data.draw(st.integers(0, len(steps))), ("join", group, data.draw(st.integers(1, 8))))
     for _ in range(data.draw(st.integers(0, 2))):

@@ -9,8 +9,10 @@ The paper's implementation keeps pre-allocated in-memory buffers (15000 slots
 of 32 KB) and uses Berkeley DB for disk persistence, with synchronous or
 asynchronous writes.  :class:`AcceptorStorage` models exactly that surface:
 
-* it records promises and votes per instance (a skip range as one record
-  that still answers per instance),
+* it records promises and votes per instance, a skip range as one entry
+  that still answers per instance: open entries (undecided, decided above an
+  open one, or promised above their vote) as mutable records, which the
+  pipeline window bounds, and the decided history below them as arrays,
 * in :attr:`~repro.runtime.interfaces.StorageMode.MEMORY` mode the log *is*
   that ring of ``memory_slots`` (``RingConfig.memory_slots``): recording
   instance ``i`` overwrites the slot of instance ``i - memory_slots``, which
@@ -27,8 +29,10 @@ asynchronous writes.  :class:`AcceptorStorage` models exactly that surface:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from heapq import heappush
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
@@ -47,9 +51,12 @@ _ZERO_BALLOT = Ballot.zero()
 class AcceptorStorage:
     """Per-ring stable storage of one acceptor.
 
-    A record covers ``count`` instances in one state (a skip range is one
+    An entry covers ``count`` instances in one state (a skip range is one
     entry), yet every answer is what recording instance by instance gives.
-    ``_starts[_head:]`` lists the record starts in order, oldest first.
+    ``_starts[_head:]`` lists the working set's record starts in order, oldest
+    first.  History entry ``k >= _past_head`` holds ``counts[k]`` decided
+    instances from ``starts[k]`` that voted ``values[k]`` at ``ballots[k]``
+    (also their promise), where ``_past`` is ``(starts, counts, values, ballots)``.
     """
 
     __slots__ = (
@@ -59,11 +66,13 @@ class AcceptorStorage:
         "_records",
         "_starts",
         "_head",
+        "_past",
+        "_past_head",
+        "_past_end",
         "_size",
         "_ranges_end",
         "_slots",
         "_trimmed_up_to",
-        "_highest_instance",
         "bytes_logged",
         "writes",
     )
@@ -88,12 +97,14 @@ class AcceptorStorage:
         self._records: Dict[InstanceId, InstanceRecord] = {}
         self._starts: List[InstanceId] = []
         self._head = 0
-        #: Instances the records cover; no record of more than one reaches
+        self._past = (array("q"), array("q"), [], [])
+        #: No history entry reaches ``_past_end``.
+        self._past_head = self._past_end = 0
+        #: Instances both parts cover; no record of more than one reaches
         #: ``_ranges_end``.
         self._size = 0
         self._ranges_end = 0
         self._trimmed_up_to: Optional[InstanceId] = None
-        self._highest_instance: Optional[InstanceId] = None
         self.bytes_logged = 0
         self.writes = 0
 
@@ -105,18 +116,15 @@ class AcceptorStorage:
         """Highest instance removed by trimming, or ``None`` if never trimmed."""
         return self._trimmed_up_to
 
-    @property
-    def highest_instance(self) -> Optional[InstanceId]:
-        """Highest instance ever recorded, or ``None`` if the log is empty."""
-        return self._highest_instance
-
     def record(self, instance: InstanceId) -> InstanceRecord:
         """The (mutable) record for ``instance``, creating it if absent."""
         if self._trimmed_up_to is not None and instance <= self._trimmed_up_to:
             raise StorageError(f"instance {instance} has been trimmed")
         record = self._find(instance)
         if record is None:
-            return self._new_record(instance)
+            if instance >= self._past_end or (index := self._past_index(instance)) < 0:
+                return self._new_record(instance)
+            record = self._reopen(index)
         return self._single(instance) if record.count > 1 else record
 
     def _new_record(self, instance: InstanceId) -> InstanceRecord:
@@ -134,19 +142,8 @@ class AcceptorStorage:
                 self.trim(evicted)
         return record
 
-    def has_instance(self, instance: InstanceId) -> bool:
-        return self._find(instance) is not None
-
     def is_trimmed(self, instance: InstanceId) -> bool:
         return self._trimmed_up_to is not None and instance <= self._trimmed_up_to
-
-    def instances(self) -> List[InstanceId]:
-        records = self._records
-        return [
-            instance
-            for start in self._starts[self._head:]
-            for instance in range(start, start + records[start].count)
-        ]
 
     def __len__(self) -> int:
         return self._size
@@ -155,7 +152,7 @@ class AcceptorStorage:
     # records covering ranges
     # ------------------------------------------------------------------
     def _find(self, instance: InstanceId) -> Optional[InstanceRecord]:
-        """The record covering ``instance``, if any."""
+        """The working-set record covering ``instance``, if any."""
         record = self._records.get(instance)
         if record is None and instance < self._ranges_end:
             index = bisect_right(self._starts, instance, self._head) - 1
@@ -220,9 +217,25 @@ class AcceptorStorage:
 
     def _evict(self, instance: InstanceId) -> None:
         """Remove ``instance`` alone, wherever it lies."""
+        starts, counts, values, ballots = self._past
+        head = self._past_head
+        if head < len(starts) and starts[head] == instance:
+            # The oldest history entry: the steady state of a full ring.
+            self._size -= 1
+            if counts[head] > 1:
+                starts[head] += 1
+                counts[head] -= 1
+                return
+            values[head] = ballots[head] = None
+            self._past_head = head = head + 1
+            if head >= 64 and 2 * head >= len(starts):
+                self._cut_past(head)
+            return
         record = self._records.get(instance) or self._find(instance)
         if record is None:
-            return
+            if (index := self._past_index(instance)) < 0:
+                return
+            record = self._reopen(index)
         if record.count > 1:
             if record.instance == instance:
                 self._cut_front(record, instance)
@@ -242,27 +255,92 @@ class AcceptorStorage:
                 break
             removed += record.count
             self._drop(record)
+        past, counts, head = self._past[0], self._past[1], self._past_head
+        end = bisect_right(past, up_to, head)
+        if end > head:
+            dropped = sum(counts[head:end])
+            top = past[end - 1] + counts[end - 1]
+            if top > up_to + 1:  # the last entry keeps its part above ``up_to``
+                end -= 1
+                dropped -= top - up_to - 1
+                past[end], counts[end] = up_to + 1, top - up_to - 1
+            self._cut_past(end)
+            self._size -= dropped
+            removed += dropped
         return removed
+
+    def _past_index(self, instance: InstanceId) -> int:
+        """The history entry covering ``instance``, or -1."""
+        if instance >= self._past_end:
+            return -1
+        starts, counts, head = self._past[0], self._past[1], self._past_head
+        index = bisect_right(starts, instance, head) - 1
+        return index if index >= head and instance < starts[index] + counts[index] else -1
+
+    def _close_prefix(self) -> None:
+        """Move the decided records at the front of the working set into the history."""
+        starts, records, head = self._starts, self._records, self._head
+        past, counts, values, ballots = self._past
+        while head < len(starts):
+            record = records[starts[head]]
+            ballot = record.accepted_ballot
+            if not record.decided or ballot is None or (record.promised is not ballot and record.promised != ballot):
+                break  # open: undecided, unvoted, or promised above its vote
+            start = record.instance
+            del records[start]
+            head += 1
+            if start >= self._past_end:
+                self._past_end = start + record.count
+                past.append(start)
+                counts.append(record.count)
+                values.append(record.accepted_value)
+                ballots.append(ballot)
+            else:  # below the history's top: a late vote in a gap
+                index = bisect_left(past, start, self._past_head)
+                self._past_end = max(self._past_end, start + record.count)
+                for column, item in zip(self._past, (start, record.count, record.accepted_value, ballot)):
+                    column.insert(index, item)
+        if head >= 64 and 2 * head >= len(starts):
+            del starts[:head]
+            head = 0
+        self._head = head
+
+    def _reopen(self, index: int) -> InstanceRecord:
+        """Move history entry ``index`` back into the working set as a record."""
+        starts, counts, values, ballots = self._past
+        record = InstanceRecord(starts[index], ballots[index], ballots[index], values[index], True, counts[index])
+        for column in self._past:
+            del column[index]
+        self._size -= record.count
+        self._add(record)
+        return record
+
+    def _cut_past(self, end: int) -> None:
+        """Forget history entries ``[0, end)``; those below the head are gone already."""
+        for column in self._past:
+            del column[:end]
+        self._past_head = 0
 
     def _append_range(
         self, first: InstanceId, count: int, ballot: Ballot, value: Value, decided: bool
     ) -> bool:
         """Record ``count`` fresh instances from ``first`` as one entry if that is
-        what recording them one by one leaves: the range lies above every record
-        and the trim point, and no record sits below the window it evicts (one
+        what recording them one by one leaves: the range lies above every entry
+        and the trim point, and no entry sits below the window it evicts (one
         left by a jump in the sequence may or may not survive that).  Else no-op.
         """
         trimmed = self._trimmed_up_to
         if (trimmed is not None and first <= trimmed) or not ballot >= _ZERO_BALLOT:
             return False
         slots = self._slots
-        starts = self._starts
+        floor = -1 if slots is None else first - slots  # no entry lies below it
+        starts, past, counts = self._starts, self._past[0], self._past[1]
         if self._head < len(starts):
             top = self._records[starts[-1]]
-            if top.instance + top.count > first:
+            if top.instance + top.count > first or starts[self._head] < floor:
                 return False
-            if slots is not None and starts[self._head] < first - slots:
-                return False
+        if self._past_head < len(past) and (past[-1] + counts[-1] > first or past[self._past_head] < floor):
+            return False
         self._add(InstanceRecord(first, ballot, ballot, value, decided, count))
         last = first + count - 1
         if slots is not None and last >= slots:
@@ -270,8 +348,6 @@ class AcceptorStorage:
             self._drop_through(floor)
             if trimmed is None or floor > trimmed:
                 self._trimmed_up_to = floor
-        if self._highest_instance is None or last > self._highest_instance:
-            self._highest_instance = last
         return True
 
     # ------------------------------------------------------------------
@@ -316,10 +392,7 @@ class AcceptorStorage:
         callback: Optional[Callable[[], None]] = None,
     ) -> float:
         """Record a Phase 2 vote (accept) and persist it.  Returns the ack time."""
-        record = self.record(instance)
-        record.accept(ballot, value)
-        if self._highest_instance is None or instance > self._highest_instance:
-            self._highest_instance = instance
+        self.record(instance).accept(ballot, value)
         nbytes = _RECORD_OVERHEAD_BYTES + value.size_bytes
         return self._persist(nbytes, callback)
 
@@ -340,11 +413,11 @@ class AcceptorStorage:
         """
         if count < 1:
             raise StorageError("a vote range must cover at least one instance")
-        if count == 1 or not self._append_range(first, count, ballot, value, False):
+        if count == 1:
+            self.record(first).accept(ballot, value)
+        elif not self._append_range(first, count, ballot, value, False):
             for instance in range(first, first + count):
                 self.record(instance).accept(ballot, value)
-                if self._highest_instance is None or instance > self._highest_instance:
-                    self._highest_instance = instance
         nbytes = _RECORD_OVERHEAD_BYTES + value.size_bytes
         return self._persist(nbytes, callback, callback_args)
 
@@ -357,11 +430,12 @@ class AcceptorStorage:
         record = self._records.get(instance)
         if record is not None and record.instance + record.count == end:
             record.decided = True  # the range this acceptor voted for
-            return
-        for single in range(instance, end):
-            record = self._find(single)
-            if record is not None and not record.decided:
-                self._single(single).decided = True
+        else:
+            for single in range(instance, end):
+                record = self._find(single)
+                if record is not None and not record.decided:
+                    self._single(single).decided = True
+        self._close_prefix()
 
     def note_decided(
         self, instance: InstanceId, ballot: Ballot, value: Value, count: int = 1
@@ -386,7 +460,7 @@ class AcceptorStorage:
             if record.accepted_value is not None and record.instance + record.count == end:
                 # Voted on already (the coordinator, a voting acceptor).
                 record.decided = True
-                return
+                return self._close_prefix()
         elif end - instance > 1 and self._append_range(instance, end - instance, ballot, value, True):
             nbytes = _RECORD_OVERHEAD_BYTES + value.size_bytes
             if self.mode is StorageMode.MEMORY or self.disk is None:
@@ -395,18 +469,16 @@ class AcceptorStorage:
             else:
                 for _ in range(instance, end):
                     self._persist(nbytes, None)
-            return
+            return self._close_prefix()
         for single in range(instance, end):
-            self._note_decided(single, ballot, value)
-
-    def _note_decided(self, instance: InstanceId, ballot: Ballot, value: Value) -> None:
-        record = self.record(instance)
-        if record.accepted_value is None:
-            record.accept(ballot, value)
-            if self._highest_instance is None or instance > self._highest_instance:
-                self._highest_instance = instance
-            self._persist(_RECORD_OVERHEAD_BYTES + value.size_bytes, None)
-        record.decided = True
+            if single < self._past_end and self._past_index(single) >= 0:
+                continue  # in the history: decided, with its value
+            record = self.record(single)
+            if record.accepted_value is None:
+                record.accept(ballot, value)
+                self._persist(_RECORD_OVERHEAD_BYTES + value.size_bytes, None)
+            record.decided = True
+        self._close_prefix()
 
     # ------------------------------------------------------------------
     # retransmission and trimming
@@ -415,8 +487,9 @@ class AcceptorStorage:
         """The value this acceptor voted for in ``instance``, if any."""
         if self.is_trimmed(instance):
             raise StorageError(f"instance {instance} has been trimmed")
-        record = self._find(instance)
-        return record.accepted_value if record is not None else None
+        if (record := self._find(instance)) is not None:
+            return record.accepted_value
+        return self._past[2][index] if (index := self._past_index(instance)) >= 0 else None
 
     def read_range(
         self, first: InstanceId, last: InstanceId, decided_only: bool = False
@@ -436,18 +509,22 @@ class AcceptorStorage:
             raise StorageError(
                 f"instances up to {self._trimmed_up_to} have been trimmed, requested from {first}"
             )
-        result: List[Tuple[InstanceId, Value]] = []
+        # Entries ``(start, count, value)`` from both parts, in instance order.
+        (past, counts, values, _), head = self._past, self._past_head
+        low, high = max(bisect_right(past, first, head) - 1, head), bisect_right(past, last, head)
+        entries = list(zip(past[low:high], counts[low:high], values[low:high]))
         starts = self._starts
         index = max(bisect_right(starts, first, self._head) - 1, self._head)
         while index < len(starts) and starts[index] <= last:
             record = self._records[starts[index]]
             index += 1
-            value = record.accepted_value
-            if value is None or (decided_only and not record.decided):
-                continue
-            low = max(record.instance, first)
-            high = min(record.instance + record.count - 1, last)
-            result.extend((instance, value) for instance in range(low, high + 1))
+            if record.accepted_value is not None and (record.decided or not decided_only):
+                entries.append((record.instance, record.count, record.accepted_value))
+        entries.sort(key=itemgetter(0))
+        result: List[Tuple[InstanceId, Value]] = []
+        for start, count, value in entries:
+            high = min(start + count - 1, last)
+            result.extend((instance, value) for instance in range(max(start, first), high + 1))
         return result
 
     def trim(self, up_to: InstanceId) -> int:
@@ -456,14 +533,3 @@ class AcceptorStorage:
         if self._trimmed_up_to is None or up_to > self._trimmed_up_to:
             self._trimmed_up_to = up_to
         return removed
-
-    def log_size_bytes(self) -> int:
-        """Approximate size of the live (untrimmed) log."""
-        return sum(
-            record.count
-            * (
-                _RECORD_OVERHEAD_BYTES
-                + (record.accepted_value.size_bytes if record.accepted_value is not None else 0)
-            )
-            for record in self._records.values()
-        )

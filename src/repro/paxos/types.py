@@ -90,6 +90,3 @@ class InstanceRecord:
         self.promised = ballot
         self.accepted_ballot = ballot
         self.accepted_value = value
-
-    def mark_decided(self) -> None:
-        self.decided = True

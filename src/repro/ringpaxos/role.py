@@ -409,7 +409,8 @@ class RingRole:
                 decided_at=decided_at,
             )
             self._learn(msg.instance, msg.count, value, decided_at=decided_at)
-            self._mark_decided_range(msg.instance, msg.count)
+            if self.storage is not None:
+                self.storage.mark_decided(msg.instance, msg.count)
             self._forward(decision, origin=self.name)
         else:
             self._forward(msg, origin=msg.origin)
@@ -513,10 +514,6 @@ class RingRole:
             msg.instance, msg.count, msg.ballot, msg.value,
             callback=done, callback_args=done_args,
         )
-
-    def _mark_decided_range(self, first: InstanceId, count: int) -> None:
-        if self.storage is not None:
-            self.storage.mark_decided(first, count)
 
     def _learned_end(self, instance: InstanceId) -> InstanceId:
         """The end of the learned stretch holding ``instance``; ``instance`` itself

@@ -11,8 +11,11 @@ from repro.paxos.storage import AcceptorStorage
 from repro.paxos.types import Ballot, InstanceRecord
 from repro.sim.disk import StorageMode, disk_for_mode
 from repro.sim.engine import Simulator
+from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.types import Value, skip_value
+
+from conftest import SingleRing
 
 
 class TestBallot:
@@ -70,8 +73,7 @@ class TestAcceptorStorage:
         value = Value.create("v", 100)
         storage.log_vote(3, Ballot(1, "c"), value)
         assert storage.accepted_value(3) is value
-        assert storage.highest_instance == 3
-        assert storage.has_instance(3)
+        assert storage.read_range(0, 10) == [(3, value)]
         assert len(storage) == 1
 
     def test_read_range_returns_only_existing_votes(self):
@@ -84,8 +86,7 @@ class TestAcceptorStorage:
     def test_log_votes_range_records_every_instance(self):
         storage = self._storage()
         storage.log_votes_range(10, 5, Ballot(1, "c"), skip_value())
-        assert [i for i, _ in storage.read_range(10, 14)] == [10, 11, 12, 13, 14]
-        assert storage.highest_instance == 14
+        assert [i for i, _ in storage.read_range(0, 99)] == [10, 11, 12, 13, 14]
 
     def test_trim_removes_instances_and_blocks_reads(self):
         storage = self._storage()
@@ -129,7 +130,6 @@ class TestAcceptorStorage:
     def test_log_size_accounting(self):
         storage = self._storage()
         storage.log_vote(0, Ballot(1, "c"), Value.create("v", 1000))
-        assert storage.log_size_bytes() >= 1000
         assert storage.bytes_logged >= 1000
         assert storage.writes == 1
 
@@ -150,6 +150,12 @@ class TestBoundedMemoryLog:
         return AcceptorStorage(Simulator(), mode=mode, memory_slots=self.SLOTS)
 
     @staticmethod
+    def _instances(storage):
+        """The instances ``storage`` holds a vote for (every one, in these tests)."""
+        floor = -1 if storage.trimmed_up_to is None else storage.trimmed_up_to
+        return [i for i, _ in storage.read_range(floor + 1, 10**6)]
+
+    @staticmethod
     def _fill(storage, count, first=0):
         for instance in range(first, first + count):
             storage.log_vote(instance, Ballot(1, "c"), Value.create("v", 10))
@@ -165,9 +171,8 @@ class TestBoundedMemoryLog:
         storage = self._storage()
         self._fill(storage, self.SLOTS + 1)
         assert len(storage) == self.SLOTS
-        assert storage.instances() == list(range(1, self.SLOTS + 1))
+        assert self._instances(storage) == list(range(1, self.SLOTS + 1))
         assert storage.trimmed_up_to == 0 and storage.is_trimmed(0) and not storage.is_trimmed(1)
-        assert storage.highest_instance == self.SLOTS
 
     def test_an_evicted_instance_reads_as_trimmed(self):
         storage = self._storage()
@@ -187,7 +192,7 @@ class TestBoundedMemoryLog:
         storage = self._storage()
         self._fill(storage, 5)
         storage.log_votes_range(5, 20, Ballot(1, "c"), skip_value())
-        assert storage.instances() == list(range(25 - self.SLOTS, 25))
+        assert self._instances(storage) == list(range(25 - self.SLOTS, 25))
         assert storage.trimmed_up_to == 24 - self.SLOTS
         assert storage.writes == 6  # the range is still one persisted record
 
@@ -195,14 +200,15 @@ class TestBoundedMemoryLog:
         storage = self._storage()
         for instance in range(self.SLOTS + 4):
             storage.note_decided(instance, Ballot(1, "c"), Value.create("v", 10))
-        assert storage.instances() == list(range(4, self.SLOTS + 4))
-        assert all(storage.record(i).decided for i in storage.instances())
+        assert self._instances(storage) == list(range(4, self.SLOTS + 4))
+        decided = storage.read_range(4, 100, decided_only=True)
+        assert [i for i, _ in decided] == list(range(4, self.SLOTS + 4))
 
     def test_a_jump_in_the_sequence_leaves_nothing_below_the_floor(self):
         storage = self._storage()
         self._fill(storage, 5)
         self._fill(storage, self.SLOTS, first=1000)
-        assert storage.instances() == list(range(1000, 1000 + self.SLOTS))
+        assert self._instances(storage) == list(range(1000, 1000 + self.SLOTS))
 
     def test_explicit_trim_and_eviction_compose(self):
         storage = self._storage()
@@ -211,7 +217,7 @@ class TestBoundedMemoryLog:
         assert storage.trimmed_up_to == 5
         self._fill(storage, 2, first=self.SLOTS)  # evicts 0 and 1: already gone
         assert storage.trimmed_up_to == 5
-        assert storage.instances() == [6, 7, 8, 9]
+        assert self._instances(storage) == [6, 7, 8, 9]
 
     @pytest.mark.parametrize("mode", [StorageMode.ASYNC_SSD, StorageMode.SYNC_SSD])
     def test_disk_backed_modes_never_evict(self, mode):
@@ -259,12 +265,52 @@ class TestBoundedMemoryLog:
     def test_leveled_rings_stay_within_memory_slots_with_the_same_delivery_trace(self):
         reference, reference_logs, reference_events = self._leveled_run(RingConfig().memory_slots)
         # Rate leveling skipped far past the small ring's size ...
-        assert min(log.highest_instance for log in reference_logs) > 10 * 64
+        assert min(len(log) for log in reference_logs) > 10 * 64
         assert all(log.trimmed_up_to is None for log in reference_logs)
         bounded, logs, events = self._leveled_run(64)
         # ... every acceptor held it, and nothing any learner saw moved.
         assert len(logs) == 6
         assert all(0 < len(log) <= 64 for log in logs)
-        assert all(log.trimmed_up_to == log.highest_instance - 64 for log in logs)
+        assert all(self._instances(log)[-1] == log.trimmed_up_to + 64 for log in logs)
         assert len(bounded) >= 40 and bounded == reference and events == reference_events
 
+
+
+class TestDecidedHistory:
+    """A disk-mode acceptor keeps records only for its open instances; what is
+    decided below them is the history, which still serves every read."""
+
+    def test_a_long_run_keeps_records_only_for_open_instances(self):
+        world = World(topology=lan_topology(), seed=11)
+        config = RingConfig(storage_mode=StorageMode.ASYNC_SSD, repair_interval=0.05)
+        ring = SingleRing(
+            world, ["a1", "a2", "a3", "l1"], acceptors=["a1", "a2", "a3"], proposers=["a1"],
+            learners=["l1"], storage_mode=StorageMode.ASYNC_SSD, ring_config=config,
+        )
+        logs = [ring.hosts[name].role(SingleRing.GROUP).storage for name in ("a1", "a2", "a3")]
+        before = [f"a{index}" for index in range(2100)]
+        world.start()
+        for index, payload in enumerate(before):
+            world.sim.call_at(index * 2e-4, ring.broadcast, payload, 64)
+        for step in range(1, 13):
+            world.run(until=step * 0.05)
+            for log in logs:
+                records = log._records
+                assert len(records) <= config.pipeline_depth
+                # The oldest record is open: every record lies at or above it.
+                assert not records or not records[min(records)].decided
+        assert ring.delivered_payloads("l1") == before
+        for log in logs:
+            assert len(log) == len(before) and not log._records
+            decided = log.read_range(0, len(before) - 1, decided_only=True)
+            assert [value.payload for _, value in decided] == before
+        # A learner restarted without recovery refills from instance 0 by gap
+        # repair, out of the acceptors' history.
+        ring.hosts["l1"].crash()
+        world.run(until=0.7)
+        ring.hosts["l1"].recover()
+        after = [f"b{index}" for index in range(20)]
+        for payload in after:
+            ring.broadcast(payload, 64)
+        world.run(until=3.0)
+        assert ring.delivered_payloads("l1") == before + before + after

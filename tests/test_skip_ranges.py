@@ -39,7 +39,6 @@ class _PerInstanceLog:
         self.slots = slots if mode is StorageMode.MEMORY else None
         self.records = {}
         self.trimmed_up_to = None
-        self.highest_instance = None
         self.writes = 0
         self.bytes_logged = 0
 
@@ -50,11 +49,10 @@ class _PerInstanceLog:
         self.writes += 1
         self.bytes_logged += nbytes
         if self.disk is not None and self.mode is not StorageMode.MEMORY:
-            self.disk.write_async(nbytes, None)
-
-    def _raise_highest(self, instance):
-        if self.highest_instance is None or instance > self.highest_instance:
-            self.highest_instance = instance
+            if self.mode.synchronous:
+                self.disk.write(nbytes, None)
+            else:
+                self.disk.write_async(nbytes, None)
 
     def record(self, instance):
         if self._trimmed(instance):
@@ -77,13 +75,11 @@ class _PerInstanceLog:
 
     def log_vote(self, instance, ballot, value):
         self.record(instance).accept(ballot, value)
-        self._raise_highest(instance)
         self._persist(64 + value.size_bytes)
 
     def log_votes_range(self, first, count, ballot, value):
         for instance in range(first, first + count):
             self.record(instance).accept(ballot, value)
-            self._raise_highest(instance)
         self._persist(64 + value.size_bytes)
 
     def note_decided(self, first, ballot, value, count):
@@ -93,7 +89,6 @@ class _PerInstanceLog:
             record = self.records.get(instance)
             if record is None or record.accepted_value is None:
                 self.record(instance).accept(ballot, value)
-                self._raise_highest(instance)
                 self._persist(64 + value.size_bytes)
             self.records[instance].decided = True
 
@@ -117,6 +112,18 @@ class _PerInstanceLog:
         return (record.promised, record.accepted_ballot, record.accepted_value, record.decided)
 
 
+def _entry_state(log, instance):
+    """What ``log`` (an AcceptorStorage) holds for ``instance``, from either part."""
+    record = log._find(instance)
+    if record is not None:
+        return (record.promised, record.accepted_ballot, record.accepted_value, record.decided)
+    index = log._past_index(instance)
+    if index < 0:
+        return None
+    _, _, values, ballots = log._past
+    return (ballots[index], ballots[index], values[index], True)
+
+
 def _log_state(log, reference):
     """Everything the log answers per instance, from ``log`` (an AcceptorStorage)."""
     answers = []
@@ -125,11 +132,7 @@ def _log_state(log, reference):
             value = log.accepted_value(instance)
         except StorageError:
             value = StorageError
-        record = log._find(instance)
-        state = None
-        if record is not None:
-            state = (record.promised, record.accepted_ballot, record.accepted_value, record.decided)
-        answers.append((log.is_trimmed(instance), log.has_instance(instance), value, state))
+        answers.append((log.is_trimmed(instance), value, _entry_state(log, instance)))
     ranges = []
     for decided_only in (False, True):
         try:
@@ -139,8 +142,7 @@ def _log_state(log, reference):
         low = (log.trimmed_up_to or 0) + 1
         ranges.append(log.read_range(low, HORIZON, decided_only))
     return (
-        answers, ranges, log.trimmed_up_to, log.highest_instance, log.writes,
-        log.bytes_logged, len(log), log.instances(), log.log_size_bytes(),
+        answers, ranges, log.trimmed_up_to, log.writes, log.bytes_logged, len(log),
         len(log.sim._queue),
     )
 
@@ -154,7 +156,7 @@ def _reference_state(ref):
         else:
             record = ref.records.get(instance)
             value = record.accepted_value if record is not None else None
-        answers.append((trimmed, instance in ref.records, value, ref.state(instance)))
+        answers.append((trimmed, value, ref.state(instance)))
     ranges = []
     for decided_only in (False, True):
         def read(first):
@@ -167,38 +169,50 @@ def _reference_state(ref):
             ]
         ranges.append(StorageError if ref._trimmed(0) else read(0))
         ranges.append(read((ref.trimmed_up_to or 0) + 1))
-    size = sum(
-        64 + (r.accepted_value.size_bytes if r.accepted_value is not None else 0)
-        for r in ref.records.values()
-    )
     return (
-        answers, ranges, ref.trimmed_up_to, ref.highest_instance, ref.writes,
-        ref.bytes_logged, len(ref.records), sorted(ref.records), size, len(ref.sim._queue),
+        answers, ranges, ref.trimmed_up_to, ref.writes, ref.bytes_logged, len(ref.records),
+        len(ref.sim._queue),
     )
 
 
 _VALUES = {i: Value.create(f"v{i}", 10 + i) for i in range(HORIZON)}
 
+#: Range values: adjacent ranges must not read as one another.
+_RANGE_VALUES = [SKIP, Value.create("r1", 20), Value.create("r2", 30)]
+
 _first = st.integers(0, 30)
-_log_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("votes"), _first, st.integers(1, 14)),
-        st.tuples(st.just("decided"), _first, st.integers(1, 14)),
-        st.tuples(st.just("mark"), _first, st.integers(1, 14)),
-        st.tuples(st.just("vote"), _first, st.just(1)),
-        st.tuples(st.just("promise"), _first, st.integers(0, 2)),
-        st.tuples(st.just("trim"), _first, st.just(0)),
-    ),
-    max_size=14,
+_value = st.integers(0, len(_RANGE_VALUES) - 1)
+_log_op = st.one_of(
+    st.tuples(st.just("votes"), _first, st.integers(1, 14), _value),
+    st.tuples(st.just("decided"), _first, st.integers(1, 14), _value),
+    st.tuples(st.just("mark"), _first, st.integers(1, 14), st.just(0)),
+    st.tuples(st.just("vote"), _first, st.just(1), st.just(0)),
+    st.tuples(st.just("promise"), _first, st.integers(0, 2), st.just(0)),
+    st.tuples(st.just("trim"), _first, st.just(0), st.just(0)),
 )
 
 
+@st.composite
+def _log_ops(draw):
+    """Up to 40 calls: a pipeline's votes, single and ranges, decided out of
+    order and some never (so the decided prefix is held back), then anything."""
+    chunks, first = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        count = draw(st.integers(1, 5))
+        chunks.append((first, count, draw(_value)))
+        first += count
+    ops = [("vote" if n == 1 else "votes", i, n, k) for i, n, k in chunks]
+    for i, n, k in draw(st.permutations(chunks))[: draw(st.integers(0, len(chunks)))]:
+        ops.append((draw(st.sampled_from(["mark", "decided"])), i, n, k))
+    return ops + draw(st.lists(_log_op, max_size=40 - len(ops)))
+
+
 def _apply_to_log(log, op):
-    kind, first, n = op
+    kind, first, n, k = op
     if kind == "votes":
-        log.log_votes_range(first, n, BALLOT, SKIP)
+        log.log_votes_range(first, n, BALLOT, _RANGE_VALUES[k])
     elif kind == "decided":
-        log.note_decided(first, BALLOT, SKIP, n)
+        log.note_decided(first, BALLOT, _RANGE_VALUES[k], n)
     elif kind == "mark":
         log.mark_decided(first, n)
     elif kind == "vote":
@@ -218,9 +232,9 @@ def _outcome(call):
 
 @settings(max_examples=400, deadline=None)
 @given(
-    ops=_log_ops,
-    slots=st.sampled_from([None, 1, 3, 5, 8]),
-    mode=st.sampled_from([StorageMode.MEMORY, StorageMode.ASYNC_SSD]),
+    ops=_log_ops(),
+    slots=st.sampled_from([None, 1, 3, 5, 8, 16]),
+    mode=st.sampled_from([StorageMode.MEMORY, StorageMode.ASYNC_SSD, StorageMode.SYNC_SSD]),
 )
 def test_a_range_in_the_acceptor_log_reads_as_its_instances(ops, slots, mode):
     sim, ref_sim = Simulator(), Simulator()
@@ -235,14 +249,20 @@ def test_a_range_in_the_acceptor_log_reads_as_its_instances(ops, slots, mode):
         assert _log_state(log, reference) == _reference_state(reference), op
 
 
+def _entries(log):
+    """Entries in both parts of ``log``: records in the working set, runs in the history."""
+    return len(log._records) + len(log._past[0]) - log._past_head
+
+
 def test_a_skip_range_past_the_slots_is_one_record():
     log = AcceptorStorage(Simulator(), memory_slots=8)
     log.log_vote(0, BALLOT, _VALUES[0])
     log.log_votes_range(1, 1000, BALLOT, SKIP)
-    assert len(log._records) == 1 and len(log) == 8
-    assert log.instances() == list(range(993, 1001)) and log.trimmed_up_to == 992
+    assert _entries(log) == 1 and len(log) == 8
+    assert [i for i, _ in log.read_range(993, 2000)] == list(range(993, 1001))
+    assert log.trimmed_up_to == 992
     log.note_decided(1001, BALLOT, SKIP, 50)
-    assert len(log._records) == 1 and log.writes == 52
+    assert _entries(log) == 1 and log.writes == 52
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,11 @@ asynchronous writes.  :class:`AcceptorStorage` models exactly that surface:
 
 * it records promises and votes per instance, a skip range as one entry
   that still answers per instance: open entries (undecided, decided above an
-  open one, or promised above their vote) as mutable records, which the
-  pipeline window bounds, and the decided history below them as arrays,
+  open one, or promised above their vote) as mutable records, and the
+  decided history below them as arrays, into which the decided prefix moves
+  every few decisions; the pipeline window bounds the records only while
+  the acceptor sees every decision it voted for (one lost to a crash or a
+  fault holds every later entry open),
 * in :attr:`~repro.runtime.interfaces.StorageMode.MEMORY` mode the log *is*
   that ring of ``memory_slots`` (``RingConfig.memory_slots``): recording
   instance ``i`` overwrites the slot of instance ``i - memory_slots``, which
@@ -47,6 +50,11 @@ _RECORD_OVERHEAD_BYTES = 64
 
 _ZERO_BALLOT = Ballot.zero()
 
+#: Decisions between two moves of the decided prefix into the history.  One
+#: move per decision finds the four columns out of cache every time; on a
+#: live ring that cost more than the per-instance records the history saves.
+_CLOSE_EVERY = 32
+
 
 class AcceptorStorage:
     """Per-ring stable storage of one acceptor.
@@ -69,6 +77,7 @@ class AcceptorStorage:
         "_past",
         "_past_head",
         "_past_end",
+        "_unclosed",
         "_size",
         "_ranges_end",
         "_slots",
@@ -100,6 +109,8 @@ class AcceptorStorage:
         self._past = (array("q"), array("q"), [], [])
         #: No history entry reaches ``_past_end``.
         self._past_head = self._past_end = 0
+        #: Decisions since the decided prefix last moved into the history.
+        self._unclosed = 0
         #: Instances both parts cover; no record of more than one reaches
         #: ``_ranges_end``.
         self._size = 0
@@ -131,6 +142,11 @@ class AcceptorStorage:
         """Take a slot for ``instance``, evicting the one ``memory_slots`` behind it."""
         record = InstanceRecord(instance)
         self._add(record)
+        self._take_slot(instance)
+        return record
+
+    def _take_slot(self, instance: InstanceId) -> None:
+        """Evict the instance ``memory_slots`` behind a newly recorded ``instance``."""
         slots = self._slots
         if slots is not None and instance >= slots:
             evicted = instance - slots
@@ -140,7 +156,23 @@ class AcceptorStorage:
             if self._size > slots:
                 # A jump in the instance sequence left records below the floor.
                 self.trim(evicted)
-        return record
+
+    def _vote(self, instance: InstanceId, ballot: Ballot, value: Value) -> None:
+        """Record a vote for ``instance`` alone: a fresh one is born voted, and a
+        re-vote on a lone history entry stays there (it is decided either way)."""
+        trimmed = self._trimmed_up_to
+        if (
+            instance < self._past_end or instance < self._ranges_end or instance in self._records
+            or (trimmed is not None and instance <= trimmed) or ballot.number < 0  # below zero: raises
+        ):
+            index, (_, counts, values, ballots) = self._past_index(instance), self._past
+            if index < 0 or counts[index] > 1 or not ballot >= ballots[index] or self.is_trimmed(instance):
+                self.record(instance).accept(ballot, value)
+            else:
+                values[index], ballots[index] = value, ballot
+        else:
+            self._add(InstanceRecord(instance, ballot, ballot, value))
+            self._take_slot(instance)
 
     def is_trimmed(self, instance: InstanceId) -> bool:
         return self._trimmed_up_to is not None and instance <= self._trimmed_up_to
@@ -277,36 +309,49 @@ class AcceptorStorage:
         index = bisect_right(starts, instance, head) - 1
         return index if index >= head and instance < starts[index] + counts[index] else -1
 
+    def _decided(self) -> None:
+        """Count a decision; every ``_CLOSE_EVERY``-th moves the decided prefix."""
+        self._unclosed += 1
+        if self._unclosed >= _CLOSE_EVERY:
+            self._unclosed = 0
+            self._close_prefix()
+
     def _close_prefix(self) -> None:
         """Move the decided records at the front of the working set into the history."""
         starts, records, head = self._starts, self._records, self._head
-        past, counts, values, ballots = self._past
         while head < len(starts):
             record = records[starts[head]]
-            ballot = record.accepted_ballot
-            if not record.decided or ballot is None or (record.promised is not ballot and record.promised != ballot):
-                break  # open: undecided, unvoted, or promised above its vote
-            start = record.instance
-            del records[start]
+            # Open: undecided, promised above its vote, or unvoted (a vote sets
+            # the promise to the vote's own ballot object; a promise is never None).
+            if not record.decided or record.promised is not record.accepted_ballot:
+                break
+            del records[record.instance]
             head += 1
-            if start >= self._past_end:
-                self._past_end = start + record.count
-                past.append(start)
-                counts.append(record.count)
-                values.append(record.accepted_value)
-                ballots.append(ballot)
-            else:  # below the history's top: a late vote in a gap
-                index = bisect_left(past, start, self._past_head)
-                self._past_end = max(self._past_end, start + record.count)
-                for column, item in zip(self._past, (start, record.count, record.accepted_value, ballot)):
-                    column.insert(index, item)
+            self._extend_past(record.instance, record.count, record.accepted_ballot, record.accepted_value)
         if head >= 64 and 2 * head >= len(starts):
             del starts[:head]
             head = 0
         self._head = head
 
+    def _extend_past(self, start: InstanceId, count: int, ballot: Ballot, value: Value) -> None:
+        """Add a decided entry to the history, in instance order."""
+        past, counts, values, ballots = self._past
+        if start >= self._past_end:
+            past.append(start)
+            counts.append(count)
+            values.append(value)
+            ballots.append(ballot)
+        else:  # below the history's top: a late vote in a gap
+            index = bisect_left(past, start, self._past_head)
+            for column, item in zip(self._past, (start, count, value, ballot)):
+                column.insert(index, item)
+        if start + count > self._past_end:
+            self._past_end = start + count
+
     def _reopen(self, index: int) -> InstanceRecord:
-        """Move history entry ``index`` back into the working set as a record."""
+        """Move history entry ``index`` back into the working set as a record
+        (a promise, or a vote inside a run, on a decided instance).  Moves the
+        columns' tail: 3.3 ms at the front of a 1 M-entry history on a 2-vCPU VM."""
         starts, counts, values, ballots = self._past
         record = InstanceRecord(starts[index], ballots[index], ballots[index], values[index], True, counts[index])
         for column in self._past:
@@ -392,7 +437,7 @@ class AcceptorStorage:
         callback: Optional[Callable[[], None]] = None,
     ) -> float:
         """Record a Phase 2 vote (accept) and persist it.  Returns the ack time."""
-        self.record(instance).accept(ballot, value)
+        self._vote(instance, ballot, value)
         nbytes = _RECORD_OVERHEAD_BYTES + value.size_bytes
         return self._persist(nbytes, callback)
 
@@ -414,7 +459,7 @@ class AcceptorStorage:
         if count < 1:
             raise StorageError("a vote range must cover at least one instance")
         if count == 1:
-            self.record(first).accept(ballot, value)
+            self._vote(first, ballot, value)
         elif not self._append_range(first, count, ballot, value, False):
             for instance in range(first, first + count):
                 self.record(instance).accept(ballot, value)
@@ -435,7 +480,7 @@ class AcceptorStorage:
                 record = self._find(single)
                 if record is not None and not record.decided:
                     self._single(single).decided = True
-        self._close_prefix()
+        self._decided()
 
     def note_decided(
         self, instance: InstanceId, ballot: Ballot, value: Value, count: int = 1
@@ -460,7 +505,7 @@ class AcceptorStorage:
             if record.accepted_value is not None and record.instance + record.count == end:
                 # Voted on already (the coordinator, a voting acceptor).
                 record.decided = True
-                return self._close_prefix()
+                return self._decided()
         elif end - instance > 1 and self._append_range(instance, end - instance, ballot, value, True):
             nbytes = _RECORD_OVERHEAD_BYTES + value.size_bytes
             if self.mode is StorageMode.MEMORY or self.disk is None:
@@ -469,7 +514,14 @@ class AcceptorStorage:
             else:
                 for _ in range(instance, end):
                     self._persist(nbytes, None)
-            return self._close_prefix()
+            return self._decided()
+        elif count == 1 and self._head == len(self._starts) and instance >= self._past_end and ballot.number >= 0:
+            # Nothing open below: the decision goes straight into the history.
+            self._extend_past(instance, 1, ballot, value)
+            self._size += 1
+            self._take_slot(instance)
+            self._persist(_RECORD_OVERHEAD_BYTES + value.size_bytes, None)
+            return
         for single in range(instance, end):
             if single < self._past_end and self._past_index(single) >= 0:
                 continue  # in the history: decided, with its value
@@ -478,7 +530,7 @@ class AcceptorStorage:
                 record.accept(ballot, value)
                 self._persist(_RECORD_OVERHEAD_BYTES + value.size_bytes, None)
             record.decided = True
-        self._close_prefix()
+        self._decided()
 
     # ------------------------------------------------------------------
     # retransmission and trimming

@@ -7,6 +7,7 @@ import pytest
 from repro.config import MultiRingConfig, RingConfig
 from repro.errors import StorageError
 from repro.multiring.deployment import Deployment, RingSpec
+from repro.paxos import storage as storage_module
 from repro.paxos.storage import AcceptorStorage
 from repro.paxos.types import Ballot, InstanceRecord
 from repro.sim.disk import StorageMode, disk_for_mode
@@ -277,8 +278,9 @@ class TestBoundedMemoryLog:
 
 
 class TestDecidedHistory:
-    """A disk-mode acceptor keeps records only for its open instances; what is
-    decided below them is the history, which still serves every read."""
+    """A disk-mode acceptor keeps records only for its open instances and the
+    decisions since the prefix last moved; what is decided below them is the
+    history, which still serves every read."""
 
     def test_a_long_run_keeps_records_only_for_open_instances(self):
         world = World(topology=lan_topology(), seed=11)
@@ -292,16 +294,16 @@ class TestDecidedHistory:
         world.start()
         for index, payload in enumerate(before):
             world.sim.call_at(index * 2e-4, ring.broadcast, payload, 64)
+        batch = storage_module._CLOSE_EVERY
         for step in range(1, 13):
             world.run(until=step * 0.05)
             for log in logs:
                 records = log._records
-                assert len(records) <= config.pipeline_depth
-                # The oldest record is open: every record lies at or above it.
-                assert not records or not records[min(records)].decided
+                # In flight, or decided since the prefix last moved.
+                assert len(records) <= config.pipeline_depth + batch
         assert ring.delivered_payloads("l1") == before
         for log in logs:
-            assert len(log) == len(before) and not log._records
+            assert len(log) == len(before) and len(log._records) < batch
             decided = log.read_range(0, len(before) - 1, decided_only=True)
             assert [value.payload for _, value in decided] == before
         # A learner restarted without recovery refills from instance 0 by gap

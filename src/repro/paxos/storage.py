@@ -160,13 +160,13 @@ class AcceptorStorage:
     def _vote(self, instance: InstanceId, ballot: Ballot, value: Value) -> None:
         """Record a vote for ``instance`` alone: a fresh one is born voted, and a
         re-vote on a lone history entry stays there (it is decided either way)."""
-        trimmed = self._trimmed_up_to
+        trimmed = self._trimmed_up_to is not None and instance <= self._trimmed_up_to
         if (
             instance < self._past_end or instance < self._ranges_end or instance in self._records
-            or (trimmed is not None and instance <= trimmed) or ballot.number < 0  # below zero: raises
+            or trimmed or ballot.number < 0  # below the zero ballot: accept() raises
         ):
             index, (_, counts, values, ballots) = self._past_index(instance), self._past
-            if index < 0 or counts[index] > 1 or not ballot >= ballots[index] or self.is_trimmed(instance):
+            if trimmed or index < 0 or counts[index] > 1 or not ballot >= ballots[index]:
                 self.record(instance).accept(ballot, value)
             else:
                 values[index], ballots[index] = value, ballot

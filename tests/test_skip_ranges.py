@@ -9,7 +9,7 @@ forget what it learned.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.multiring.merge import DeterministicMerge
@@ -238,6 +238,13 @@ def _outcome(call):
     slots=st.sampled_from([None, 1, 3, 5, 8, 16]),
     mode=st.sampled_from([StorageMode.MEMORY, StorageMode.ASYNC_SSD, StorageMode.SYNC_SSD]),
     close_every=st.sampled_from([1, 1, 3, storage_module._CLOSE_EVERY]),
+)
+# A re-vote on a history entry that a jump in the sequence left below the
+# trim point must raise, as on a record: one of six random seeds found it.
+@example(
+    ops=[("vote", 0, 1, 0), ("vote", 1, 1, 0), ("vote", 2, 1, 0), ("mark", 0, 1, 0),
+         ("vote", 6, 0, 0), ("votes", 0, 1, 0)],
+    slots=5, mode=StorageMode.MEMORY, close_every=1,
 )
 def test_a_range_in_the_acceptor_log_reads_as_its_instances(ops, slots, mode, close_every):
     sim, ref_sim = Simulator(), Simulator()

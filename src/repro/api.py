@@ -50,20 +50,22 @@ to the simulator.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import concurrent.futures._base as _futures_base
 import itertools
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import MultiRingConfig, RingConfig
 from repro.errors import ConfigurationError, MulticastError
 from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.interfaces import StorageMode
 from repro.types import GroupId, Value
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the sim backend never loads asyncio
+    import asyncio
 
 __all__ = ["AtomicMulticast", "DeliveryStream", "STREAM_WINDOW"]
 
@@ -270,6 +272,8 @@ class DeliveryStream:
                 if not self._api.world.sim.step():
                     return
             else:
+                import asyncio
+
                 await asyncio.sleep(0.005)
 
 
@@ -495,6 +499,8 @@ class AtomicMulticast:
             pass  # loop already closed
 
     def _live_thread_main(self) -> None:
+        import asyncio
+
         try:
             asyncio.run(self._live_main())
         except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
@@ -503,6 +509,8 @@ class AtomicMulticast:
             self._ready.set()
 
     async def _live_main(self) -> None:
+        import asyncio
+
         self._loop = asyncio.get_running_loop()
         self._main_task = asyncio.current_task()
         self._stop_event = asyncio.Event()

@@ -101,9 +101,6 @@ class ReplicaRecovery:
 
     def _checkpoint_durable(self, checkpoint: Checkpoint) -> None:
         self.node.world.monitor.increment("recovery/checkpoints_durable")
-        self.node.world.monitor.record_gauge(
-            f"checkpoint/{self.node.name}", self.node.world.sim.now, float(checkpoint.checkpoint_id)
-        )
 
     def safe_instance(self, group: GroupId) -> InstanceId:
         """``k[x]_p`` reported to the trim protocol."""
@@ -140,9 +137,6 @@ class ReplicaRecovery:
         self.recovering = True
         self._peer_infos.clear()
         self.node.world.monitor.increment("recovery/started")
-        self.node.world.monitor.record_gauge(
-            f"recovery/{self.node.name}", self.node.now, 1.0
-        )
         # Re-arm checkpointing (the crash cancelled every timer).
         self.start()
         peers = self.node.registry.partition_peers(self.node.name)
@@ -269,6 +263,3 @@ class ReplicaRecovery:
         self.recoveries_completed += 1
         self.node.merge.resume()
         self.node.world.monitor.increment("recovery/completed")
-        self.node.world.monitor.record_gauge(
-            f"recovery/{self.node.name}", self.node.now, 0.0
-        )

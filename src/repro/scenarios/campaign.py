@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.report import format_table
 from repro.config import MultiRingConfig, RecoveryConfig, RingConfig
 from repro.errors import ConfigurationError
 from repro.scenarios.faults import FaultPlan
@@ -157,6 +156,8 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------
     def run(self) -> Dict:
+        from repro.bench.report import format_table
+
         results = [self.run_combo(scenario, plan) for scenario, plan in self.combos]
         rows = []
         for result in results:

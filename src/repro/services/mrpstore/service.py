@@ -314,12 +314,19 @@ class MRPStore:
     # data loading (bypasses consensus, used to pre-populate the database)
     # ------------------------------------------------------------------
     def load(self, record_count: int, value_size: int = 1024) -> None:
-        """Populate every replica with ``record_count`` records of ``value_size`` bytes."""
+        """Populate every replica with ``record_count`` records of ``value_size`` bytes.
+
+        Each key is routed once, by the current partition map, and each
+        replica takes its partition's keys in one call.
+        """
+        partition_of = self.current_map.partition_of
+        keys: Dict[str, List[str]] = {}
         for index in range(record_count):
             key = self._key(index)
-            partition_name = self.current_map.partition_of(key)
+            keys.setdefault(partition_of(key), []).append(key)
+        for partition_name, partition_keys in keys.items():
             for replica in self.partitions[partition_name].replicas:
-                replica.state_machine.execute(("insert", key, value_size), "load")
+                replica.state_machine.insert_all(partition_keys, value_size)
 
     # ------------------------------------------------------------------
     # client library (Table 1)

@@ -19,7 +19,7 @@ Operations (Table 1) are tuples:
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.services.mrpstore.partitioning import PartitionMap
@@ -175,6 +175,21 @@ class MRPStoreStateMachine(StateMachine):
             version = self._entries[key][1]
             self._entries[key] = (int(value_size), version + 1)
         return ("ok", key, 1), 16
+
+    def insert_all(self, keys: Sequence[str], value_size: int) -> None:
+        """:meth:`_insert` each of ``keys`` in turn, sorting the key index once.
+
+        The caller has routed ``keys`` to this partition (``MRPStore.load``),
+        so ownership is not checked again.
+        """
+        entries = self._entries
+        size = int(value_size)
+        for key in keys:
+            entry = entries.get(key)
+            entries[key] = (size, 1 if entry is None else entry[1] + 1)
+        if len(entries) != len(self._keys):
+            self._keys = sorted(entries)
+        self.operations += len(keys)
 
     def _delete(self, key: str) -> Tuple[Any, int]:
         if not self._owns(key):

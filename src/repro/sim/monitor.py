@@ -19,7 +19,6 @@ The statistics primitives (:class:`LatencyStats`, :class:`ThroughputTimeline`,
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
@@ -47,7 +46,6 @@ class Monitor:
         self._timeline_counts: Dict[str, int] = {}
         self._timeline_window = timeline_window
         self._counters: Dict[str, int] = defaultdict(int)
-        self._gauges: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
 
     # ------------------------------------------------------------------
     # recording
@@ -65,10 +63,6 @@ class Monitor:
     def increment(self, counter: str, amount: int = 1) -> None:
         """Increment a named counter (e.g. aborts, retransmissions, skips)."""
         self._counters[counter] += amount
-
-    def record_gauge(self, gauge: str, time: float, value: float) -> None:
-        """Record a time-stamped gauge value (e.g. CPU utilization, queue length)."""
-        self._gauges[gauge].append((time, value))
 
     def timeline(self, series: str) -> ThroughputTimeline:
         """The (lazily materialized) throughput timeline for ``series``."""
@@ -99,15 +93,6 @@ class Monitor:
     def counters(self) -> Dict[str, int]:
         return dict(self._counters)
 
-    def gauge_series(self, gauge: str) -> List[Tuple[float, float]]:
-        return list(self._gauges.get(gauge, []))
-
-    def gauge_mean(self, gauge: str) -> float:
-        points = self._gauges.get(gauge, [])
-        if not points:
-            return 0.0
-        return sum(value for _, value in points) / len(points)
-
     def latencies(self, series: Optional[str] = None) -> List[float]:
         """Raw latency samples for one series, or for all series combined."""
         if series is not None:
@@ -130,13 +115,6 @@ class Monitor:
             fraction = index / points
             cdf.append((percentile(samples, fraction), fraction))
         return cdf
-
-    def fraction_below(self, threshold: float, series: Optional[str] = None) -> float:
-        """Fraction of samples with latency strictly below ``threshold`` seconds."""
-        samples = sorted(self.latencies(series))
-        if not samples:
-            return 0.0
-        return bisect.bisect_left(samples, threshold) / len(samples)
 
     def throughput_ops(
         self,

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import concurrent.futures
 import gc
 import logging
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import AtomicMulticast, api
 from repro.config import MultiRingConfig
 from repro.errors import ConfigurationError, MulticastError
@@ -28,6 +35,46 @@ def _three_node_ring(am: AtomicMulticast, group: str = "ring-1") -> None:
         learners=["L1", "L2"],
         storage=StorageMode.MEMORY,
     )
+
+
+# ----------------------------------------------------------------------
+# what a process loads
+# ----------------------------------------------------------------------
+#: Modules a simulated process never needs: the live backend's event loop and
+#: TLS stack, the live runtime, and the figure harness.
+_LIVE_OR_HARNESS = ("asyncio", "ssl", "repro.runtime.live", "repro.bench")
+
+
+def _loaded_after(script: str) -> list:
+    """Which of ``_LIVE_OR_HARNESS`` a fresh interpreter holds after running ``script``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = f"{textwrap.dedent(script)}\nimport sys\nprint(sorted(set({_LIVE_OR_HARNESS!r}) & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_a_sim_ring_to_its_first_ack_loads_no_live_runtime_or_harness():
+    script = """
+        import repro.api
+        with repro.api.AtomicMulticast(seed=1) as am:
+            am.ring("ring-1", acceptors=["a1", "a2", "a3"], learners=["a1", "a2", "a3"])
+            future = am.submit("ring-1", "m", size_bytes=512)
+            am.run_for(1.0)
+            assert future.result(timeout=0).value.payload == "m"
+    """
+    assert _loaded_after(script) == []
+
+
+def test_the_scenario_topologies_and_invariants_load_no_live_runtime_or_harness():
+    assert _loaded_after("import repro.scenarios.topologies, repro.scenarios.invariants") == []
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Tests for MRP-Store: partitioning, the state machine, and the full service."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import MultiRingConfig
 from repro.errors import PartitioningError, ServiceError
+from repro.scenarios.invariants import replica_digest
 from repro.services.mrpstore import MRPStore, MRPStoreStateMachine, PartitionMap
 from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient, Request
@@ -188,6 +191,50 @@ class TestMRPStoreService:
         totals = [len(store.replicas_of(p)[0].state_machine) for p in ("p0", "p1")]
         assert sum(totals) == 40
         assert all(count > 0 for count in totals)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scheme=st.sampled_from(["hash", "range"]),
+        partitions=st.integers(min_value=1, max_value=4),
+        key_space=st.integers(min_value=1, max_value=400),
+        loads=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=4096)),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    def test_load_equals_inserting_record_by_record(self, scheme, partitions, key_space, loads):
+        """A bulk load leaves every replica as one ``insert`` per record would.
+
+        The reference hands every record to every replica through ``execute``,
+        which keeps what its partition owns; a second load over keys already
+        present bumps their versions.  The bulk load routes each key once.
+        """
+
+        def store() -> MRPStore:
+            return MRPStore(
+                World(seed=1), partitions=partitions, replicas_per_partition=2,
+                use_global_ring=False, scheme=scheme, key_space=key_space,
+            )  # fmt: skip
+
+        bulk, reference = store(), store()
+        for record_count, value_size in loads:
+            routing = PartitionMap.partition_of
+            with mock.patch.object(PartitionMap, "partition_of", autospec=True, side_effect=routing) as routed:
+                bulk.load(record_count, value_size)
+            assert routed.call_count == record_count
+            for index in range(record_count):
+                for name in reference.partitions:
+                    for replica in reference.replicas_of(name):
+                        replica.state_machine.execute(("insert", reference.key(index), value_size), "load")
+        for name in reference.partitions:
+            for got, want in zip(bulk.replicas_of(name), reference.replicas_of(name)):
+                got, want = got.state_machine, want.state_machine
+                assert list(got._entries.items()) == list(want._entries.items())
+                assert got._keys == want._keys
+            assert [replica_digest(r) for r in bulk.replicas_of(name)] == [
+                replica_digest(r) for r in reference.replicas_of(name)
+            ]
 
     def test_range_partitioned_store(self, world):
         store = MRPStore(

@@ -215,22 +215,12 @@ class TestMonitor:
         assert latencies == sorted(latencies)
         assert cdf[-1][1] == 1.0
 
-    def test_fraction_below(self):
-        monitor = Monitor()
-        for value in [0.001, 0.002, 0.100]:
-            monitor.record_operation("s", 0.1, value)
-        assert monitor.fraction_below(0.010, "s") == pytest.approx(2 / 3)
-
-    def test_counters_and_gauges(self):
+    def test_counters(self):
         monitor = Monitor()
         monitor.increment("skips", 3)
         monitor.increment("skips")
-        monitor.record_gauge("cpu", 1.0, 50.0)
-        monitor.record_gauge("cpu", 2.0, 100.0)
         assert monitor.counter("skips") == 4
         assert monitor.counter("missing") == 0
-        assert monitor.gauge_mean("cpu") == pytest.approx(75.0)
-        assert monitor.gauge_series("cpu") == [(1.0, 50.0), (2.0, 100.0)]
 
     def test_series_are_separate(self):
         monitor = Monitor()

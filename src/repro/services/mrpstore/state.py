@@ -187,8 +187,7 @@ class MRPStoreStateMachine(StateMachine):
         for key in keys:
             entry = entries.get(key)
             entries[key] = (size, 1 if entry is None else entry[1] + 1)
-        if len(entries) != len(self._keys):
-            self._keys = sorted(entries)
+        self._keys = sorted(entries)
         self.operations += len(keys)
 
     def _delete(self, key: str) -> Tuple[Any, int]:

@@ -1,6 +1,7 @@
 """Tests for ring batching (proposer and coordinator) and the pipelined instance window."""
 
 import asyncio
+import hashlib
 import json
 from functools import partial
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SingleRing
+from repro.bench import batching as batching_bench
 from repro.bench.perf import build_perf_world, golden_delivery_sequence
 from repro.config import BatchingConfig, MultiRingConfig, RecoveryConfig, RingConfig
 from repro.errors import ConfigurationError
@@ -786,3 +788,64 @@ class TestBatchingWithRecovery:
         assert replicas[0].commands_executed > 0
         states = [replica.state_machine._entries for replica in replicas]
         assert states[0] == states[1] == states[2]
+
+
+#: One timer-batched cell of the batching sweep (``repro.bench.batching``):
+#: batch size 16, window 32, 1 KB values, 64 proposer threads, 0.5 s, seed 1.
+BATCHED_CELL = (16, 32, 1024, 64, 0.5, StorageMode.SYNC_SSD, 1)
+BATCHED_GOLDEN = Path(__file__).parent / "golden" / "batched_cell_deliveries.json"
+
+
+def batched_cell_trace():
+    """Run :data:`BATCHED_CELL` and digest the delivery sequence at every learner.
+
+    Each learner's digest covers ``(group, instance, value uid, delivery
+    time)`` per delivered value, the uid relative to a sentinel and the time
+    in ``float.hex`` form, as :func:`golden_delivery_sequence` records them.
+    Re-record with ``PYTHONPATH=src:tests python -c "import json,
+    test_batching as t; print(json.dumps(t.batched_cell_trace(), indent=2))"``.
+    """
+    uid_base = Value.create(None, 0).uid
+    entries = {}
+    batched_instances = {}
+
+    class Recording(Deployment):
+        def add_node(self, name, **kwargs):
+            node = super().add_node(name, **kwargs)
+            seen = entries[name] = []
+            node.on_deliver(
+                lambda d: seen.append(
+                    [d.group, d.instance, d.value.uid - uid_base, node.world.sim.now.hex()]
+                )
+            )
+            batched_instances[name] = lambda: node.merge.batched_instances
+            return node
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batching_bench, "Deployment", Recording)
+        result = batching_bench._run_cell(*BATCHED_CELL)
+    learners = {}
+    for name, seen in sorted(entries.items()):
+        blob = json.dumps(seen, separators=(",", ":")).encode("utf-8")
+        learners[name] = {
+            "deliveries": len(seen),
+            "batched_instances": batched_instances[name](),
+            "sha256": hashlib.sha256(blob).hexdigest(),
+        }
+    return {"learners": learners, "result": result}
+
+
+class TestBatchedDeliveryGolden:
+    """The goldens above never deliver a batch of more than one value; this one does."""
+
+    def test_a_timer_batched_cell_keeps_its_delivery_trace(self):
+        golden = json.loads(BATCHED_GOLDEN.read_text())
+        current = batched_cell_trace()
+        assert current["learners"] == golden["learners"]
+        assert all(learner["batched_instances"] > 0 for learner in golden["learners"].values())
+        result, expected = current["result"], golden["result"]
+        assert result.keys() == expected.keys()
+        for key, value in expected.items():
+            # The latency mean within a relative 1e-12, for 3.12's compensated sum().
+            tolerance = 1e-12 if key == "latency_ms" else 0
+            assert result[key] == pytest.approx(value, rel=tolerance, abs=0), key

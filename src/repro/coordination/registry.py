@@ -114,9 +114,6 @@ class Registry:
         except KeyError:
             raise CoordinationError(f"no ring registered for group {group!r}") from None
 
-    def has_ring(self, group: GroupId) -> bool:
-        return group in self._rings
-
     def groups(self) -> List[GroupId]:
         return list(self._rings)
 
@@ -143,9 +140,6 @@ class Registry:
             if group not in existing:
                 existing.append(group)
         self._notify(f"subscriptions/{learner}", list(existing))
-
-    def subscriptions_of(self, learner: str) -> List[GroupId]:
-        return list(self._subscriptions.get(learner, []))
 
     def subscribers_of(self, group: GroupId) -> List[str]:
         return [

@@ -17,10 +17,12 @@ instances (rate leveling) are consumed by the merge but not delivered to the
 application.  A skip range arrives as one decision and stays one buffered
 entry; the merge consumes as much of it as a slot takes at once, and jumps
 whole rounds in which every active group's next M instances are skips.
-Batched instances (coordinator-side batching packs several values into one
-consensus instance) are unpacked here: each inner value becomes its own
-application delivery, in packing order, while the instance still counts as a
-single slot of the M-per-ring round-robin quota.  A batch
+
+The merge hands its node one entry per consumed instance:
+``deliver(group, instance, values)``, the values in packing order.  A
+batched instance (coordinator-side batching packs several values into one
+consensus instance) is one entry and one slot of the M-per-ring round-robin
+quota; the node unpacks it into one :class:`Delivery` per value.  A batch
 reaches the merge with its values decoded: the ring role (or recovery)
 decodes a body that crossed the wire before handing the instance over.
 
@@ -50,14 +52,17 @@ from repro.types import GroupId, InstanceId, Value, ValueBatch
 
 __all__ = ["Delivery", "DeterministicMerge"]
 
+#: The merge's sink: one call per delivered instance, its values in packing order.
+MergeSink = Callable[[GroupId, InstanceId, Tuple[Value, ...]], None]
+
 
 @dataclass(slots=True)
 class Delivery:
-    """One application-visible delivery.
+    """One application-visible delivery: one value of a delivered instance.
 
-    Slotted and non-frozen (one is allocated per delivered value, where the
-    frozen ``object.__setattr__`` init cost is measurable); treat instances
-    as immutable.
+    Slotted and non-frozen (the node allocates one per delivered value, where
+    the frozen ``object.__setattr__`` init cost is measurable); treat
+    instances as immutable.
     """
 
     group: GroupId
@@ -84,8 +89,6 @@ class DeterministicMerge:
         "delivered_count",
         "skipped_count",
         "batched_instances",
-        "deliveries",
-        "keep_history",
         "paused",
         "_advancing",
     )
@@ -94,7 +97,8 @@ class DeterministicMerge:
         self,
         groups: Sequence[GroupId],
         m: int = 1,
-        deliver: Optional[Callable[[Delivery], None]] = None,
+        *,
+        deliver: MergeSink,
         join_rounds: Optional[Dict[GroupId, Optional[int]]] = None,
     ) -> None:
         if m < 1:
@@ -134,10 +138,6 @@ class DeterministicMerge:
         #: Instances that carried more than one application value
         #: (coordinator-side batching).
         self.batched_instances = 0
-        self.deliveries: List[Delivery] = []
-        #: When True, deliveries are appended to :attr:`deliveries` (useful in
-        #: tests); large experiments disable it to save memory.
-        self.keep_history = True
         #: While paused, decisions are buffered but nothing is delivered.
         #: Used during replica recovery: live decisions keep arriving while
         #: the checkpoint is being installed and must not be applied early.
@@ -314,8 +314,6 @@ class DeterministicMerge:
         buffers = self._buffers
         next_instance = self._next_instance
         deliver = self._deliver
-        keep_history = self.keep_history
-        history = self.deliveries
         m = self.m
         while True:
             active = self._active_cache
@@ -356,28 +354,20 @@ class DeterministicMerge:
             if value.is_skip:
                 self.skipped_count += taken
             else:
-                # A batched instance (coordinator-side batching) unpacks into
-                # several application deliveries, but still consumes exactly
-                # one slot of the M-instances-per-ring round-robin quota:
-                # the round structure is defined over consensus instances,
-                # not over the values they carry.
+                # A batched instance (coordinator-side batching) carries
+                # several application values but consumes exactly one slot of
+                # the M-instances-per-ring round-robin quota: the round
+                # structure is defined over consensus instances, not over the
+                # values they carry.
                 payload = value.payload
-                if isinstance(payload, ValueBatch):
-                    inner_values = payload.values
-                    if len(inner_values) > 1:
+                if payload.__class__ is ValueBatch:
+                    values = payload.values
+                    if len(values) > 1:
                         self.batched_instances += 1
                 else:
-                    inner_values = (value,)
-                for inner in inner_values:
-                    self.delivered_count += 1
-                    # Statistics-only runs (no history, no callback) skip
-                    # the Delivery allocation entirely.
-                    if keep_history or deliver is not None:
-                        delivery = Delivery(group, instance, inner)
-                        if keep_history:
-                            history.append(delivery)
-                        if deliver is not None:
-                            deliver(delivery)
+                    values = (value,)
+                self.delivered_count += len(values)
+                deliver(group, instance, values)
             self._delivered_in_round += taken
             if self._delivered_in_round >= m:
                 self._delivered_in_round = 0

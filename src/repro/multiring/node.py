@@ -16,14 +16,14 @@ delivery callback provided here.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MultiRingConfig, RingConfig
 from repro.coordination.registry import Registry
 from repro.errors import MulticastError
 from repro.multiring.leveling import RateLeveler
 from repro.multiring.merge import Delivery, DeterministicMerge
-from repro.reconfig.commands import ControlCommand, ProposeControl, SpliceRing
+from repro.reconfig.commands import CONTROL_CLASSES, ProposeControl, SpliceRing
 from repro.ringpaxos.node import RingHost
 from repro.ringpaxos.role import RingRole
 from repro.runtime.cpu import CPUConfig
@@ -50,7 +50,6 @@ class MultiRingNode(RingHost):
         super().__init__(world, registry, name, site=site, cpu_config=cpu_config)
         self.config = config or MultiRingConfig.datacenter()
         self.merge = DeterministicMerge(groups=[], m=self.config.m, deliver=self._on_merged_delivery)
-        self.merge.keep_history = False
         self._delivery_callbacks: List[DeliveryCallback] = []
         #: Callbacks registered for a single group only (``on_deliver`` with
         #: ``group=``); spares every other ring's deliveries the call.
@@ -193,47 +192,48 @@ class MultiRingNode(RingHost):
         if merge.has_group(group):
             merge.on_decision(group, instance, value, count)
 
-    def _on_merged_delivery(self, delivery: Delivery) -> None:
-        if isinstance(delivery.value.payload, ControlCommand):
-            self._on_control_delivery(delivery)
-            return
-        self.deliveries_count += 1
-        trace_id = delivery.value.trace
-        if trace_id is not None and self._tracer.enabled:
-            self._trace_delivery(trace_id, delivery)
-            return
-        for callback in self._delivery_callbacks:
-            callback(delivery)
-        group_callbacks = self._group_delivery_callbacks.get(delivery.group)
-        if group_callbacks is not None:
-            for callback in group_callbacks:
-                callback(delivery)
+    def _on_merged_delivery(
+        self, group: GroupId, instance: InstanceId, values: Tuple[Value, ...]
+    ) -> None:
+        """Deliver one merged instance: one :class:`Delivery` per value, in
+        packing order, to every callback registered for it.
 
-    def _trace_delivery(self, trace_id: str, delivery: Delivery) -> None:
-        """Close the merge-wait span, then run the callbacks inside ``apply``.
-
-        The apply span is zero-width under the simulator (callbacks cannot
-        advance simulated time synchronously) but measures real execution
-        time on the live backend, where ``now`` tracks the wall clock.
+        A traced value's ``merge-wait`` span closes as it is released, and
+        its callbacks run inside an ``apply`` span.  That span is zero-width
+        under the simulator (callbacks cannot advance simulated time
+        synchronously) but measures real execution time on the live
+        backend, where ``now`` tracks the wall clock.
         """
-        tracer = self._tracer
-        released_at = self._sim._now
-        learned_at = tracer.take_mark(trace_id, f"merge:{self.name}")
-        if learned_at is not None:
-            tracer.record(
-                trace_id, "merge-wait", self.name, learned_at, released_at,
-                group=delivery.group, instance=delivery.instance,
-            )
-        for callback in self._delivery_callbacks:
-            callback(delivery)
-        group_callbacks = self._group_delivery_callbacks.get(delivery.group)
-        if group_callbacks is not None:
-            for callback in group_callbacks:
+        callbacks = self._delivery_callbacks
+        group_callbacks = self._group_delivery_callbacks.get(group)
+        tracer = self._tracer if self._tracer.enabled else None
+        for value in values:
+            delivery = Delivery(group, instance, value)
+            if value.payload.__class__ in CONTROL_CLASSES:
+                # Only a ForwardedCommand shares a batch with application
+                # values; every other control command is its instance's only value.
+                self._on_control_delivery(delivery)
+                continue
+            self.deliveries_count += 1
+            trace_id = value.trace if tracer is not None else None
+            if trace_id is not None:
+                released_at = self._sim._now
+                learned_at = tracer.take_mark(trace_id, f"merge:{self.name}")
+                if learned_at is not None:
+                    tracer.record(
+                        trace_id, "merge-wait", self.name, learned_at, released_at,
+                        group=group, instance=instance,
+                    )
+            for callback in callbacks:
                 callback(delivery)
-        tracer.record(
-            trace_id, "apply", self.name, released_at, self._sim._now,
-            group=delivery.group, instance=delivery.instance,
-        )
+            if group_callbacks is not None:
+                for callback in group_callbacks:
+                    callback(delivery)
+            if trace_id is not None:
+                tracer.record(
+                    trace_id, "apply", self.name, released_at, self._sim._now,
+                    group=group, instance=instance,
+                )
 
     def _on_control_delivery(self, delivery: Delivery) -> None:
         """Handle a reconfiguration control command at its agreed position."""
@@ -331,7 +331,6 @@ class MultiRingNode(RingHost):
             deliver=self._on_merged_delivery,
             join_rounds=dict(self._join_rounds),
         )
-        self.merge.keep_history = False
         for role in self.roles.values():
             role.restart_release()
 

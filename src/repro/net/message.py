@@ -95,10 +95,6 @@ class ProtocolMessage:
             total += estimate_size(getattr(self, name))
         return total
 
-    @property
-    def type_name(self) -> str:
-        return type(self).__name__
-
 
 # ----------------------------------------------------------------------
 # White-Box Atomic Multicast (codec ids 50-54)

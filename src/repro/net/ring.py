@@ -73,22 +73,11 @@ class RingOverlay:
         index = self.position(name)
         return self._members[(index - 1) % len(self._members)]
 
-    def walk_from(self, name: str) -> List[str]:
-        """Members in ring order starting after ``name`` and ending at ``name``."""
-        index = self.position(name)
-        return self._members[index + 1 :] + self._members[: index + 1]
-
     def distance(self, src: str, dst: str) -> int:
         """Number of hops a message needs to travel clockwise from ``src`` to ``dst``."""
         src_index = self.position(src)
         dst_index = self.position(dst)
         return (dst_index - src_index) % len(self._members)
-
-    def with_member(self, name: str) -> "RingOverlay":
-        """A new overlay with ``name`` appended (no-op if already present)."""
-        if name in self._members:
-            return RingOverlay(self._members)
-        return RingOverlay(self._members + [name])
 
     def without_member(self, name: str) -> "RingOverlay":
         """A new overlay with ``name`` removed."""

@@ -87,9 +87,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def samples(self) -> List[MetricSample]:
         return [(self.name, (), self.value)]
 

@@ -25,6 +25,7 @@ from repro.net.message import ProtocolMessage, estimate_size
 from repro.types import GroupId
 
 __all__ = [
+    "CONTROL_CLASSES",
     "ControlCommand",
     "SpliceRing",
     "MigrationPrepare",
@@ -42,9 +43,21 @@ def next_migration_id() -> int:
 
 
 class ControlCommand:
-    """Marker base: a multicast payload addressed to the reconfiguration layer."""
+    """Marker base: a multicast payload addressed to the reconfiguration layer.
+
+    :data:`CONTROL_CLASSES` holds this class and every subclass, so the node
+    routes each delivered value by its payload's class with no
+    ``isinstance`` call per value.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        CONTROL_CLASSES.add(cls)
+
+
+CONTROL_CLASSES = {ControlCommand}
 
 
 @dataclass(frozen=True)

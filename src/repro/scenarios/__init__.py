@@ -16,9 +16,13 @@ fault plans from :class:`~repro.workloads.engine.PhaseSchedule` phases (e.g.
 a coordinator crash in the middle of a flash crowd).
 
 ``python -m repro.bench chaos`` is the command-line entry point.
+
+The campaign layer runs MRP-Store under client load, so it loads the
+services, the SMR client and the workload generators; the package imports
+it on first use of ``CampaignRunner`` or ``ScenarioSpec``, and importing the
+topologies, fault plans or invariants loads none of that.
 """
 
-from repro.scenarios.campaign import CampaignRunner, ScenarioSpec
 from repro.scenarios.faults import (
     DelaySpike,
     DiskStall,
@@ -46,3 +50,11 @@ __all__ = [
     "TOPOLOGY_PRESETS",
     "get_preset",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("CampaignRunner", "ScenarioSpec"):
+        from repro.scenarios import campaign
+
+        return getattr(campaign, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

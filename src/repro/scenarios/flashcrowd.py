@@ -15,11 +15,13 @@ phase a fault belongs to.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 from repro.scenarios.faults import FaultPlan
-from repro.workloads.engine import PhaseSchedule
+
+if TYPE_CHECKING:
+    from repro.workloads.engine import PhaseSchedule
 
 __all__ = ["flash_crowd_fault_plan"]
 

@@ -23,7 +23,7 @@ from repro.runtime.cpu import CPUConfig
 from repro.runtime.interfaces import Runtime, StableStore
 from repro.smr.command import Command, CommandBatch, Response
 from repro.smr.state_machine import StateMachine
-from repro.types import GroupId, Value, ValueBatch
+from repro.types import GroupId
 
 __all__ = ["Replica"]
 
@@ -117,21 +117,14 @@ class Replica(MultiRingNode):
     def _commands_of(self, payload) -> List[Command]:
         """Flatten a delivered payload into its application commands.
 
-        Handles plain commands, client-side 32 KB command batches, and
-        coordinator-side value batches (normally unpacked by the merge, but a
-        batch value can still reach the replica through direct decision
-        feeds, e.g. in tests) -- including client batches nested inside a
-        coordinator batch.
+        Handles plain commands and client-side 32 KB command batches.  A
+        delivery is always one value: the node unpacks coordinator-side
+        value batches before any callback runs.
         """
         if isinstance(payload, CommandBatch):
             return list(payload.commands)
         if isinstance(payload, Command):
             return [payload]
-        if isinstance(payload, ValueBatch):
-            commands: List[Command] = []
-            for inner in payload.values:
-                commands.extend(self._commands_of(inner.payload))
-            return commands
         return []  # not an SMR value (e.g. a dummy-service payload)
 
     def _metric_samples(self):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.config import MultiRingConfig, RingConfig
 from repro.multiring.deployment import Deployment, RingSpec
+from repro.multiring.merge import Delivery, DeterministicMerge
 from repro.runtime.interfaces import StorageMode
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
@@ -65,6 +66,17 @@ def collect_deliveries(deployment: Deployment, learners) -> dict:
             lambda d, name=name: deliveries[name].append((d.group, d.instance, d.value.payload))
         )
     return deliveries
+
+
+def recorded_merge(groups, m=1, **kwargs):
+    """A :class:`DeterministicMerge` and the list its sink fills: one
+    :class:`Delivery` per delivered value, in delivery order."""
+    deliveries = []
+
+    def record(group, instance, values):
+        deliveries.extend(Delivery(group, instance, value) for value in values)
+
+    return DeterministicMerge(groups, m, deliver=record, **kwargs), deliveries
 
 
 class SingleRing:

@@ -45,11 +45,11 @@ def _three_node_ring(am: AtomicMulticast, group: str = "ring-1") -> None:
 _LIVE_OR_HARNESS = ("asyncio", "ssl", "repro.runtime.live", "repro.bench")
 
 
-def _loaded_after(script: str) -> list:
-    """Which of ``_LIVE_OR_HARNESS`` a fresh interpreter holds after running ``script``."""
+def _loaded_after(script: str, modules=_LIVE_OR_HARNESS) -> list:
+    """Which of ``modules`` a fresh interpreter holds after running ``script``."""
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = f"{textwrap.dedent(script)}\nimport sys\nprint(sorted(set({_LIVE_OR_HARNESS!r}) & set(sys.modules)))"
+    probe = f"{textwrap.dedent(script)}\nimport sys\nprint(sorted(set({tuple(modules)!r}) & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=path),
@@ -74,7 +74,10 @@ def test_a_sim_ring_to_its_first_ack_loads_no_live_runtime_or_harness():
 
 
 def test_the_scenario_topologies_and_invariants_load_no_live_runtime_or_harness():
-    assert _loaded_after("import repro.scenarios.topologies, repro.scenarios.invariants") == []
+    # Nor the services, the SMR layer or the campaign runner that drives them.
+    modules = _LIVE_OR_HARNESS + ("repro.services", "repro.smr", "repro.scenarios.campaign")
+    script = "import repro.scenarios.topologies, repro.scenarios.invariants"
+    assert _loaded_after(script, modules) == []
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SingleRing
+from conftest import SingleRing, recorded_merge
 from repro.bench import batching as batching_bench
 from repro.bench.perf import build_perf_world, golden_delivery_sequence
 from repro.config import BatchingConfig, MultiRingConfig, RecoveryConfig, RingConfig
@@ -23,8 +23,10 @@ from repro.runtime import codec
 from repro.runtime.live import LiveClock
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import StorageMode
+from repro.sim.topology import lan_topology
+from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient
-from repro.types import Value, ValueBatch, batch_values, is_batch, unpack_value
+from repro.types import Value, ValueBatch, batch_values, is_batch, skip_value, unpack_value
 from repro.workloads.simple import UpdateWorkload
 
 
@@ -536,19 +538,19 @@ class TestPipelineWindow:
 
 class TestMergeUnpacking:
     def test_batched_instance_counts_once_for_round_robin(self):
-        merge = DeterministicMerge(groups=["g1", "g2"], m=1)
+        merge, deliveries = recorded_merge(groups=["g1", "g2"], m=1)
         batch = batch_values(tuple(Value.create(f"b{i}", 10) for i in range(3)))
         merge.on_decision("g1", 0, batch)
         # g1's round slot is consumed by the batched instance; g2 must supply
         # instance 0 before anything from g1's instance 1 can flow.
         assert merge.delivered_count == 3
         assert merge.batched_instances == 1
-        assert [d.value.payload for d in merge.deliveries] == ["b0", "b1", "b2"]
+        assert [d.value.payload for d in deliveries] == ["b0", "b1", "b2"]
         assert merge.next_instance("g1") == 1
         merge.on_decision("g1", 1, Value.create("later", 10))
         assert merge.delivered_count == 3  # still waiting on g2
         merge.on_decision("g2", 0, Value.create("from-g2", 10))
-        assert [d.value.payload for d in merge.deliveries] == [
+        assert [d.value.payload for d in deliveries] == [
             "b0",
             "b1",
             "b2",
@@ -556,8 +558,43 @@ class TestMergeUnpacking:
             "later",
         ]
 
+    def test_a_batched_instance_is_one_call_to_the_sink(self):
+        calls = []
+        merge = DeterministicMerge(["g1"], deliver=lambda *call: calls.append(call))
+        values = tuple(Value.create(f"b{i}", 10) for i in range(3))
+        merge.on_decision("g1", 0, batch_values(values))
+        merge.on_decision("g1", 1, skip_value())
+        assert calls == [("g1", 0, values)]
+        assert merge.delivered_count == 3 and merge.batched_instances == 1
+
+    def test_a_traced_batched_ring_spans_and_calls_back_once_per_value(self):
+        world = World(topology=lan_topology(), seed=123, tracing=True, trace_sample=2)
+        ring = SingleRing(
+            world,
+            ["n1", "n2", "n3"],
+            ring_config=_batched_ring_config(max_batch_values=4, max_batch_delay=1e-3),
+        )
+        calls = {name: [] for name in ring.hosts}
+        for name, host in ring.hosts.items():
+            host.on_deliver(lambda delivery, seen=calls[name]: seen.append(delivery.value))
+        world.start()
+        for i in range(10):
+            ring.broadcast(f"m{i}", 128)
+        world.run(until=0.5)
+        values = [value for _, value in ring.deliveries("n1")]
+        traced = [value.trace for value in values if value.trace is not None]
+        assert 0 < len(traced) < len(values) == 10
+        spans = world.obs.tracer.spans
+        for name, host in ring.hosts.items():
+            assert host.merge.batched_instances == 3  # 4 + 4 + 2 values
+            # The ring's group callback and the node-wide one each ran once per value.
+            assert [value for _, value in ring.deliveries(name)] == calls[name] == values
+            for stage in ("merge-wait", "apply"):
+                at_node = [s.trace_id for s in spans if s.stage == stage and s.node == name]
+                assert sorted(at_node) == sorted(traced), (name, stage)
+
     def test_delivery_cursor_sits_at_instance_boundaries(self):
-        merge = DeterministicMerge(groups=["g1"], m=1)
+        merge, _ = recorded_merge(groups=["g1"], m=1)
         batch = batch_values(tuple(Value.create(f"b{i}", 10) for i in range(4)))
         merge.on_decision("g1", 0, batch)
         # The cursor can never point into the middle of a batch: unpacking is
@@ -722,9 +759,6 @@ def batched_crash_and_recovery():
     commands drain before states are compared at 5 s.
     """
     from types import SimpleNamespace
-
-    from repro.sim.topology import lan_topology
-    from repro.sim.world import World
 
     world = World(topology=lan_topology(), seed=123, timeline_window=0.5)
     store = MRPStore(

@@ -46,8 +46,7 @@ class TestMetricsRegistry:
         counter.inc()
         counter.inc(2)
         gauge = registry.gauge("mrp_depth")
-        gauge.set(5)
-        gauge.dec()
+        gauge.set(4)
         hist = registry.histogram("mrp_batch", buckets=DEFAULT_SIZE_BUCKETS)
         for value in (1, 3, 700):
             hist.observe(value)

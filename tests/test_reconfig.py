@@ -12,11 +12,11 @@ Covers the three layers of the subsystem:
 
 import pytest
 
+from conftest import recorded_merge
 from repro.config import MultiRingConfig
 from repro.coordination.reconfig import ReconfigController
 from repro.errors import MulticastError, PartitioningError
 from repro.multiring.deployment import Deployment, RingSpec
-from repro.multiring.merge import DeterministicMerge
 from repro.reconfig.elastic import migrations_installed, scale_out
 from repro.services.mrpstore import MRPStore, PartitionMap
 from repro.sim.topology import lan_topology
@@ -31,17 +31,17 @@ def _value(payload):
 
 class TestMergeSplice:
     def test_pending_group_buffers_without_delivering(self):
-        merge = DeterministicMerge(["g1"], m=1)
+        merge, deliveries = recorded_merge(["g1"], m=1)
         merge.add_pending_group("g2")
         merge.on_decision("g2", 0, _value("early"))
         merge.on_decision("g1", 0, _value("a"))
-        assert [d.value.payload for d in merge.deliveries] == ["a"]
+        assert [d.value.payload for d in deliveries] == ["a"]
         assert merge.pending("g2") == 1
         assert merge.active_groups == ["g1"]
         assert merge.groups == ["g1", "g2"]
 
     def test_splice_starts_delivery_at_the_join_round(self):
-        merge = DeterministicMerge(["g1"], m=1)
+        merge, deliveries = recorded_merge(["g1"], m=1)
         for i in range(3):
             merge.on_decision("g1", i, _value(f"g1-{i}"))
         assert merge.current_round == 3
@@ -51,7 +51,7 @@ class TestMergeSplice:
         # Round 3 still belongs to g1 alone; g0 enters at round 4.
         merge.on_decision("g1", 3, _value("g1-3"))
         merge.on_decision("g1", 4, _value("g1-4"))
-        assert [d.value.payload for d in merge.deliveries] == [
+        assert [d.value.payload for d in deliveries] == [
             "g1-0", "g1-1", "g1-2", "g1-3", "g0-0", "g1-4",
         ]
 
@@ -63,7 +63,7 @@ class TestMergeSplice:
         ]
 
         def build(order_seed):
-            merge = DeterministicMerge(["g1"], m=1)
+            merge, deliveries = recorded_merge(["g1"], m=1)
             merge.add_pending_group("g2")
             merge.set_join_round("g2", 2)
             # Any interleaving of the two rings; each stays in instance order.
@@ -72,7 +72,7 @@ class TestMergeSplice:
             streams = {g: iter([d for d in decisions if d[0] == g]) for g in ("g1", "g2")}
             for group in turns:
                 merge.on_decision(*next(streams[group]))
-            return [(d.group, d.instance) for d in merge.deliveries]
+            return [(d.group, d.instance) for d in deliveries]
 
         reference = build(0)
         assert reference == build(1) == build(7)
@@ -80,7 +80,7 @@ class TestMergeSplice:
         assert reference.index(("g2", 0)) == reference.index(("g1", 2)) + 1
 
     def test_join_round_must_be_in_the_future(self):
-        merge = DeterministicMerge(["g1"], m=1)
+        merge, _ = recorded_merge(["g1"], m=1)
         for i in range(3):
             merge.on_decision("g1", i, _value(str(i)))
         merge.add_pending_group("g2")
@@ -88,7 +88,7 @@ class TestMergeSplice:
             merge.set_join_round("g2", merge.current_round)
 
     def test_conflicting_join_round_rejected(self):
-        merge = DeterministicMerge(["g1"], m=1)
+        merge, _ = recorded_merge(["g1"], m=1)
         merge.add_pending_group("g2")
         merge.set_join_round("g2", 3)
         merge.set_join_round("g2", 3)  # idempotent
@@ -97,12 +97,12 @@ class TestMergeSplice:
 
     def test_fast_forward_restores_round_structure_after_splice(self):
         def build():
-            merge = DeterministicMerge(["g1"], m=1)
+            merge, deliveries = recorded_merge(["g1"], m=1)
             merge.add_pending_group("g2")
             merge.set_join_round("g2", 2)
-            return merge
+            return merge, deliveries
 
-        reference = build()
+        reference, reference_deliveries = build()
         decisions = [("g1", i, _value(f"g1-{i}")) for i in range(6)] + [
             ("g2", i, _value(f"g2-{i}")) for i in range(4)
         ]
@@ -112,7 +112,7 @@ class TestMergeSplice:
 
         # A rebuilt merge (e.g. after a crash) fast-forwarded to the cursor
         # continues with exactly the suffix the reference would deliver next.
-        rebuilt = DeterministicMerge(
+        rebuilt, rebuilt_deliveries = recorded_merge(
             ["g1", "g2"], m=1, join_rounds={"g1": 0, "g2": 2}
         )
         rebuilt.fast_forward(cursor)
@@ -122,11 +122,11 @@ class TestMergeSplice:
         for group, instance, value in more:
             reference.on_decision(group, instance, value)
             rebuilt.on_decision(group, instance, value)
-        suffix = [(d.group, d.instance) for d in rebuilt.deliveries]
-        assert suffix == [(d.group, d.instance) for d in reference.deliveries][-len(suffix):]
+        suffix = [(d.group, d.instance) for d in rebuilt_deliveries]
+        assert suffix == [(d.group, d.instance) for d in reference_deliveries][-len(suffix):]
 
     def test_subscription_version_bumps_on_changes(self):
-        merge = DeterministicMerge(["g1"], m=1)
+        merge, _ = recorded_merge(["g1"], m=1)
         version = merge.subscription_version
         merge.add_pending_group("g2")
         assert merge.subscription_version > version

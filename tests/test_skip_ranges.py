@@ -22,7 +22,7 @@ from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.types import Value, skip_value
 
-from conftest import SingleRing
+from conftest import SingleRing, recorded_merge
 
 BALLOT = Ballot(1, "c")
 SKIP = skip_value()
@@ -407,9 +407,9 @@ def test_a_late_duplicate_decision_is_not_learned_twice(world):
 # ----------------------------------------------------------------------
 # the merge
 # ----------------------------------------------------------------------
-def _merge_state(merge):
+def _merge_state(merge, deliveries):
     return (
-        [(d.group, d.instance, d.value) for d in merge.deliveries],
+        [(d.group, d.instance, d.value) for d in deliveries],
         merge.skipped_count, merge.delivered_count, merge.delivery_cursor(),
         merge.current_round, merge.active_groups,
         {group: merge.pending(group) for group in merge.groups},
@@ -434,12 +434,12 @@ def test_a_range_in_the_merge_reads_as_its_instances(data, m):
         steps.insert(data.draw(st.integers(0, len(steps))), ("forward", None, data.draw(st.integers(0, 12))))
 
     def build():
-        merge = DeterministicMerge([g for g in groups if g not in pending], m=m)
+        merge, deliveries = recorded_merge([g for g in groups if g not in pending], m=m)
         for group in sorted(pending):
             merge.add_pending_group(group)
-        return merge
+        return merge, deliveries
 
-    merge, reference = build(), build()
+    (merge, deliveries), (reference, reference_deliveries) = build(), build()
     for kind, group, argument in steps:
         if kind == "decide":
             first, count, value = argument
@@ -455,7 +455,9 @@ def test_a_range_in_the_merge_reads_as_its_instances(data, m):
             cursor = {g: i + argument for g, i in reference.delivery_cursor().items()}
             merge.fast_forward(cursor)
             reference.fast_forward(cursor)
-        assert _merge_state(merge) == _merge_state(reference), (kind, group, argument)
+        assert _merge_state(merge, deliveries) == _merge_state(reference, reference_deliveries), (
+            kind, group, argument,
+        )
 
 
 def test_a_pending_group_enters_at_its_join_round_and_only_that_round_rebuilds_the_active_set(
@@ -473,7 +475,7 @@ def test_a_pending_group_enters_at_its_join_round_and_only_that_round_rebuilds_t
     late = Value.create("late", 16)
     for ranged in (False, True):
         rebuilds.clear()
-        merge = DeterministicMerge(["g1"], m=1)
+        merge, deliveries = recorded_merge(["g1"], m=1)
         merge.add_pending_group("g2")
         merge.set_join_round("g2", 50)
 
@@ -490,7 +492,7 @@ def test_a_pending_group_enters_at_its_join_round_and_only_that_round_rebuilds_t
         # Rounds 0-49 are g1's alone; from round 50 on g2's instance 0 follows
         # g1's instance 50, so g2's instance 100 comes after g1's instance 150,
         # and round 151 waits for g2's instance 101 after g1's instance 151.
-        assert [(d.group, d.instance) for d in merge.deliveries] == [("g2", 100)]
+        assert [(d.group, d.instance) for d in deliveries] == [("g2", 100)]
         assert merge.skipped_count == 152 + 100
         assert merge.delivery_cursor() == {"g1": 152, "g2": 101}
         assert merge.current_round == 151

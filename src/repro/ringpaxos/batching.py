@@ -71,8 +71,9 @@ def is_control_payload(value: Value) -> bool:
     whose delivery position is not a reconfiguration agreement point (the
     destination dedups by command id), so it batches like any other value --
     important because migrations forward a burst of writes exactly when the
-    destination ring is busiest.  The merge unpacks batches value by value,
-    so a co-batched forwarded command still reaches the control routing path.
+    destination ring is busiest.  The learner routes each value of a
+    delivered batch on its own, so a co-batched forwarded command still
+    reaches the control routing path.
     """
     global _control_types
     if _control_types is None:

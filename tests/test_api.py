@@ -49,7 +49,7 @@ def _loaded_after(script: str, modules=_LIVE_OR_HARNESS) -> list:
     """Which of ``modules`` a fresh interpreter holds after running ``script``."""
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = f"{textwrap.dedent(script)}\nimport sys\nprint(sorted(set({tuple(modules)!r}) & set(sys.modules)))"
+    probe = f"{textwrap.dedent(script)}\nimport sys\nprint(sorted(set({modules!r}) & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=path),

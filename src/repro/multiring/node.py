@@ -23,12 +23,12 @@ from repro.coordination.registry import Registry
 from repro.errors import MulticastError
 from repro.multiring.leveling import RateLeveler
 from repro.multiring.merge import Delivery, DeterministicMerge
-from repro.reconfig.commands import CONTROL_CLASSES, ProposeControl, SpliceRing
+from repro.reconfig.commands import ProposeControl, SpliceRing
 from repro.ringpaxos.node import RingHost
 from repro.ringpaxos.role import RingRole
 from repro.runtime.cpu import CPUConfig
 from repro.runtime.interfaces import Runtime, StableStore
-from repro.types import GroupId, InstanceId, Value
+from repro.types import CONTROL_CLASSES, GroupId, InstanceId, Value
 
 __all__ = ["MultiRingNode"]
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.net.message import ProtocolMessage, estimate_size
-from repro.types import GroupId
+from repro.types import CONTROL_CLASSES, GroupId
 
 __all__ = [
-    "CONTROL_CLASSES",
     "ControlCommand",
     "SpliceRing",
     "MigrationPrepare",
@@ -45,19 +44,24 @@ def next_migration_id() -> int:
 class ControlCommand:
     """Marker base: a multicast payload addressed to the reconfiguration layer.
 
-    :data:`CONTROL_CLASSES` holds this class and every subclass, so the node
-    routes each delivered value by its payload's class with no
-    ``isinstance`` call per value.
+    :data:`repro.types.CONTROL_CLASSES` maps this class and every subclass
+    to its :attr:`alone`, so the node and the batcher each ask about a value
+    with one lookup of its payload's class.
     """
 
     __slots__ = ()
 
+    #: Whether a value carrying this command leaves in an instance of its
+    #: own: its delivery position is the reconfiguration agreement point, so
+    #: no co-batched application value may blur it.
+    alone = True
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        CONTROL_CLASSES.add(cls)
+        CONTROL_CLASSES[cls] = cls.alone
 
 
-CONTROL_CLASSES = {ControlCommand}
+CONTROL_CLASSES[ControlCommand] = ControlCommand.alone
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,13 @@ class ForwardedCommand(ControlCommand):
     Issued by the designated source replica for commands that were ordered
     *after* the handoff point on the source ring but address keys that moved.
     The destination executes (and answers) them; dedup is by command id.
+    Its position is not a reconfiguration agreement point, so it batches like
+    an application value -- migrations forward a burst of writes exactly when
+    the destination ring is busiest -- and the node still routes it, value by
+    value, to its control path.
     """
+
+    alone = False
 
     migration_id: int
     dest: str

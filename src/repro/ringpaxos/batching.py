@@ -32,10 +32,11 @@ byte cap, or -- whichever comes first -- when its wait ends:
 
 A batch of one goes out as the bare value, without a batch envelope.  A
 batch is encoded once, where it is built (see
-:class:`~repro.types.ValueBatch`).  Reconfiguration control commands are
-*never* batched with application values: an arriving control value flushes
-the pending batch and then leaves alone, so its agreed delivery position
-stays unambiguous.
+:class:`~repro.types.ValueBatch`).  A reconfiguration control command that
+must travel alone (every one but a ``ForwardedCommand``, which re-multicasts
+an application write; see :data:`~repro.types.CONTROL_CLASSES`) is never
+batched: it flushes the pending batch and then leaves alone, so its agreed
+delivery position stays unambiguous.
 
 Skip values (rate leveling) bypass the batcher entirely -- the coordinator
 proposes them directly through the instance window.
@@ -46,45 +47,16 @@ from __future__ import annotations
 from typing import List, TYPE_CHECKING
 
 from repro.config import BatchingConfig
-from repro.types import Value, batch_values
+from repro.types import CONTROL_CLASSES, Value, batch_values
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ringpaxos.role import RingRole
 
-__all__ = ["CoordinatorBatcher", "is_control_payload", "PROPOSER", "COORDINATOR"]
+__all__ = ["CoordinatorBatcher", "PROPOSER", "COORDINATOR"]
 
 #: The two stages a batcher runs at (the ``stage`` label of its metrics).
 PROPOSER = "proposer"
 COORDINATOR = "coordinator"
-
-#: Lazily resolved ``(ControlCommand, ForwardedCommand)`` -- populated on the
-#: first call to :func:`is_control_payload`.  :mod:`repro.reconfig` sits above
-#: the ring layer, so importing it at module load would invert the layering;
-#: resolving once keeps the per-value hot path free of import machinery.
-_control_types = None
-
-
-def is_control_payload(value: Value) -> bool:
-    """True when ``value`` carries a reconfiguration control command.
-
-    ``ForwardedCommand`` is exempt: it re-multicasts an *application* write
-    whose delivery position is not a reconfiguration agreement point (the
-    destination dedups by command id), so it batches like any other value --
-    important because migrations forward a burst of writes exactly when the
-    destination ring is busiest.  The learner routes each value of a
-    delivered batch on its own, so a co-batched forwarded command still
-    reaches the control routing path.
-    """
-    global _control_types
-    if _control_types is None:
-        from repro.reconfig.commands import ControlCommand, ForwardedCommand
-
-        _control_types = (ControlCommand, ForwardedCommand)
-    control_command, forwarded_command = _control_types
-    return isinstance(value.payload, control_command) and not isinstance(
-        value.payload, forwarded_command
-    )
-
 
 class CoordinatorBatcher:
     """Packs proposed values into batch values, at the coordinator or a proposer."""
@@ -123,10 +95,10 @@ class CoordinatorBatcher:
             self.batches_flushed += 1
             self._emit(value)
             return
-        if is_control_payload(value):
-            # Control commands get their own instance; their position in the
-            # delivery sequence is the reconfiguration agreement point and
-            # must not be blurred by co-batched application values.
+        if CONTROL_CLASSES.get(value.payload.__class__):
+            # A control command that must travel alone gets its own instance;
+            # its position in the delivery sequence is the reconfiguration
+            # agreement point and must not be blurred by co-batched values.
             self.flush()
             self.control_flushes += 1
             self._emit(value)

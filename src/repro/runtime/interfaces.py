@@ -150,9 +150,13 @@ class Transport(Protocol):
 class StableStore(Protocol):
     """The sync/async durable-write surface behind :mod:`repro.paxos.storage`.
 
-    ``write`` returns once-durable completion time; ``write_async`` returns
-    the time at which the *caller* may proceed (write-back semantics).  Both
-    invoke ``callback(*callback_args)`` through the clock, never inline.
+    ``write``'s callback signals durability: it runs once the write is on
+    stable storage (the simulator's disk model: its completion time; the
+    live log: after the turn-end fsync that covers it).  ``write`` returns
+    the time of the append on the live log and the durable completion time
+    on the simulator.  ``write_async`` returns the time at which the
+    *caller* may proceed (write-back semantics).  Both invoke
+    ``callback(*callback_args)`` through the clock, never inline.
     """
 
     def write(

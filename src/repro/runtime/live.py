@@ -43,9 +43,10 @@ Key pieces:
   appear as always-alive :class:`RemotePeer` stubs (live failure detection
   is an open item; see ROADMAP).
 * :class:`LiveFileStore` -- a real append log behind the
-  :class:`~repro.runtime.interfaces.StableStore` surface (``fsync`` for the
-  synchronous modes).  Record *content* persistence/recovery in live mode is
-  an open item; the store provides real durability timing and accounting.
+  :class:`~repro.runtime.interfaces.StableStore` surface: the synchronous
+  writes of one clock turn share one ``fsync`` (a group commit).  Record
+  *content* persistence/recovery in live mode is an open item; the store
+  provides real durability timing and accounting.
 * :class:`LiveDeployment` -- the N-node cluster in one OS process (every
   node still talks TCP to every other through its own server socket; ports
   are ephemeral, so parallel runs never collide).  It only places nodes on
@@ -88,6 +89,10 @@ __all__ = [
 #: How many due events the clock pump executes before yielding to the event
 #: loop so socket reads/writes make progress under bursty load.
 _PUMP_BATCH = 512
+
+#: The zeros a :class:`LiveFileStore` appends as its placeholder records.
+_ZEROS = memoryview(bytes(1 << 16))
+
 
 class LiveClock(Simulator):
     """Wall-clock event pacer sharing the simulator's scheduling contract.
@@ -427,14 +432,18 @@ class LiveTransport:
 class LiveFileStore:
     """A real append log behind the :class:`StableStore` surface.
 
-    ``write`` appends and (for synchronous modes) ``fsync``\\ s before
-    returning; ``write_async`` leaves flushing to the OS.  The protocol
-    layer only hands byte *counts* to its store (record content is opaque
-    there), so the log carries placeholder blocks -- real durability timing
-    and accounting, with content-level recovery left as an open item.
+    ``write`` appends without flushing; the first ``write`` of a clock turn
+    registers one turn-end commit, which flushes the file, ``fsync``\\ s it
+    once (synchronous modes) and posts the callback of every write it
+    covered through the clock.  So a vote, which its callback sends on,
+    never leaves before the fsync that covers it.  ``write_async`` flushes
+    to the OS and leaves syncing to it.  The protocol layer only hands byte
+    *counts* to its store (record content is opaque there), so the log
+    carries placeholder blocks -- real durability timing and accounting,
+    with content-level recovery left as an open item.
     """
 
-    __slots__ = ("sim", "path", "_file", "_fsync", "_fsync_hist", "bytes_written", "ops")
+    __slots__ = ("sim", "path", "_file", "_fsync", "_fsync_hist", "_waiting", "bytes_written", "ops")
 
     def __init__(
         self,
@@ -450,32 +459,46 @@ class LiveFileStore:
         #: Optional fsync-latency histogram (off the protocol hot path: the
         #: fsync syscall it times dwarfs the observation).
         self._fsync_hist = fsync_hist
+        #: Callbacks of the writes the pending commit covers; ``None`` while
+        #: no commit is registered.
+        self._waiting: Optional[List[Tuple[Callable[..., Any], tuple]]] = None
         self.bytes_written = 0
         self.ops = 0
 
-    def _append(self, nbytes: int, force: bool) -> float:
+    def _append(self, nbytes: int) -> float:
         if nbytes > 0:
-            self._file.write(b"\x00" * nbytes)
+            self._file.write(_ZEROS[:nbytes] if nbytes <= len(_ZEROS) else bytes(nbytes))
+        self.bytes_written += nbytes
+        self.ops += 1
+        return self.sim.now
+
+    def _commit(self) -> None:
+        waiting, self._waiting = self._waiting, None
         self._file.flush()
-        if force and self._fsync:
+        if self._fsync:
             if self._fsync_hist is not None:
                 begin = time.perf_counter()
                 os.fsync(self._file.fileno())
                 self._fsync_hist.observe(time.perf_counter() - begin)
             else:
                 os.fsync(self._file.fileno())
-        self.bytes_written += nbytes
-        self.ops += 1
-        return self.sim.now
+        call_later = self.sim.call_later
+        for callback, args in waiting:
+            call_later(0.0, callback, *args)
 
     def write(self, nbytes, callback=None, callback_args=()) -> float:
-        done = self._append(nbytes, force=True)
+        done = self._append(nbytes)
+        waiting = self._waiting
+        if waiting is None:
+            waiting = self._waiting = []
+            self.sim.at_turn_end(self._commit)
         if callback is not None:
-            self.sim.call_later(0.0, callback, *callback_args)
+            waiting.append((callback, callback_args))
         return done
 
     def write_async(self, nbytes, callback=None, callback_args=()) -> float:
-        done = self._append(nbytes, force=False)
+        done = self._append(nbytes)
+        self._file.flush()
         if callback is not None:
             self.sim.call_later(0.0, callback, *callback_args)
         return done

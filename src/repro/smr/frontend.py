@@ -97,8 +97,3 @@ class ProposerFrontend:
         batch = CommandBatch(commands=tuple(commands))
         self.batches_sent += 1
         self.node.multicast(group, batch, batch.size_bytes)
-
-    def flush_all(self) -> None:
-        """Flush every pending batch immediately (used at the end of experiments)."""
-        for group in list(self._pending):
-            self._flush(group)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
+    "CONTROL_CLASSES",
     "Value",
     "ValueBatch",
     "skip_value",
@@ -33,6 +34,14 @@ InstanceId = int
 
 #: Index of a process in the ring order.
 RingPosition = int
+
+#: Every control payload class -> whether a value carrying it must leave in
+#: an instance of its own.  The node routes each delivered value whose
+#: payload class is a key to its control path; the batcher sends a value
+#: alone when its entry is true.  :class:`repro.reconfig.commands.ControlCommand`
+#: fills it as its classes are defined, so the ring layer reads it without
+#: importing :mod:`repro.reconfig`: until that loads, no control payload exists.
+CONTROL_CLASSES: Dict[type, bool] = {}
 
 _value_counter = itertools.count(1)
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import os
 import re
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -350,8 +352,94 @@ def test_live_file_store_appends_and_counts(tmp_path):
         return fired
 
     fired = _run(scenario())
-    assert fired == ["sync", "async"]
+    # The synchronous callback waits for the turn's commit; the asynchronous
+    # one is posted at once.
+    assert fired == ["async", "sync"]
     assert (tmp_path / "acceptor.log").stat().st_size == 192
+
+
+def test_live_file_store_commits_one_turn_with_one_fsync(tmp_path, monkeypatch):
+    events = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        real_fsync(fd)
+        events.append("fsync")
+
+    monkeypatch.setattr("repro.runtime.live.os.fsync", fsync)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        clock = LiveClock()
+        clock.attach(loop, loop.time())
+        store = LiveFileStore(clock, str(tmp_path / "acceptor.log"), fsync=True)
+
+        def first_turn():
+            for tag in ("a", "b", "c"):
+                store.write(64, events.append, (tag,))
+            # Registered after the store's commit: it runs after the fsync,
+            # but before any callback the commit posted through the clock.
+            clock.at_turn_end(lambda: events.append("turn end"))
+
+        clock.post(first_turn)
+        pump = loop.create_task(clock.pump())
+        await asyncio.sleep(0.05)
+        clock.post(store.write, 64, events.append, ("d",))
+        await asyncio.sleep(0.05)
+        clock.stop()
+        await pump
+        store.close()
+
+    _run(scenario())
+    assert events == ["fsync", "turn end", "a", "b", "c", "fsync", "d"]
+    assert (tmp_path / "acceptor.log").stat().st_size == 256
+
+
+def test_no_vote_leaves_an_acceptor_before_its_fsync_returns(tmp_path, monkeypatch):
+    """A SYNC_SSD live ring whose fsync blocks: each Phase2 or Decision an
+    acceptor sends after voting leaves once its vote's bytes are synced."""
+    from repro.config import MultiRingConfig
+    from repro.ringpaxos.messages import Decision, Phase2
+    from repro.ringpaxos.role import RingRole
+    from repro.runtime.live import LiveTransport
+
+    synced = {}  # inode -> file size covered by the last fsync that returned
+    votes = {}  # (acceptor, instance) -> (inode, log size once its vote was appended)
+    early = []
+
+    def fsync(fd):
+        time.sleep(0.0002)
+        status = os.fstat(fd)
+        synced[status.st_ino] = status.st_size
+
+    def log_vote(self, msg, done, *done_args):
+        inner_log_vote(self, msg, done, *done_args)
+        disk = self.storage.disk
+        votes[(self.name, msg.instance)] = (os.stat(disk.path).st_ino, disk.bytes_written)
+
+    def send(self, src, dst, payload, size_bytes):
+        if payload.__class__ in (Phase2, Decision) and (src, payload.instance) in votes:
+            inode, end = votes[(src, payload.instance)]
+            if synced.get(inode, 0) < end:
+                early.append((src, payload.__class__.__name__, payload.instance))
+        inner_send(self, src, dst, payload, size_bytes)
+
+    inner_log_vote, inner_send = RingRole._log_vote, LiveTransport.send
+    monkeypatch.setattr("repro.runtime.live.os.fsync", fsync)
+    monkeypatch.setattr(RingRole, "_log_vote", log_vote)
+    monkeypatch.setattr(LiveTransport, "send", send)
+
+    am = AtomicMulticast(
+        backend="live",
+        config=MultiRingConfig.datacenter(rate_leveling=False),
+        storage_dir=str(tmp_path),
+    )
+    am.ring("g", ["n0", "n1", "n2"], coordinator="n0", storage=StorageMode.SYNC_SSD)
+    with am:
+        _closed_loop(am, "g", total=400)
+    assert {"n0", "n1"} <= {acceptor for acceptor, _ in votes}
+    assert len(synced) >= 3
+    assert early == []
 
 
 # ----------------------------------------------------------------------

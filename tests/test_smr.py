@@ -110,15 +110,6 @@ class TestFrontendAndReplica:
         assert frontend.batches_sent >= 5
         assert all(replica.commands_executed == 10 for replica in replicas)
 
-    def test_flush_all_sends_pending_batches(self, world):
-        batching = BatchingConfig(enabled=True, max_batch_bytes=1024 * 1024, max_batch_delay=100.0)
-        _deployment, replicas, frontend = _single_partition_smr(world, batching=batching)
-        world.start()
-        frontend.submit("ring-0", Command.create("nobody", ("noop",), 64, world.now))
-        frontend.flush_all()
-        world.run(until=1.0)
-        assert all(replica.commands_executed == 1 for replica in replicas)
-
 
 class TestClosedLoopClient:
     def test_client_completes_operations_and_records_latency(self, world):

@@ -7,7 +7,7 @@ run one replica is terminated; replicas keep checkpointing, the acceptors trim
 their logs, and when the failed replica restarts it installs the most recent
 checkpoint from a peer and replays the remaining instances from the acceptors.
 Built through the :class:`repro.api.AtomicMulticast` facade, with the failure
-schedule armed via its chaos hook.
+plan armed via its chaos hook.
 
 Run with::
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.api import AtomicMulticast
 from repro.config import MultiRingConfig, RecoveryConfig
 from repro.runtime.interfaces import StorageMode
-from repro.sim.failure import FailureSchedule
+from repro.scenarios import FaultPlan
 from repro.workloads.simple import UpdateWorkload
 
 # The timeline, in simulated seconds.  Read when main() runs, so a caller (the
@@ -53,7 +53,7 @@ def main() -> None:
         )
 
         victim = store.replicas_of("p0")[-1]
-        am.inject_failures(FailureSchedule().crash_and_recover(victim.name, CRASH_AT, RECOVER_AT))
+        am.inject_failures(FaultPlan("replica-crash").crash(victim.name, at=CRASH_AT, restart_at=RECOVER_AT))
 
         am.run(until=END)
         # Quiesce before comparing replica states: stop the client and let the

@@ -44,8 +44,8 @@ or the live cluster's per-node runtimes -- on which every acceptor, replica
 and client is placed the same way; ``monitor`` is that cluster's one monitor.
 On the live backend all of them -- and ``workload()``, whose load generator
 is one more client node -- are declared before entering the context (the
-node set fixes the TCP topology); only ``inject_failures()`` is still limited
-to the simulator.
+node set fixes the TCP topology); only ``inject_failures()``, which arms a
+:class:`~repro.scenarios.faults.FaultPlan`, is still limited to the simulator.
 """
 
 from __future__ import annotations
@@ -417,14 +417,14 @@ class AtomicMulticast:
         if self._backend != "sim":
             raise ConfigurationError(f"{what} is only available on the sim backend (for now)")
 
-    def inject_failures(self, schedule):
-        """Arm a failure schedule (sim backend chaos hook; live crash/restart is open)."""
-        self._require_sim("inject_failures()")
-        from repro.sim.failure import FailureInjector
+    def inject_failures(self, plan) -> None:
+        """Arm a :class:`~repro.scenarios.faults.FaultPlan` on this deployment (sim only for now).
 
-        injector = FailureInjector(self.world, schedule)
-        injector.arm()
-        return injector
+        ``coordinator:`` selectors resolve against :attr:`deployment`; the
+        facade holds no store, so a ``replica:`` selector is refused here.
+        """
+        self._require_sim("inject_failures()")
+        plan.arm(self.world, self.deployment)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.report import format_kv, format_series
 from repro.config import BatchingConfig, MultiRingConfig, RecoveryConfig
+from repro.scenarios.faults import FaultPlan
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import StorageMode
-from repro.sim.failure import FailureInjector, FailureSchedule
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient
@@ -73,9 +73,7 @@ def run_figure8(
     )
 
     victim = store.replicas_of("p0")[-1]
-    schedule = FailureSchedule().crash_and_recover(victim.name, crash_at, recover_at)
-    injector = FailureInjector(world, schedule)
-    injector.arm()
+    FaultPlan("figure8").crash(victim.name, at=crash_at, restart_at=recover_at).arm(world)
 
     world.run(until=duration)
 

@@ -608,13 +608,6 @@ class LiveNodeRuntime:
     def now(self) -> float:
         return self.sim.now
 
-    # -- failure hooks -----------------------------------------------------
-    def crash(self, name: str) -> None:
-        self.process(name).crash()
-
-    def recover(self, name: str) -> None:
-        self.process(name).recover()
-
     # -- storage factory ---------------------------------------------------
     def new_store(self, mode: StorageMode) -> Optional[LiveFileStore]:
         if mode is StorageMode.MEMORY:

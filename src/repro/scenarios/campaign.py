@@ -102,7 +102,6 @@ class ComboResult:
     passed: bool
     invariants: List[InvariantResult]
     metrics: Dict[str, float]
-    events: List[str] = field(default_factory=list)
     #: Timestamped fault-injection events from the metrics event log.
     fault_timeline: List[Dict[str, object]] = field(default_factory=list)
     #: Observability snapshot (metric state + sampled trace IDs), attached
@@ -116,7 +115,6 @@ class ComboResult:
             "passed": self.passed,
             "invariants": [result.as_dict() for result in self.invariants],
             "metrics": dict(self.metrics),
-            "events": list(self.events),
             "fault_timeline": list(self.fault_timeline),
         }
         if self.observability is not None:
@@ -231,7 +229,7 @@ class CampaignRunner:
                 retry_timeout=scenario.retry_timeout,
             )
 
-        injector = plan.arm(world, store.deployment, store)
+        plan.arm(world, store.deployment, store)
         world.run(until=self.duration)
 
         # Quiesce: freeze the workload, then give in-flight commands, repair
@@ -250,9 +248,6 @@ class CampaignRunner:
             self._check_liveness(world, plan, clients),
         ]
         metrics = self._collect_metrics(world, store, clients, acked)
-        events = [
-            f"{action.time:.3f}s {action.label}" for action in injector.applied_actions
-        ]
         passed = all(check.passed for check in invariants)
         observability: Optional[Dict[str, object]] = None
         if not passed:
@@ -266,7 +261,6 @@ class CampaignRunner:
             passed=passed,
             invariants=invariants,
             metrics=metrics,
-            events=events,
             fault_timeline=world.obs.metrics.events(),
             observability=observability,
         )

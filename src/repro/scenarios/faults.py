@@ -2,30 +2,31 @@
 
 A :class:`FaultPlan` is an ordered collection of fault specifications --
 process crashes/restarts, ring-link partitions, disk stalls, message-delay
-spikes, NIC isolations -- compiled at :meth:`FaultPlan.arm` time into timed
-callbacks on a :class:`~repro.sim.failure.FailureInjector`, so every injected
-fault shows up in the injector's applied-event log and the world trace.
+spikes, NIC isolations -- and the one way to schedule a fault.
+:meth:`FaultPlan.arm` puts the start and the end of every fault on the
+world's clock; each one is recorded once when it fires, as a
+``fault/<kind>`` event in the world's metrics event log (a chaos combo's
+``fault_timeline``) and a ``fault-plan`` line in the world trace.
 
 Targets may be literal process names or *selectors* resolved when the fault
 fires (not when the plan is written), against the deployment's live state:
 
-* ``coordinator:<group>`` -- the ring's current coordinator, obtained by
-  running :func:`~repro.coordination.election.elect_coordinator` over the
-  ring-ordered acceptors that are alive at that moment;
+* ``coordinator:<group>`` -- the coordinator the registry assigned to the
+  group's ring (Ring Paxos has no coordinator failover);
 * ``replica:<partition>:<index>`` -- the ``index``-th replica of an MRP-Store
   partition.
 
-Times are absolute simulation seconds from the start of the run.
+A fault's record names the selector and the process it resolved to
+(``coordinator:g -> a2``).  Times are absolute simulation seconds from the
+start of the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
-from repro.coordination.election import elect_coordinator
 from repro.errors import ConfigurationError
-from repro.sim.failure import FailureInjector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.multiring.deployment import Deployment
@@ -40,6 +41,46 @@ __all__ = [
     "DelaySpike",
     "FaultPlan",
 ]
+
+#: One start or end of a fault: its instant, its kind, and the action that
+#: applies it and returns the record's detail.
+Step = Tuple[float, str, Callable[[], str]]
+
+
+class _Target:
+    """A crash or isolation target: resolved when its fault starts, kept for its end.
+
+    A selector that could never be resolved (no deployment or store to
+    resolve it against) is refused when the plan is armed.
+    """
+
+    def __init__(
+        self, selector: str, deployment: Optional["Deployment"], store: Optional["MRPStore"]
+    ) -> None:
+        if selector.startswith("coordinator:") and deployment is None:
+            raise ConfigurationError(
+                f"cannot resolve {selector!r}: the fault plan was armed without a deployment"
+            )
+        if selector.startswith("replica:") and store is None:
+            raise ConfigurationError(
+                f"cannot resolve {selector!r}: the fault plan was armed without a store"
+            )
+        self.selector = self.name = selector
+        self._deployment = deployment
+        self._store = store
+
+    def resolve(self) -> str:
+        if self.selector.startswith("coordinator:"):
+            group = self.selector.split(":", 1)[1]
+            self.name = self._deployment.registry.ring(group).coordinator
+        elif self.selector.startswith("replica:"):
+            _, partition, index = self.selector.split(":", 2)
+            replicas = self._store.replicas_of(partition)
+            self.name = replicas[int(index) % len(replicas)].name
+        return self.name
+
+    def __str__(self) -> str:
+        return self.name if self.name == self.selector else f"{self.selector} -> {self.name}"
 
 
 @dataclass(frozen=True)
@@ -60,6 +101,23 @@ class ProcessCrash:
     def end(self) -> float:
         return self.restart_at if self.restart_at is not None else self.at
 
+    def steps(
+        self, world: "World", deployment: Optional["Deployment"], store: Optional["MRPStore"]
+    ) -> List[Step]:
+        victim = _Target(self.target, deployment, store)
+
+        def crash() -> str:
+            world.process(victim.resolve()).crash()
+            return str(victim)
+
+        def restart() -> str:
+            world.process(victim.name).recover()
+            return str(victim)
+
+        if self.restart_at is None:
+            return [(self.at, "crash", crash)]
+        return [(self.at, "crash", crash), (self.restart_at, "restart", restart)]
+
 
 @dataclass(frozen=True)
 class ProcessIsolation:
@@ -78,6 +136,21 @@ class ProcessIsolation:
     @property
     def end(self) -> float:
         return self.rejoin_at
+
+    def steps(
+        self, world: "World", deployment: Optional["Deployment"], store: Optional["MRPStore"]
+    ) -> List[Step]:
+        node = _Target(self.target, deployment, store)
+
+        def isolate() -> str:
+            world.network.isolate(node.resolve())
+            return str(node)
+
+        def rejoin() -> str:
+            world.network.rejoin(node.name)
+            return str(node)
+
+        return [(self.at, "isolate", isolate), (self.rejoin_at, "rejoin", rejoin)]
 
 
 @dataclass(frozen=True)
@@ -101,6 +174,21 @@ class LinkPartition:
     def end(self) -> float:
         return self.heal_at
 
+    def steps(
+        self, world: "World", deployment: Optional["Deployment"], store: Optional["MRPStore"]
+    ) -> List[Step]:
+        sides = f"{'/'.join(self.sites_a)} | {'/'.join(self.sites_b)}"
+
+        def cut() -> str:
+            world.network.partition_sites(self.sites_a, self.sites_b)
+            return sides
+
+        def heal() -> str:
+            world.network.heal_sites(self.sites_a, self.sites_b)
+            return sides
+
+        return [(self.at, "partition", cut), (self.heal_at, "heal", heal)]
+
 
 @dataclass(frozen=True)
 class DiskStall:
@@ -119,6 +207,24 @@ class DiskStall:
     @property
     def end(self) -> float:
         return self.at + self.duration
+
+    def steps(
+        self, world: "World", deployment: Optional["Deployment"], store: Optional["MRPStore"]
+    ) -> List[Step]:
+        if deployment is None:
+            raise ConfigurationError(
+                f"cannot stall disks of {self.group!r}: the fault plan was "
+                "armed without a deployment"
+            )
+
+        def stall() -> str:
+            for acceptor in deployment.ring(self.group).acceptors:
+                disk = deployment.ring_disk(self.group, acceptor)
+                if disk is not None:
+                    disk.stall(self.duration)
+            return f"{self.group} for {self.duration:g}s"
+
+        return [(self.at, "disk-stall", stall)]
 
 
 @dataclass(frozen=True)
@@ -143,6 +249,21 @@ class DelaySpike:
     def end(self) -> float:
         return self.clear_at
 
+    def steps(
+        self, world: "World", deployment: Optional["Deployment"], store: Optional["MRPStore"]
+    ) -> List[Step]:
+        link = f"{self.site_a}<->{self.site_b}"
+
+        def spike() -> str:
+            world.network.set_extra_latency(self.site_a, self.site_b, self.extra_ms * 1e-3)
+            return f"{link} +{self.extra_ms:g}ms"
+
+        def clear() -> str:
+            world.network.clear_extra_latency(self.site_a, self.site_b)
+            return link
+
+        return [(self.at, "delay-spike", spike), (self.clear_at, "delay-clear", clear)]
+
 
 Fault = Union[ProcessCrash, ProcessIsolation, LinkPartition, DiskStall, DelaySpike]
 
@@ -164,7 +285,7 @@ class FaultPlan:
     def crash_coordinator(
         self, group: str, at: float, restart_at: Optional[float] = None
     ) -> "FaultPlan":
-        """Crash the ring's *current* coordinator (resolved when the fault fires)."""
+        """Crash the ring's registered coordinator (looked up when the fault fires)."""
         return self.crash(f"coordinator:{group}", at, restart_at)
 
     def crash_replica(
@@ -217,152 +338,29 @@ class FaultPlan:
         return f"FaultPlan({self.name!r}, {len(self.faults)} faults)"
 
     # ------------------------------------------------------------------
-    # compilation
+    # scheduling
     # ------------------------------------------------------------------
     def arm(
         self,
         world: "World",
         deployment: Optional["Deployment"] = None,
         store: Optional["MRPStore"] = None,
-    ) -> FailureInjector:
-        """Compile the plan into timed actions on a fresh failure injector.
+    ) -> None:
+        """Schedule the start and the end of every fault on ``world.sim``.
 
         Selector targets are resolved when their fault fires, against the
         live state of the deployment at that moment.  ``deployment`` and
         ``store`` are only required for plans using selector targets or
-        disk stalls; plans over literal process names work without them.
+        disk stalls; a plan that needs one it was not given is refused here,
+        before anything is scheduled.
         """
-        injector = FailureInjector(world)
-        # Crash targets resolved at fire time, remembered for the restart leg.
-        resolved: Dict[int, str] = {}
-        for index, fault in enumerate(self.faults):
-            if isinstance(fault, ProcessCrash):
-                self._arm_crash(injector, world, deployment, store, index, fault, resolved)
-            elif isinstance(fault, ProcessIsolation):
-                self._arm_isolation(injector, world, deployment, store, index, fault, resolved)
-            elif isinstance(fault, LinkPartition):
-                injector.schedule_callback(
-                    fault.at,
-                    f"partition {'/'.join(fault.sites_a)} | {'/'.join(fault.sites_b)}",
-                    lambda f=fault: world.network.partition_sites(f.sites_a, f.sites_b),
-                )
-                injector.schedule_callback(
-                    fault.heal_at,
-                    f"heal {'/'.join(fault.sites_a)} | {'/'.join(fault.sites_b)}",
-                    lambda f=fault: world.network.heal_sites(f.sites_a, f.sites_b),
-                )
-            elif isinstance(fault, DiskStall):
-                injector.schedule_callback(
-                    fault.at,
-                    f"disk stall {fault.group} for {fault.duration:g}s",
-                    lambda f=fault: self._stall_disks(deployment, f),
-                )
-            elif isinstance(fault, DelaySpike):
-                injector.schedule_callback(
-                    fault.at,
-                    f"delay spike {fault.site_a}<->{fault.site_b} +{fault.extra_ms:g}ms",
-                    lambda f=fault: world.network.set_extra_latency(
-                        f.site_a, f.site_b, f.extra_ms * 1e-3
-                    ),
-                )
-                injector.schedule_callback(
-                    fault.clear_at,
-                    f"delay clear {fault.site_a}<->{fault.site_b}",
-                    lambda f=fault: world.network.clear_extra_latency(f.site_a, f.site_b),
-                )
-        return injector
-
-    # ------------------------------------------------------------------
-    def _arm_crash(
-        self,
-        injector: FailureInjector,
-        world: "World",
-        deployment: "Deployment",
-        store: Optional["MRPStore"],
-        index: int,
-        fault: ProcessCrash,
-        resolved: Dict[int, str],
-    ) -> None:
-        def do_crash() -> None:
-            name = _resolve_target(fault.target, world, deployment, store)
-            resolved[index] = name
-            injector.crash_now(name)
-
-        injector.schedule_callback(fault.at, f"crash {fault.target}", do_crash)
-        if fault.restart_at is not None:
-
-            def do_restart() -> None:
-                name = resolved.get(index)
-                if name is not None:
-                    injector.recover_now(name)
-
-            injector.schedule_callback(fault.restart_at, f"restart {fault.target}", do_restart)
-
-    def _arm_isolation(
-        self,
-        injector: FailureInjector,
-        world: "World",
-        deployment: "Deployment",
-        store: Optional["MRPStore"],
-        index: int,
-        fault: ProcessIsolation,
-        resolved: Dict[int, str],
-    ) -> None:
-        def do_isolate() -> None:
-            name = _resolve_target(fault.target, world, deployment, store)
-            resolved[index] = name
-            world.network.isolate(name)
-
-        def do_rejoin() -> None:
-            name = resolved.get(index)
-            if name is not None:
-                world.network.rejoin(name)
-
-        injector.schedule_callback(fault.at, f"isolate {fault.target}", do_isolate)
-        injector.schedule_callback(fault.rejoin_at, f"rejoin {fault.target}", do_rejoin)
-
-    @staticmethod
-    def _stall_disks(deployment: Optional["Deployment"], fault: DiskStall) -> None:
-        if deployment is None:
-            raise ConfigurationError(
-                f"cannot stall disks of {fault.group!r}: the fault plan was "
-                "armed without a deployment"
-            )
-        descriptor = deployment.ring(fault.group)
-        for acceptor in descriptor.acceptors:
-            disk = deployment.ring_disk(fault.group, acceptor)
-            if disk is not None:
-                disk.stall(fault.duration)
+        steps = [step for fault in self.faults for step in fault.steps(world, deployment, store)]
+        for at, kind, action in steps:
+            world.sim.schedule_at(at, _fire, world, kind, action)
 
 
-def _resolve_target(
-    target: str,
-    world: "World",
-    deployment: Optional["Deployment"],
-    store: Optional["MRPStore"],
-) -> str:
-    """Resolve a fault target (literal name or selector) to a process name."""
-    if target.startswith("coordinator:"):
-        if deployment is None:
-            raise ConfigurationError(
-                f"cannot resolve {target!r}: the fault plan was armed without a deployment"
-            )
-        group = target.split(":", 1)[1]
-        descriptor = deployment.registry.ring(group)
-        acceptor_set = set(descriptor.acceptors)
-        acceptors_in_order = [
-            name for name in descriptor.overlay.members if name in acceptor_set
-        ]
-        return elect_coordinator(
-            acceptors_in_order,
-            lambda name: world.has_process(name) and world.process(name).alive,
-        )
-    if target.startswith("replica:"):
-        _, partition, index = target.split(":", 2)
-        if store is None:
-            raise ConfigurationError(
-                f"cannot resolve {target!r}: the fault plan was armed without a store"
-            )
-        replicas = store.replicas_of(partition)
-        return replicas[int(index) % len(replicas)].name
-    return target
+def _fire(world: "World", kind: str, action: Callable[[], str]) -> None:
+    """Apply one start or end of a fault and write its one record."""
+    detail = action()
+    world.trace.record(world.sim.now, "fault-plan", f"{kind} {detail}")
+    world.obs.metrics.record_event(world.sim.now, f"fault/{kind}", detail)

@@ -37,9 +37,9 @@ def flash_crowd_fault_plan(
     """A plan crashing the hot ring's coordinator mid-peak.
 
     The crash lands ``crash_fraction`` of the way through the schedule's
-    highest-rate phase (its flash crowd), targeting the *current* coordinator
-    of ``hot_group`` -- the ring serving the crowded key range -- resolved
-    when the fault fires, so an earlier election does not stale the plan.
+    highest-rate phase (its flash crowd), targeting the coordinator the
+    registry holds for ``hot_group`` -- the ring serving the crowded key
+    range -- looked up when the fault fires, not when the plan is built.
     The coordinator restarts ``restart_delay`` seconds later (default: at
     the peak phase's end, so recovery overlaps the tail of the spike).
     """

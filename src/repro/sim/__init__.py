@@ -16,7 +16,6 @@ every experiment runs on this deterministic discrete-event simulator:
   write semantics (the paper's five storage modes).
 * :mod:`repro.runtime.cpu` -- per-process CPU cost accounting (coordinator
   CPU utilization in Figure 3); backend-agnostic, re-exported here.
-* :mod:`repro.sim.failure` -- crash / restart injection (Figure 8).
 * :mod:`repro.sim.monitor` -- throughput timelines, latency samples and CDFs.
 * :mod:`repro.sim.world` -- binds all of the above into one experiment
   environment.
@@ -31,7 +30,6 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.topology import Topology, lan_topology, wan_topology, EC2_REGION_RTT_MS
 from repro.sim.disk import Disk, DiskConfig, StorageMode, disk_for_mode
 from repro.runtime.cpu import CPU, CPUConfig
-from repro.sim.failure import FailureInjector, FailureSchedule
 from repro.sim.monitor import Monitor
 from repro.obs.stats import LatencyStats, ThroughputTimeline
 from repro.sim.random import RandomStreams
@@ -54,8 +52,6 @@ __all__ = [
     "disk_for_mode",
     "CPU",
     "CPUConfig",
-    "FailureInjector",
-    "FailureSchedule",
     "Monitor",
     "LatencyStats",
     "ThroughputTimeline",

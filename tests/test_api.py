@@ -24,7 +24,7 @@ from repro.config import MultiRingConfig
 from repro.errors import ConfigurationError, MulticastError
 from repro.multiring.deployment import Deployment
 from repro.runtime.interfaces import StorageMode
-from repro.sim.failure import FailureSchedule
+from repro.scenarios import FaultPlan
 from repro.workloads.simple import AppendWorkload
 
 
@@ -173,6 +173,41 @@ def test_sim_multicast_resolves_at_the_route_rings_witness():
         assert am.node("L3").deliveries_count == 1
 
 
+def test_sim_inject_failures_takes_the_registered_coordinator_down_and_up():
+    with AtomicMulticast(seed=5) as am:
+        am.ring("g", acceptors=["a1", "a2", "a3"], learners=["L1", "L2"], coordinator="a2")
+        am.inject_failures(FaultPlan("coordinator").crash_coordinator("g", at=0.5, restart_at=1.0))
+        before = [am.submit("g", f"b{i}", size_bytes=64) for i in range(3)]
+        up = {}
+        for instant in (0.45, 0.5, 0.95, 1.0):
+            am.run(until=instant)
+            up[instant] = [am.world.process(name).alive for name in ("a1", "a2", "a3")]
+        assert up == {
+            0.45: [True, True, True],
+            0.5: [True, False, True],
+            0.95: [True, False, True],
+            1.0: [True, True, True],
+        }
+        assert all(future.done() for future in before)
+        after = [am.submit("g", f"a{i}", size_bytes=64) for i in range(3)]
+        am.run_for(1.0)
+        assert sorted(future.result(timeout=0).value.payload for future in after) == ["a0", "a1", "a2"]
+        assert am.world.obs.metrics.events() == [
+            {"time": 0.5, "kind": "fault/crash", "detail": "coordinator:g -> a2"},
+            {"time": 1.0, "kind": "fault/restart", "detail": "coordinator:g -> a2"},
+        ]
+
+
+def test_sim_inject_failures_refuses_a_plan_it_cannot_resolve():
+    with AtomicMulticast(seed=5) as am:
+        _three_node_ring(am)
+        # The facade holds no MRP-Store, so a replica selector never resolves.
+        with pytest.raises(ConfigurationError, match="without a store"):
+            am.inject_failures(FaultPlan("replica").crash_replica("p0", 0, at=0.5))
+        am.run_for(1.0)
+        assert am.world.obs.metrics.events() == []
+
+
 def test_rejects_unknown_backend_and_missing_ring():
     with pytest.raises(ConfigurationError, match="unknown backend"):
         AtomicMulticast(backend="quantum")
@@ -241,7 +276,7 @@ def test_live_rejects_sim_only_features_and_late_rings():
     am.ring("g", acceptors=["n0", "n1", "n2"], learners=["n0", "n1", "n2"])
     # Live crash/restart is an open item: the chaos hook is the one guard left.
     with pytest.raises(ConfigurationError, match="sim backend"):
-        am.inject_failures(FailureSchedule())
+        am.inject_failures(FaultPlan("none"))
     with am:
         # The node set fixed the TCP topology: nothing joins a started cluster.
         with pytest.raises(ConfigurationError, match="before entering"):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import AtomicMulticast
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     CampaignRunner,
@@ -21,7 +22,6 @@ from repro.scenarios.invariants import (
     replica_digest,
 )
 from repro.sim.disk import Disk, SSD_CONFIG
-from repro.sim.failure import FailureInjector
 from repro.runtime.actor import Process
 from repro.sim.topology import matrix_topology
 from repro.sim.world import World
@@ -179,29 +179,77 @@ class TestDiskStall:
 
 
 # ----------------------------------------------------------------------
-# failure-injector chaos callbacks + crash-at-tick
+# fault plans: crash-at-tick, one record per fault event, selectors
 # ----------------------------------------------------------------------
+def _timeline(world):
+    return [(event["time"], event["kind"], event["detail"]) for event in world.obs.metrics.events()]
+
+
 class TestFaultPlanPrimitives:
     def test_crash_at_tick_and_restart(self):
         world, a, b = _two_site_world()
-        plan = FaultPlan("crash").crash("b", at=1.0, restart_at=2.0)
-        injector = plan.arm(world)
+        FaultPlan("crash").crash("b", at=1.0, restart_at=2.0).arm(world)
         world.run(until=1.5)
         assert not b.alive
         world.run(until=2.5)
         assert b.alive
-        labels = [action.label for action in injector.applied_actions]
-        assert labels == ["crash b", "restart b"]
+        assert _timeline(world) == [(1.0, "fault/crash", "b"), (2.0, "fault/restart", "b")]
 
-    def test_schedule_callback_records_and_fires(self):
-        world = World()
-        injector = FailureInjector(world)
-        fired = []
-        injector.schedule_callback(0.5, "custom fault", lambda: fired.append(world.now))
-        world.run(until=1.0)
-        assert fired == [0.5]
-        assert injector.applied_actions[0].label == "custom fault"
-        assert injector.applied_actions[0].time == pytest.approx(0.5)
+    def test_each_fault_start_and_end_is_recorded_once(self):
+        world, a, b = _two_site_world()
+        world.trace.enabled = True
+        plan = (
+            FaultPlan("mixed")
+            .isolate("a", at=0.5, rejoin_at=0.75)
+            .partition(["east"], ["west"], at=1.0, heal_at=1.5)
+            .delay_spike("east", "west", extra_ms=20, at=2.0, clear_at=2.5)
+        )
+        plan.arm(world)
+        world.run(until=3.0)
+        assert _timeline(world) == [
+            (0.5, "fault/isolate", "a"),
+            (0.75, "fault/rejoin", "a"),
+            (1.0, "fault/partition", "east | west"),
+            (1.5, "fault/heal", "east | west"),
+            (2.0, "fault/delay-spike", "east<->west +20ms"),
+            (2.5, "fault/delay-clear", "east<->west"),
+        ]
+        assert [str(record) for record in world.trace.records(process="fault-plan")] == [
+            "[  0.500000] fault-plan: isolate a",
+            "[  0.750000] fault-plan: rejoin a",
+            "[  1.000000] fault-plan: partition east | west",
+            "[  1.500000] fault-plan: heal east | west",
+            "[  2.000000] fault-plan: delay-spike east<->west +20ms",
+            "[  2.500000] fault-plan: delay-clear east<->west",
+        ]
+
+    def test_coordinator_selector_crashes_the_registered_coordinator(self):
+        am = AtomicMulticast(seed=5)
+        am.ring("g", acceptors=["a1", "a2", "a3"], learners=["L1", "L2"], coordinator="a2")
+        FaultPlan("p").crash_coordinator("g", at=0.5, restart_at=1.0).arm(am.world, am.deployment)
+        am.run(until=0.75)
+        assert [am.world.process(name).alive for name in ("a1", "a2", "a3")] == [True, False, True]
+        am.run(until=1.25)
+        assert am.world.process("a2").alive
+        assert _timeline(am.world) == [
+            (0.5, "fault/crash", "coordinator:g -> a2"),
+            (1.0, "fault/restart", "coordinator:g -> a2"),
+        ]
+
+    def test_a_plan_that_cannot_be_resolved_is_refused_when_armed(self):
+        world, a, b = _two_site_world()
+        # Each plan starts with a fault it could schedule: none is scheduled.
+        unresolvable = [
+            (FaultPlan("r").crash("b", at=0.5).crash_replica("p0", 0, at=1.0), "without a store"),
+            (FaultPlan("c").crash("b", at=0.5).crash_coordinator("g", at=1.0), "without a deployment"),
+            (FaultPlan("d").crash("b", at=0.5).disk_stall("g", at=1.0, duration=0.5), "without a deployment"),
+        ]
+        for plan, reason in unresolvable:
+            with pytest.raises(ConfigurationError, match=reason):
+                plan.arm(world)
+        world.run(until=2.0)
+        assert b.alive
+        assert _timeline(world) == []
 
     def test_plan_validation(self):
         with pytest.raises(ConfigurationError):
@@ -283,7 +331,12 @@ class TestCampaign:
         combo = result["results"][0]
         assert combo["metrics"]["acked_ops"] > 0
         assert combo["metrics"]["repairs_proposed"] > 0  # crash left open instances
-        assert combo["events"][0].endswith("crash coordinator:ring-p0")
+        assert "events" not in combo  # the fault_timeline is the one record
+        assert [(e["time"], e["kind"]) for e in combo["fault_timeline"]] == [
+            (2.0, "fault/crash"),
+            (3.5, "fault/restart"),
+        ]
+        assert combo["fault_timeline"][0]["detail"].startswith("coordinator:ring-p0 -> ")
 
     def test_partition_combo_blocks_messages_and_recovers(self):
         plan = FaultPlan("region-partition").partition(

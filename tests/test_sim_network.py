@@ -249,34 +249,25 @@ class TestWorld:
         assert len(world.trace) == 0
 
 
-class TestFailureInjector:
+class TestFaultPlanCrash:
     def test_schedule_crash_and_recover(self, world):
-        from repro.sim.failure import FailureInjector, FailureSchedule
+        from repro.scenarios.faults import FaultPlan
 
         a = Recorder(world, "a")
-        schedule = FailureSchedule().crash_and_recover("a", 1.0, 2.0)
-        injector = FailureInjector(world, schedule)
-        crash_times, recover_times = [], []
-        injector.on_crash(lambda name: crash_times.append(world.now))
-        injector.on_recover(lambda name: recover_times.append(world.now))
-        injector.arm()
+        FaultPlan("restart").crash("a", at=1.0, restart_at=2.0).arm(world)
         world.run(until=0.5)
         assert a.alive
         world.run(until=1.5)
         assert not a.alive
         world.run(until=3.0)
         assert a.alive
-        assert crash_times == [1.0]
-        assert recover_times == [2.0]
+        assert world.obs.metrics.events() == [
+            {"time": 1.0, "kind": "fault/crash", "detail": "a"},
+            {"time": 2.0, "kind": "fault/restart", "detail": "a"},
+        ]
 
     def test_invalid_schedule_rejected(self):
-        from repro.sim.failure import FailureSchedule
+        from repro.scenarios.faults import FaultPlan
 
         with pytest.raises(ConfigurationError):
-            FailureSchedule().crash_and_recover("a", 5.0, 2.0)
-
-    def test_unknown_action_rejected(self):
-        from repro.sim.failure import FailureEvent
-
-        with pytest.raises(ConfigurationError):
-            FailureEvent(1.0, "explode", "a")
+            FaultPlan("bad").crash("a", at=5.0, restart_at=2.0)

@@ -551,6 +551,11 @@ class AtomicMulticast:
         future resolves while :meth:`run` advances virtual time; on the live
         backend it resolves from the node's event loop and can be awaited
         with ``future.result(timeout=...)``.
+
+        A value submitted while the ring's coordinator is down is lost: the
+        ring has no coordinator failover yet, so the coordinator's restart
+        does not bring it back, and its future stays pending until the
+        context closes and fails it with :class:`MulticastError`.
         """
         return self._send((group,), payload, size_bytes)
 

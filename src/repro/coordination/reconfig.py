@@ -23,7 +23,7 @@ the reconfiguration safe under concurrent traffic.  The controller merely
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.coordination.registry import Registry, RingDescriptor
 from repro.errors import CoordinationError
@@ -62,7 +62,7 @@ class ReconfigController(Process):
     def propose_control(self, group: GroupId, payload, size_bytes: Optional[int] = None) -> str:
         """Inject a control payload into ``group`` through a live proposer."""
         descriptor = self.registry.ring(group)
-        proposer = self._pick_live(descriptor.proposers)
+        proposer = self.registry.first_up(descriptor.proposers)
         if proposer is None:
             raise CoordinationError(f"no live proposer for group {group!r}")
         if size_bytes is None:
@@ -74,12 +74,6 @@ class ReconfigController(Process):
 
     def send_direct(self, dest: str, msg) -> None:
         self.send(dest, msg, size_bytes=getattr(msg, "size_bytes", 128))
-
-    def _pick_live(self, names: Sequence[str]) -> Optional[str]:
-        for name in names:
-            if self.world.has_process(name) and self.world.process(name).alive:
-                return name
-        return None
 
     # ------------------------------------------------------------------
     # ring addition

@@ -4,6 +4,9 @@ The registry stores, per world:
 
 * **ring descriptors** -- which multicast group maps to which ring, the ring's
   member processes and their roles, and the current coordinator;
+* the **membership view** -- which ring hosts are up, and per ring the
+  overlay of its up members that every forward reads (the paper's ring is
+  reconfigured through Zookeeper; no process asks another whether it lives);
 * **subscriptions** -- which learners subscribe to which groups (the paper's
   "inverted" group-addressing semantics: a learner may subscribe to any set of
   groups);
@@ -64,6 +67,11 @@ class Registry:
         self._partition_maps: Dict[str, Any] = {}
         self._kv: Dict[str, Any] = {}
         self._watches: Dict[str, List[Callable[[str, Any], None]]] = {}
+        #: The membership view: names of the ring hosts that registered and
+        #: are not down.  A name that never registered reads down.
+        self._up: Set[str] = set()
+        #: group -> overlay of the ring's up members (``None`` while none is up).
+        self._views: Dict[GroupId, Optional[RingOverlay]] = {}
 
     # ------------------------------------------------------------------
     # rings
@@ -106,6 +114,7 @@ class Registry:
             coordinator=chosen,
         )
         self._rings[group] = descriptor
+        self._views[group] = self._up_members(overlay)
         return descriptor
 
     def ring(self, group: GroupId) -> RingDescriptor:
@@ -117,15 +126,69 @@ class Registry:
     def groups(self) -> List[GroupId]:
         return list(self._rings)
 
-    def reelect_coordinator(self, group: GroupId, is_alive: Callable[[str], bool]) -> str:
-        """Re-run coordinator election for ``group`` against a liveness view."""
+    def reelect_coordinator(self, group: GroupId) -> str:
+        """Re-run coordinator election for ``group`` against the membership view."""
         descriptor = self.ring(group)
         acceptors_in_order = [
             name for name in descriptor.overlay.members if name in set(descriptor.acceptors)
         ]
-        descriptor.coordinator = elect_coordinator(acceptors_in_order, is_alive)
+        descriptor.coordinator = elect_coordinator(acceptors_in_order, self.is_up)
         self._notify(f"ring/{group}/coordinator", descriptor.coordinator)
         return descriptor.coordinator
+
+    # ------------------------------------------------------------------
+    # membership view
+    # ------------------------------------------------------------------
+    def set_up(self, name: str, up: bool) -> None:
+        """Mark ``name`` up or down: the one path that edits the view.
+
+        A ring host is up from its construction; crashing and restarting it
+        mark it down and up at the instant its ``alive`` flag flips.
+        """
+        if (name in self._up) == up:
+            return
+        if up:
+            self._up.add(name)
+        else:
+            self._up.discard(name)
+        for group, descriptor in self._rings.items():
+            if name in descriptor.overlay:
+                self._views[group] = self._up_members(descriptor.overlay)
+
+    def is_up(self, name: str) -> bool:
+        return name in self._up
+
+    def first_up(self, names: Sequence[str]) -> Optional[str]:
+        """The first of ``names`` that the view holds up, or ``None``."""
+        for name in names:
+            if name in self._up:
+                return name
+        return None
+
+    def next_hop(self, group: GroupId, name: str, origin: str) -> Optional[str]:
+        """Where ``name`` forwards a ring message from ``origin``, or ``None`` to stop.
+
+        The next up member clockwise, unless circulation ends first: at the
+        origin, or -- while the origin is down -- where the origin stands in
+        the ring.
+        """
+        successor = self._views[group].successor(name)
+        if successor == origin or successor == name:
+            return None
+        if origin not in self._up:
+            ring = self._rings[group].overlay
+            if ring.distance(name, origin) < ring.distance(name, successor):
+                return None
+        return successor
+
+    def _up_members(self, overlay: RingOverlay) -> Optional[RingOverlay]:
+        view = overlay
+        for name in overlay.members:
+            if name not in self._up:
+                if len(view) == 1:
+                    return None
+                view = view.without_member(name)
+        return view
 
     # ------------------------------------------------------------------
     # subscriptions (inverted group addressing)

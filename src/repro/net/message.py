@@ -9,11 +9,9 @@ wire size of arbitrary Python payloads for application-level messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any
 
-from repro.paxos.types import Ballot
-from repro.types import GroupId, Value
+from repro.types import Value
 
 __all__ = ["ProtocolMessage", "estimate_size", "utf8_len", "HEADER_BYTES"]
 
@@ -95,58 +93,3 @@ class ProtocolMessage:
             total += estimate_size(getattr(self, name))
         return total
 
-
-# ----------------------------------------------------------------------
-# White-Box Atomic Multicast (codec ids 50-54)
-# ----------------------------------------------------------------------
-# The Skeen-style engine that sent these is gone; its five shapes stay in
-# the codec's append-only table so that ids 50-54 keep their bytes until
-# they are retired.
-@dataclass(slots=True)
-class WbSubmit(ProtocolMessage):
-    """Proposer -> destination-group leader: order ``value`` in ``group``."""
-
-    group: GroupId
-    dests: Tuple[GroupId, ...]
-    value: Value
-
-
-@dataclass(slots=True)
-class WbAccept(ProtocolMessage):
-    """Leader -> group members: replicate the (timestamp, value) record."""
-
-    group: GroupId
-    uid: int
-    ballot: Ballot
-    ts: int
-    dests: Tuple[GroupId, ...]
-    value: Value
-
-
-@dataclass(slots=True)
-class WbAccepted(ProtocolMessage):
-    """Acceptor -> leader: record accepted under ``ballot``."""
-
-    group: GroupId
-    uid: int
-    ballot: Ballot
-    ts: int
-
-
-@dataclass(slots=True)
-class WbTimestamp(ProtocolMessage):
-    """Leader of ``origin`` -> leader of ``group``: proposed local timestamp."""
-
-    group: GroupId
-    origin: GroupId
-    uid: int
-    ts: int
-
-
-@dataclass(slots=True)
-class WbCommit(ProtocolMessage):
-    """Leader -> group members: final (maximum) timestamp."""
-
-    group: GroupId
-    uid: int
-    ts: int

@@ -178,11 +178,9 @@ class MigrationAgent:
     def _propose_to(self, group, payload) -> None:
         """Inject ``payload`` into ``group`` through one of its live proposers."""
         node = self.replica
-        descriptor = node.registry.ring(group)
-        for proposer in descriptor.proposers:
-            if node.world.has_process(proposer) and node.world.process(proposer).alive:
-                node.send_direct(
-                    proposer,
-                    ProposeControl(group=group, payload=payload, payload_bytes=payload.size_bytes),
-                )
-                return
+        proposer = node.registry.first_up(node.registry.ring(group).proposers)
+        if proposer is not None:
+            node.send_direct(
+                proposer,
+                ProposeControl(group=group, payload=payload, payload_bytes=payload.size_bytes),
+            )

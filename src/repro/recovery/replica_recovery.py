@@ -140,11 +140,7 @@ class ReplicaRecovery:
         # Re-arm checkpointing (the crash cancelled every timer).
         self.start()
         peers = self.node.registry.partition_peers(self.node.name)
-        self._expected_peers = [
-            peer
-            for peer in peers
-            if self.node.world.has_process(peer) and self.node.world.process(peer).alive
-        ]
+        self._expected_peers = [peer for peer in peers if self.node.registry.is_up(peer)]
         if not self._expected_peers:
             # No partition peer: fall back to the local durable checkpoint.
             self._install_and_replay(self.store.latest_durable, from_peer=None)
@@ -213,7 +209,7 @@ class ReplicaRecovery:
         self._pending_retransmits = set()
         for group in self.node.subscriptions:
             descriptor = self.node.registry.ring(group)
-            acceptor = self._pick_live_acceptor(descriptor.acceptors)
+            acceptor = self.node.registry.first_up(descriptor.acceptors)
             if acceptor is None:
                 continue
             self._pending_retransmits.add(group)
@@ -228,12 +224,6 @@ class ReplicaRecovery:
             )
         if not self._pending_retransmits:
             self._finish_recovery()
-
-    def _pick_live_acceptor(self, acceptors: List[str]) -> Optional[str]:
-        for acceptor in acceptors:
-            if self.node.world.has_process(acceptor) and self.node.world.process(acceptor).alive:
-                return acceptor
-        return None
 
     def _on_retransmit_reply(self, sender: str, msg: RetransmitReply) -> None:
         if msg.token != 0:

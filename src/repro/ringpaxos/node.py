@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional
 from repro.config import RingConfig
 from repro.coordination.registry import Registry
 from repro.errors import MulticastError, ProcessCrashedError
-from repro.net.ring import RingOverlay
 from repro.obs import obs_of
 from repro.ringpaxos.messages import (
     Decision,
@@ -51,6 +50,7 @@ class RingHost(Process):
     ) -> None:
         super().__init__(world, name, site)
         self.registry = registry
+        registry.set_up(name, True)
         self.cpu = CPU(world.sim, cpu_config)
         # Hot-path bindings: both are per-world singletons.
         self._sim = world.sim
@@ -194,24 +194,6 @@ class RingHost(Process):
         """Send a message outside the ring overlay (replies, recovery traffic)."""
         self.send(dest, msg, size_bytes=getattr(msg, "size_bytes", 128))
 
-    def next_live_member(self, overlay: RingOverlay, origin: str) -> Optional[str]:
-        """The next live member clockwise from this host, or ``None`` to stop.
-
-        Crashed members are skipped (the real system reconfigures the ring
-        through Zookeeper); circulation stops when the next live member is the
-        message's origin.  Walks the overlay's precomputed successor chain
-        instead of materializing the full ring order per hop.
-        """
-        name = self.name
-        world = self.world
-        candidate = overlay.successor(name)
-        while candidate != origin and candidate != name:
-            process = world.get_process(candidate)
-            if process is not None and process.alive:
-                return candidate
-            candidate = overlay.successor(candidate)
-        return None
-
     # ------------------------------------------------------------------
     # message routing
     # ------------------------------------------------------------------
@@ -258,6 +240,16 @@ class RingHost(Process):
         super().on_start()
         for role in self.roles.values():
             role.start_repair()
+
+    def crash(self) -> None:
+        """Crash, marked down in the membership view before any hook runs."""
+        self.registry.set_up(self.name, False)
+        super().crash()
+
+    def recover(self) -> None:
+        """Restart, marked up in the membership view before any hook runs."""
+        self.registry.set_up(self.name, True)
+        super().recover()
 
     def on_crash(self) -> None:
         for role in self.roles.values():

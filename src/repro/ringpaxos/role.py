@@ -80,9 +80,8 @@ class RingRole:
     ) -> None:
         self.host = host
         self.descriptor = descriptor
-        #: The ring order never changes for a live descriptor (membership
-        #: changes build a new ring); cached for the per-hop forward path.
-        self._overlay = descriptor.overlay
+        #: The registry's membership view answers every forward's next hop.
+        self._next_hop = host.registry.next_hop
         self.config = config or RingConfig()
         self.group: GroupId = descriptor.group
         self.name = host.name
@@ -636,11 +635,11 @@ class RingRole:
             self.host.notify_decision(self.group, cursor, value, count)
 
     def _forward(self, msg, origin: str) -> None:
-        """Forward ``msg`` to the next live ring member, stopping at ``origin``."""
+        """Forward ``msg`` to the next up ring member, stopping at ``origin``."""
         host = self.host
         if not host.alive:
             return  # the host crashed while the message was being processed
-        next_hop = host.next_live_member(self._overlay, origin)
+        next_hop = self._next_hop(self.group, self.name, origin)
         if next_hop is None:
             return
         host.ring_send(next_hop, msg)
@@ -813,22 +812,21 @@ class RingRole:
         )
 
     def _live_acceptor(self) -> Optional[str]:
-        """A live, reachable acceptor, rotated across attempts.
+        """An up, reachable acceptor, rotated across attempts.
 
         Rotation matters: only acceptors the decision passed through know an
         instance is decided, so consecutive requests must not keep hitting
         the same (possibly unknowing) acceptor.
         """
-        world = self.host.world
+        host = self.host
         candidates = [name for name in self.descriptor.acceptors if name != self.name]
         if not candidates:
             return None
         start = self.gap_requests % len(candidates)
         for offset in range(len(candidates)):
             name = candidates[(start + offset) % len(candidates)]
-            if world.has_process(name) and world.process(name).alive:
-                if not world.network.link_faulted(self.name, name):
-                    return name
+            if host.registry.is_up(name) and not host.world.network.link_faulted(self.name, name):
+                return name
         return None
 
     def on_repair_reply(self, msg: RetransmitReply) -> None:

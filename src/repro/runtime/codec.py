@@ -115,13 +115,6 @@ def _wire_types() -> Dict[int, Type]:
         RetransmitReply,
         RetransmitRequest,
     )
-    from repro.net.message import (
-        WbAccept,
-        WbAccepted,
-        WbCommit,
-        WbSubmit,
-        WbTimestamp,
-    )
     from repro.smr.command import Command, CommandBatch, Response, SubmitCommand
     from repro.types import Value, ValueBatch
 
@@ -156,18 +149,17 @@ def _wire_types() -> Dict[int, Type]:
         42: MigrationInstall,
         43: ForwardedCommand,
         44: ProposeControl,
-        # white-box atomic multicast (its engine is removed; see net.message)
-        50: WbSubmit,
-        51: WbAccept,
-        52: WbAccepted,
-        53: WbTimestamp,
-        54: WbCommit,
     }
 
 
 #: Ids of retired shapes: never decoded, never given to a new type.
 RETIRED_IDS: Dict[int, str] = {
     2: "ValueBatch as a tuple of decoded values (until batches crossed as bytes)",
+    50: "WbSubmit of White-Box Atomic Multicast (its engine was removed)",
+    51: "WbAccept of White-Box Atomic Multicast (its engine was removed)",
+    52: "WbAccepted of White-Box Atomic Multicast (its engine was removed)",
+    53: "WbTimestamp of White-Box Atomic Multicast (its engine was removed)",
+    54: "WbCommit of White-Box Atomic Multicast (its engine was removed)",
 }
 
 #: class id -> (constructor, number of fields).

@@ -212,8 +212,6 @@ class Runtime(Protocol):
 
     def process(self, name: str) -> Any: ...
 
-    def get_process(self, name: str) -> Optional[Any]: ...
-
     def has_process(self, name: str) -> bool: ...
 
     def processes(self) -> List[Any]: ...

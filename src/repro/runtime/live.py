@@ -39,9 +39,7 @@ Key pieces:
   per peer node (mirroring the paper's per-ring TCP connections), dialled on
   first use and dialled again when it is lost.
 * :class:`LiveNodeRuntime` -- the per-node :class:`Runtime`: clock +
-  transport + monitor/rng/trace + the process registry.  Remote ring members
-  appear as always-alive :class:`RemotePeer` stubs (live failure detection
-  is an open item; see ROADMAP).
+  transport + monitor/rng/trace + the process registry.
 * :class:`LiveFileStore` -- a real append log behind the
   :class:`~repro.runtime.interfaces.StableStore` surface: the synchronous
   writes of one clock turn share one ``fsync`` (a group commit).  Record
@@ -82,7 +80,6 @@ __all__ = [
     "LiveTransport",
     "LiveNodeRuntime",
     "LiveFileStore",
-    "RemotePeer",
     "LiveDeployment",
 ]
 
@@ -214,24 +211,6 @@ class LiveClock(Simulator):
             else:
                 await self._wakeup.wait()
             self._wakeup.clear()
-
-
-class RemotePeer:
-    """Liveness stub for a ring member hosted by another node.
-
-    The live backend has no failure detector yet (open item): remote peers
-    are assumed alive, exactly like the paper's deployment assumes Zookeeper
-    reconfigures the ring when a member actually dies.
-    """
-
-    __slots__ = ("name", "alive")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.alive = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RemotePeer({self.name!r})"
 
 
 class _PeerLink(asyncio.Protocol):
@@ -545,7 +524,6 @@ class LiveNodeRuntime:
         self.storage_dir = storage_dir
         self._processes: Dict[str, Any] = {}
         self._peers: Set[str] = set()
-        self._remote_stubs: Dict[str, RemotePeer] = {}
         self._stores: List[LiveFileStore] = []
         self._started = False
 
@@ -559,33 +537,16 @@ class LiveNodeRuntime:
             self.sim.call_later(0.0, process.on_start)
 
     def process(self, name: str) -> Any:
-        local = self._processes.get(name)
-        if local is not None:
-            return local
-        if name in self._peers:
-            return self._stub(name)
-        raise NetworkError(f"unknown process {name!r}")
-
-    def get_process(self, name: str) -> Optional[Any]:
-        local = self._processes.get(name)
-        if local is not None:
-            return local
-        if name in self._peers:
-            return self._stub(name)
-        return None
+        try:
+            return self._processes[name]
+        except KeyError:
+            raise NetworkError(f"process {name!r} is not hosted on node {self.name!r}") from None
 
     def has_process(self, name: str) -> bool:
         return name in self._processes or name in self._peers
 
     def processes(self) -> List[Any]:
         return list(self._processes.values())
-
-    def _stub(self, name: str) -> RemotePeer:
-        stub = self._remote_stubs.get(name)
-        if stub is None:
-            stub = RemotePeer(name)
-            self._remote_stubs[name] = stub
-        return stub
 
     def add_peer(self, name: str, address: Tuple[str, int]) -> None:
         """Make the remote process ``name`` reachable at ``address``."""

@@ -89,10 +89,6 @@ class World:
         except KeyError:
             raise NetworkError(f"unknown process {name!r}") from None
 
-    def get_process(self, name: str) -> Optional["Process"]:
-        """The process named ``name``, or ``None`` (no-raise hot-path lookup)."""
-        return self._processes.get(name)
-
     def has_process(self, name: str) -> bool:
         return name in self._processes
 

@@ -198,6 +198,21 @@ def test_sim_inject_failures_takes_the_registered_coordinator_down_and_up():
         ]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a value submitted while its ring's coordinator is down is lost: "
+    "the ring has no coordinator failover yet (ROADMAP item 4)",
+)
+def test_sim_submits_made_while_the_coordinator_is_down_are_delivered_after_its_restart():
+    with AtomicMulticast(seed=5) as am:
+        am.ring("g", acceptors=["a1", "a2", "a3"], learners=["L1", "L2"], coordinator="a2")
+        am.inject_failures(FaultPlan("coordinator").crash_coordinator("g", at=0.5, restart_at=1.0))
+        am.run(until=0.6)
+        during = [am.submit("g", f"d{i}", size_bytes=64) for i in range(3)]
+        am.run(until=3.0)
+        assert all(future.done() for future in during)
+
+
 def test_sim_inject_failures_refuses_a_plan_it_cannot_resolve():
     with AtomicMulticast(seed=5) as am:
         _three_node_ring(am)

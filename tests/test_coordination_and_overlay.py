@@ -1,12 +1,16 @@
 """Tests for the ring overlay, coordinator election and the coordination registry."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from repro import AtomicMulticast
 from repro.coordination.election import elect_coordinator
 from repro.coordination.registry import Registry
 from repro.errors import ConfigurationError, CoordinationError
 from repro.net.message import HEADER_BYTES, ProtocolMessage, estimate_size
 from repro.net.ring import RingOverlay
+from repro.ringpaxos.node import RingHost
+from repro.scenarios import FaultPlan
 from repro.types import Value
 
 
@@ -109,7 +113,10 @@ class TestRegistry:
     def test_reelection_skips_dead_coordinator(self):
         registry = Registry()
         self._register(registry)
-        new_coordinator = registry.reelect_coordinator("g1", lambda n: n != "a1")
+        for name in ("a1", "a2", "a3"):
+            registry.set_up(name, True)
+        registry.set_up("a1", False)
+        new_coordinator = registry.reelect_coordinator("g1")
         assert new_coordinator == "a2"
         assert registry.ring("g1").coordinator == "a2"
 
@@ -157,6 +164,96 @@ class TestRegistry:
         assert registry.get("config/x") == 42
         assert registry.get("missing", "default") == "default"
         assert seen == [("config/x", 42)]
+
+
+def _walk(ring: RingOverlay, down, name: str, origin: str):
+    """The forward walk the view replaced: the next member clockwise from
+    ``name`` that is not down, or ``None`` once it meets ``origin`` or
+    comes back to ``name``."""
+    candidate = ring.successor(name)
+    while candidate != origin and candidate != name:
+        if candidate not in down:
+            return candidate
+        candidate = ring.successor(candidate)
+    return None
+
+
+@st.composite
+def _memberships(draw):
+    """A ring of 1-7 members, a down set, an up forwarder and any origin."""
+    members = [f"m{i}" for i in range(draw(st.integers(1, 7)))]
+    name = draw(st.sampled_from(members))
+    down = draw(st.sets(st.sampled_from(members))) - {name}
+    origin = draw(st.sampled_from(members))
+    return members, down, name, origin, draw(st.booleans())
+
+
+class TestMembershipView:
+    @given(_memberships())
+    # The origin is down, before and after the next up member.
+    @example((["m0", "m1", "m2", "m3", "m4"], {"m1", "m3"}, "m0", "m1", False))
+    @example((["m0", "m1", "m2", "m3", "m4"], {"m1", "m3"}, "m0", "m3", True))
+    # The forwarder is the lone up member.
+    @example((["m0", "m1", "m2"], {"m1", "m2"}, "m0", "m2", False))
+    @example((["m0"], set(), "m0", "m0", True))
+    def test_next_hop_is_the_walk_past_down_members(self, case):
+        members, down, name, origin, up_before_ring = case
+        registry = Registry()
+        up = [member for member in members if member not in down]
+
+        def mark_up():
+            for member in up:
+                registry.set_up(member, True)
+
+        if up_before_ring:
+            mark_up()
+        registry.register_ring("g", members, proposers=[], acceptors=members, learners=[])
+        if not up_before_ring:
+            mark_up()
+        assert registry.next_hop("g", name, origin) == _walk(RingOverlay(members), down, name, origin)
+
+    def test_a_name_that_never_registered_is_down(self):
+        registry = Registry()
+        registry.register_ring("g", ["a", "b"], proposers=["a"], acceptors=["a", "b"], learners=["b"])
+        registry.set_up("b", True)
+        assert not registry.is_up("a")
+        assert registry.first_up(["a", "b"]) == "b"
+        assert registry.next_hop("g", "b", "b") is None
+
+    def test_a_crashed_member_leaves_the_view_and_decisions_skip_it(self, monkeypatch):
+        hops = []
+        ring_send = RingHost.ring_send
+
+        def recorded(host, dest, msg):
+            hops.append((host.now, host.name, dest, type(msg).__name__))
+            ring_send(host, dest, msg)
+
+        monkeypatch.setattr(RingHost, "ring_send", recorded)
+        with AtomicMulticast(seed=5) as am:
+            am.ring("g", ["a1", "a2", "a3"], acceptors=["a1", "a2", "a3"], proposers=["a1"])
+            am.inject_failures(FaultPlan("member").crash("a3", at=0.5, restart_at=1.0))
+            registry = am.deployment.registry
+            view = {}
+            futures = []
+            for instant in (0.45, 0.5, 0.7, 0.95, 1.0, 1.2):
+                am.run(until=instant)
+                view[instant] = (registry.is_up("a3"), registry.next_hop("g", "a2", "a2"))
+                futures.append(am.submit("g", instant, size_bytes=64))
+            am.run(until=1.5)
+        assert view == {
+            0.45: (True, "a3"),
+            0.5: (False, "a1"),
+            0.7: (False, "a1"),
+            0.95: (False, "a1"),
+            1.0: (True, "a3"),
+            1.2: (True, "a3"),
+        }
+        assert all(future.done() for future in futures)
+        down = [(src, dest, kind) for now, src, dest, kind in hops if 0.5 <= now < 1.0]
+        assert ("a2", "a1", "Decision") in down
+        assert not [hop for hop in down if "a3" in hop[:2]]
+        after = [(src, dest, kind) for now, src, dest, kind in hops if now >= 1.0]
+        assert ("a2", "a3", "Decision") in after
 
 
 class TestMessageSizing:

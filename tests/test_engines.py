@@ -6,8 +6,7 @@ that orders every multi-group message.  The tests read that one run and
 check total order per group, that each destination delivers a message
 exactly once, that multi-group messages keep one relative order, and that
 the global ring reaches learners outside a message's destinations (the
-price Multi-Ring Paxos pays for not being genuine).  The suite is
-parametrized by protocol; Multi-Ring Paxos is the one the library runs.
+price Multi-Ring Paxos pays for not being genuine).
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import pytest
 from repro import AtomicMulticast
 from repro.errors import MulticastError
 from repro.sim.topology import lan_topology
-
-PROTOCOLS = ("multiring",)
 
 GROUPS = ("gA", "gB", "gC")
 
@@ -82,59 +79,51 @@ def _run_conformance_workload():
     return sequences, submissions, stray
 
 
-@pytest.fixture(scope="module", params=PROTOCOLS)
-def conformance_run(request):
-    return request.param, _run_conformance_workload()
+@pytest.fixture(scope="module")
+def conformance_run():
+    return _run_conformance_workload()
 
 
 def test_total_order_per_group(conformance_run):
-    protocol, (sequences, _, _) = conformance_run
+    sequences, _, _ = conformance_run
     for group in GROUPS:
         learner_seqs = [seq for (g, _), seq in sequences.items() if g == group]
-        assert learner_seqs[0], f"{protocol}/{group}: no deliveries recorded"
+        assert learner_seqs[0], f"{group}: no deliveries recorded"
         for seq in learner_seqs[1:]:
             assert seq == learner_seqs[0], (
-                f"{protocol}/{group}: learners disagree on the delivery order"
+                f"{group}: learners disagree on the delivery order"
             )
 
 
 def test_validity_every_destination_delivers_exactly_once(conformance_run):
-    protocol, (sequences, submissions, _) = conformance_run
+    sequences, submissions, _ = conformance_run
     for group in GROUPS:
         witness_seq = sequences[(group, f"{group}-0")]
         expected = [payload for payload, dests in submissions.items() if group in dests]
         assert sorted(witness_seq) == sorted(expected), (
-            f"{protocol}/{group}: delivered set != addressed set"
+            f"{group}: delivered set != addressed set"
         )
-        assert len(witness_seq) == len(set(witness_seq)), f"{protocol}/{group}: duplicate delivery"
+        assert len(witness_seq) == len(set(witness_seq)), f"{group}: duplicate delivery"
 
 
 def test_multi_group_messages_keep_a_consistent_relative_order(conformance_run):
-    protocol, (sequences, submissions, _) = conformance_run
+    sequences, submissions, _ = conformance_run
     for first, second in (("gA", "gB"), ("gB", "gC"), ("gA", "gC")):
         shared = {p for p, dests in submissions.items() if first in dests and second in dests}
         order_first = [p for p in sequences[(first, f"{first}-0")] if p in shared]
         order_second = [p for p in sequences[(second, f"{second}-0")] if p in shared]
         assert order_first == order_second, (
-            f"{protocol}: {first} and {second} disagree on multi-group order"
+            f"{first} and {second} disagree on multi-group order"
         )
 
 
-def test_genuine_engines_never_deliver_outside_the_destination_set(conformance_run):
+def test_the_global_ring_delivers_outside_the_destination_set(conformance_run):
     """Multi-Ring Paxos is not genuine: its global ring reaches every subscriber."""
-    _, (_, _, stray) = conformance_run
+    _, _, stray = conformance_run
     assert stray > 0
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_unknown_group_options_are_rejected(protocol):
-    with AtomicMulticast(seed=1, topology=lan_topology()) as am:
-        with pytest.raises(TypeError, match="bogus"):
-            am.ring("g", ["n0"], bogus=1)
-        assert not am.deployment.rings
-
-
-def test_multiring_multi_group_needs_a_designated_route():
+def test_multi_group_messages_need_a_designated_route():
     with AtomicMulticast(seed=1, topology=lan_topology()) as am:
         for group in ("gA", "gB"):
             am.ring(group, _members(group))

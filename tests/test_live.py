@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import AtomicMulticast
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
 from repro.multiring.deployment import Deployment, RingSpec
 from repro.runtime.actor import Process
 from repro.runtime.codec import frame_message
@@ -24,7 +24,6 @@ from repro.runtime.live import (
     LiveDeployment,
     LiveFileStore,
     LiveNodeRuntime,
-    RemotePeer,
 )
 from repro.live import run_live_dlog
 from repro.scenarios.invariants import check_no_acked_write_lost, check_replica_convergence
@@ -104,7 +103,7 @@ def as_runtime(world):
         assert hasattr(world, attr), f"{type(world).__name__} lacks {attr!r}"
     assert isinstance(world.sim, Clock)
     assert isinstance(world.network, Transport)
-    for method in ("register", "get_process", "has_process", "start", "new_store"):
+    for method in ("register", "process", "has_process", "start", "new_store"):
         assert callable(getattr(world, method, None)), f"{type(world).__name__}.{method}"
     return world
 
@@ -117,10 +116,12 @@ def test_live_runtime_satisfies_runtime_protocol():
     runtime = LiveNodeRuntime("n0")
     assert as_runtime(runtime) is runtime
     runtime.add_peer("far-away", ("127.0.0.1", 1))
+    # A peer is an address, not an object: whether it is up is the
+    # registry's membership view, never a question put to the runtime.
     assert runtime.has_process("far-away")
-    peer = runtime.get_process("far-away")
-    assert isinstance(peer, RemotePeer) and peer.alive
-    assert runtime.get_process("nobody") is None
+    with pytest.raises(NetworkError, match="not hosted on node 'n0'"):
+        runtime.process("far-away")
+    assert not runtime.has_process("nobody")
     assert runtime.new_store(StorageMode.MEMORY) is None
     # Durable modes need a storage directory; without one the runtime must
     # refuse loudly rather than silently skip the requested durability.
@@ -553,8 +554,10 @@ def test_live_nodes_share_nothing_but_tcp():
         assert [deployment.node(f"n{i}").world for i in range(3)] == runtimes
         delivered = asyncio.get_running_loop().create_future()
         async with cluster:
-            # ... where the other members are peer stubs, not objects ...
-            assert isinstance(runtimes[0].get_process("n1"), RemotePeer)
+            # ... where the other members are names in the ring's view, not objects ...
+            assert deployment.registry.is_up("n1")
+            with pytest.raises(NetworkError):
+                runtimes[0].process("n1")
             deployment.node("n2").on_deliver(delivered.set_result, group="g")
             runtimes[1].sim.post(deployment.multicast, "g", "append", 64, "n1")
             assert (await asyncio.wait_for(delivered, 10.0)).value.payload == "append"

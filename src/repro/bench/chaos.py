@@ -1,9 +1,10 @@
 """The chaos campaign experiment: geo-scale fault schedules with invariants.
 
 ``python -m repro.bench chaos`` sweeps scenario × fault-plan combinations on
-the WAN presets and checks the global invariants after each run (no
-acknowledged write lost, replica convergence, merge liveness on every ring,
-bounded cross-ring delivery skew, recovery completion, post-fault progress).
+the WAN presets and checks the global invariants after each run (the safety
+oracle's total order, integrity, acyclic order and no acknowledged write
+lost; replica convergence, merge liveness, bounded cross-ring delivery skew,
+recovery completion, post-fault progress).
 The nightly CI lane runs the quick scale and uploads ``BENCH_chaos.json``
 plus the per-combo scenario traces; set ``CHAOS_TRACE_DIR`` to collect the
 traces locally.

@@ -45,6 +45,7 @@ from repro.scenarios.topologies import get_preset
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.types import Value
+from repro.verify import DeliveryLog
 
 __all__ = [
     "run_perf",
@@ -267,25 +268,14 @@ def golden_delivery_sequence(
     """
     uid_base = Value.create(None, 0).uid
     world, deployment, drivers = build_perf_world(scenario, threads=threads)
-    node = deployment.node(observer)
-    entries: List[List] = []
-
-    def record(delivery) -> None:
-        entries.append(
-            [
-                delivery.group,
-                delivery.instance,
-                delivery.value.uid - uid_base,
-                world.sim.now.hex(),
-            ]
-        )
-
-    node.on_deliver(record)
+    log = DeliveryLog()
+    log.attach(deployment.node(observer))
     world.start()
     for driver in drivers:
         driver.start()
     world.run(until=duration)
 
+    entries = [[group, instance, uid - uid_base, t.hex()] for group, instance, uid, t in log.sequences[observer]]
     blob = json.dumps(entries, separators=(",", ":")).encode("utf-8")
     return {
         "scenario": scenario,

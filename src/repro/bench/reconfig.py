@@ -15,30 +15,34 @@ scaling claim):
 
 Reported: throughput in the windows before / during / after the transition,
 migration statistics, whether all replicas of each partition agree, and how
-many acknowledged writes were lost (must be zero).
+many acknowledged writes were lost (must be zero), as judged by the safety
+oracle (:mod:`repro.verify`) and :func:`~repro.scenarios.invariants.check_replica_convergence`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.report import format_kv, format_table
 from repro.config import MultiRingConfig
 from repro.coordination.reconfig import ReconfigController
+from repro.reconfig.commands import ForwardedCommand
 from repro.reconfig.elastic import migrations_installed, scale_out
+from repro.scenarios.invariants import check_replica_convergence
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import StorageMode
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient, RequestClient
+from repro.verify import DeliveryLog, acks_of, check, lost_acks
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
 
 __all__ = ["run_reconfig"]
 
 
 class _TrackedWriter(RequestClient):
-    """Issues uniquely keyed inserts and records which were acknowledged.
+    """Issues uniquely keyed inserts.
 
     Unlike the closed-loop YCSB clients this writer never blocks: it fires at
     a fixed interval, so writes keep arriving throughout the reconfiguration
@@ -52,7 +56,6 @@ class _TrackedWriter(RequestClient):
         self.interval = interval
         self.value_size = value_size
         self._index = 0
-        self.acked: List[str] = []
 
     def on_start(self) -> None:
         self.set_periodic_timer(self.interval, self._tick)
@@ -63,36 +66,19 @@ class _TrackedWriter(RequestClient):
         # never generates them) while spreading them across every range.
         key = f"user{spread:012d}x{self._index:06d}"
         self._index += 1
-        self.submit(self.store.insert(key, self.value_size, series="tracked"), self.now, key)
-
-    def on_complete(self, key: str) -> None:
-        self.acked.append(key)
+        self.submit(self.store.insert(key, self.value_size, series="tracked"), self.now)
 
 
-def _check_consistency(store: MRPStore) -> Dict[str, object]:
-    """All replicas of each partition agree; no acknowledged write lost."""
-    divergent: List[str] = []
-    for name, partition in store.partitions.items():
-        reference = partition.replicas[0].state_machine
-        for replica in partition.replicas[1:]:
-            if replica.state_machine._entries != reference._entries:
-                divergent.append(name)
-                break
-            if replica.state_machine.partition_map.version != reference.partition_map.version:
-                divergent.append(name)
-                break
-    return {"divergent_partitions": divergent, "consistent": not divergent}
+def _log_deliveries(log: DeliveryLog, replicas) -> None:
+    """Log what each replica delivers, and the commands a migration forwards
+    to it, which reach it through ``on_control``."""
+    def forwarded(value) -> list:
+        payload = value.payload
+        return [payload.command.command_id] if isinstance(payload, ForwardedCommand) else []
 
-
-def _lost_writes(store: MRPStore, acked: List[str]) -> List[str]:
-    final_map = store.current_map
-    lost = []
-    for key in acked:
-        owner = final_map.partition_of(key)
-        replica = store.partitions[owner].replicas[0]
-        if not replica.state_machine.contains(key):
-            lost.append(key)
-    return lost
+    for replica in replicas:
+        log.attach(replica)
+        replica.on_control(log.recorder(replica, forwarded))
 
 
 def run_reconfig(
@@ -124,6 +110,8 @@ def run_reconfig(
         key_space=record_count,
     )
     store.load(record_count, value_size=value_size)
+    log = DeliveryLog()
+    _log_deliveries(log, store.all_replicas())
 
     series = "reconfig"
     clients: List[ClosedLoopClient] = []
@@ -141,6 +129,7 @@ def run_reconfig(
             )
         )
     writer = _TrackedWriter(world, "tracked-writer", store, interval=writer_interval)
+    acked = acks_of(writer)
 
     # Clients learn about new rings the way the paper's clients learn about
     # partitioning changes: a watch on the registry's partition map.
@@ -157,12 +146,9 @@ def run_reconfig(
     controller = ReconfigController(world, store.deployment)
     quarter = store.key(record_count // 4)
     three_quarters = store.key(3 * record_count // 4)
-    migration_ids = scale_out(
-        store,
-        controller,
-        new_group="ring-g1",
-        splits=[("p0", "p2", quarter), ("p1", "p3", three_quarters)],
-    )
+    splits = [("p0", "p2", quarter), ("p1", "p3", three_quarters)]
+    migration_ids = scale_out(store, controller, new_group="ring-g1", splits=splits)
+    _log_deliveries(log, [replica for _, new, _ in splits for replica in store.replicas_of(new)])
     world.run(until=duration)
 
     # Quiesce: stop issuing and drain in-flight commands before comparing
@@ -180,16 +166,18 @@ def run_reconfig(
         "throughput during (ops/s)": monitor.throughput_ops(series, start=reconfig_at, end=during_end),
         "throughput after (ops/s)": monitor.throughput_ops(series, start=during_end, end=duration),
     }
-    consistency = _check_consistency(store)
-    lost = _lost_writes(store, writer.acked)
+    live = {replica.name: replica.delivery_cursor() for replica in store.all_replicas()}
+    invariants = [*check(log, acked, live), check_replica_convergence(store)]
+    lost = lost_acks(log, acked, live)
+    consistent = all(result.passed for result in invariants if result.name != "no-acked-write-lost")
     events = {
         "migrations started": len(migration_ids),
         "migrations installed everywhere": migrations_installed(store, ["p2", "p3"]),
         "commands forwarded": monitor.counter("reconfig/commands_forwarded"),
         "partition-map version": store.current_map.version,
-        "acked tracked writes": len(writer.acked),
+        "acked tracked writes": len(acked),
         "lost tracked writes": len(lost),
-        "replicas consistent": consistency["consistent"],
+        "replicas consistent": consistent,
     }
 
     report = format_table(
@@ -202,11 +190,11 @@ def run_reconfig(
         "experiment": "reconfig",
         "phases": phases,
         "events": events,
-        "consistency": consistency,
-        "lost_writes": lost,
+        "invariants": [result.as_dict() for result in invariants],
+        "consistent": consistent,
+        "lost_writes": list(lost),
         "migration_ids": migration_ids,
         "partitions": sorted(store.partitions),
         "report": report,
         "_store": store,
-        "_writer_acked": list(writer.acked),
     }

@@ -9,12 +9,9 @@ down.  Every process is an asyncio task set with its own TCP server, every
 protocol message crosses a real socket through the versioned codec, and the
 run reports *wall-clock* throughput into ``BENCH_live.json``.
 
-The run double-checks the paper's safety contract end to end:
-
-* **zero lost acked writes** -- every append the client saw answered was
-  executed by every replica,
-* **identical delivery sequences** -- all replicas deliver the same order,
-* **identical dLog state** -- every replica's snapshot agrees.
+The safety oracle (:mod:`repro.verify`) judges the run end to end from a log
+of every replica's deliveries and the ids the client saw acked: total order,
+integrity, acyclic cross-group order, and no acked append lost.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from repro.runtime.interfaces import StorageMode
 from repro.runtime.live import LiveDeployment
 from repro.services.dlog import DLog
 from repro.smr.client import ClosedLoopClient
+from repro.verify import DeliveryLog, acks_of, check
 from repro.workloads.simple import AppendWorkload
 
 __all__ = ["run_live_dlog", "run_live"]
@@ -148,11 +146,12 @@ async def run_live_dlog(
                 pace(context)
 
         client.on_complete = on_complete
+        acked_ids = acks_of(client)
         replicas = dlog.replica_nodes
         # An observation beside the service, not a second way to build it.
-        sequences: List[List[int]] = [[] for _ in replicas]
-        for replica, seen in zip(replicas, sequences):
-            replica.on_deliver(lambda d, seen=seen: seen.append(d.value.uid))
+        log = DeliveryLog()
+        for replica in replicas:
+            log.attach(replica)
 
         async with cluster:
             started_at = time.perf_counter()
@@ -204,13 +203,9 @@ async def run_live_dlog(
                     ),
                 }
 
-    # ------------------------------------------------------------------
-    # invariants
-    # ------------------------------------------------------------------
-    identical = all(sequence == sequences[0] for sequence in sequences)
-    total_lost = sum(max(0, acked - replica.commands_executed) for replica in replicas)
-    states = [replica.state_machine.snapshot()[0] for replica in replicas]
-    state_identical = all(state == states[0] for state in states)
+    invariants = check(log, acked_ids, {replica.name: replica.delivery_cursor() for replica in replicas})
+    judged = {replica.name: log.counts().get(replica.name, 0) for replica in replicas}
+    safe = all(result.passed for result in invariants) and all(judged.values())
     positions = {
         replica.name: replica.state_machine.next_position(LOG) for replica in replicas
     }
@@ -218,14 +213,7 @@ async def run_live_dlog(
         entry["healthz_ok"] and entry["metrics_status"] == 200
         for entry in endpoints.values()
     )
-    passed = (
-        identical
-        and total_lost == 0
-        and state_identical
-        and acked >= values
-        and len(sequences[0]) >= acked
-        and endpoints_ok
-    )
+    passed = safe and acked >= values and endpoints_ok
 
     if trace_log is not None:
         with open(trace_log, "w", encoding="utf-8") as handle:
@@ -241,9 +229,12 @@ async def run_live_dlog(
         f"  acked appends:           {acked} (asked for {values}) in {acked_seconds:.3f} s wall",
         f"  wall-clock throughput:   {throughput:.1f} appends/s (window {window})",
         f"  TCP frames sent:         {wire_frames} ({wire_bytes} bytes on the wire)",
-        f"  delivery sequences:      {'identical' if identical else 'DIVERGED'} across {nodes} replicas",
-        f"  lost acked writes:       {total_lost}",
         f"  dLog tail positions:     {sorted(set(positions.values()))}",
+        f"  deliveries judged:       {judged}",
+        *(
+            f"  {result.name + ':':<24} {'PASS' if result.passed else 'FAIL'} ({result.detail})"
+            for result in invariants
+        ),
     ]
     if serve_http:
         report_lines.append(
@@ -275,10 +266,9 @@ async def run_live_dlog(
             "throughput_ops": throughput,
             "wire_frames": wire_frames,
             "wire_bytes": wire_bytes,
-            "lost_acked_writes": total_lost,
-            "sequences_identical": identical,
-            "state_identical": state_identical,
             "tail_positions": positions,
+            "oracle": [result.as_dict() for result in invariants],
+            "deliveries_judged": judged,
         },
         "observability": {
             **merge_snapshots(snapshots),

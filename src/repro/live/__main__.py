@@ -6,10 +6,10 @@ Examples::
     python -m repro.live --nodes 5 --values 2000  # bigger in-process ring
     python -m repro.live --storage sync-ssd --storage-dir /tmp/repro-live
 
-Writes the result (wall-clock throughput, wire traffic, invariant verdicts)
-to ``BENCH_live.json`` and exits non-zero if any acked append was not
-executed by every replica, or the replicas' delivery sequences or states
-diverged.
+Writes the result (wall-clock throughput, wire traffic, the safety oracle's
+verdicts) to ``BENCH_live.json`` and exits non-zero if the oracle
+(:mod:`repro.verify`) finds a property broken or a replica with nothing to
+judge.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ a coordinator crash in the middle of a flash crowd).
 
 The campaign layer runs MRP-Store under client load, so it loads the
 services, the SMR client and the workload generators; the package imports
-it on first use of ``CampaignRunner`` or ``ScenarioSpec``, and importing the
+it on first use of ``CampaignRunner`` or ``ScenarioSpec`` (and the flash-crowd
+bridge on first use of ``flash_crowd_fault_plan``), and importing the
 topologies, fault plans or invariants loads none of that.
 """
 
@@ -31,9 +32,8 @@ from repro.scenarios.faults import (
     ProcessCrash,
     ProcessIsolation,
 )
-from repro.scenarios.flashcrowd import flash_crowd_fault_plan
-from repro.scenarios.invariants import InvariantResult
 from repro.scenarios.topologies import TOPOLOGY_PRESETS, TopologyPreset, get_preset
+from repro.verify import InvariantResult
 
 __all__ = [
     "CampaignRunner",
@@ -57,4 +57,8 @@ def __getattr__(name: str):
         from repro.scenarios import campaign
 
         return getattr(campaign, name)
+    if name == "flash_crowd_fault_plan":
+        from repro.scenarios.flashcrowd import flash_crowd_fault_plan
+
+        return flash_crowd_fault_plan
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

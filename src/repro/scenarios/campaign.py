@@ -4,7 +4,9 @@ A *scenario* describes a deployment (WAN preset, partition/replica counts,
 storage mode, Multi-Ring parameters); a *fault plan* describes what goes
 wrong and when.  :class:`CampaignRunner` runs every requested combination,
 drives an update-only workload against each deployment, injects the plan's
-faults, quiesces, and evaluates the global invariants from
+faults, quiesces, and evaluates the global invariants: the ordering and
+durability properties from a delivery log of every replica
+(:mod:`repro.verify`), then the replica-state ones from
 :mod:`repro.scenarios.invariants`.  The result feeds ``BENCH_chaos.json``
 through the benchmark harness (``python -m repro.bench chaos``).
 """
@@ -18,18 +20,18 @@ from repro.config import MultiRingConfig, RecoveryConfig, RingConfig
 from repro.errors import ConfigurationError
 from repro.scenarios.faults import FaultPlan
 from repro.scenarios.invariants import (
-    InvariantResult,
     check_delivery_skew,
     check_merge_liveness,
-    check_no_acked_write_lost,
     check_recovery_complete,
     check_replica_convergence,
+    live_replicas,
 )
 from repro.scenarios.topologies import get_preset
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import StorageMode
 from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient
+from repro.verify import DeliveryLog, InvariantResult, acks_of, check, verdict
 from repro.workloads.simple import UpdateWorkload
 
 __all__ = ["ScenarioSpec", "CampaignRunner"]
@@ -210,6 +212,9 @@ class CampaignRunner:
             key_space=scenario.record_count,
         )
         store.load(scenario.record_count, value_size=scenario.value_size)
+        log = DeliveryLog()
+        for replica in store.all_replicas():
+            log.attach(replica)
 
         clients: Dict[str, ClosedLoopClient] = {}
         for index, partition in enumerate(sorted(store.partitions)):
@@ -228,6 +233,7 @@ class CampaignRunner:
                 series=series,
                 retry_timeout=scenario.retry_timeout,
             )
+        acks = [acks_of(client) for client in clients.values()]
 
         plan.arm(world, store.deployment, store)
         world.run(until=self.duration)
@@ -235,12 +241,18 @@ class CampaignRunner:
         # Quiesce: freeze the workload, then give in-flight commands, repair
         # and recovery a settle window to drain.
         acked = {partition: client.completed for partition, client in clients.items()}
+        acked_ids = set().union(*acks)
         for client in clients.values():
             client.crash()
         world.run(until=self.duration + self.settle)
 
+        live = {
+            replica.name: replica.delivery_cursor()
+            for partition in sorted(store.partitions)
+            for replica in live_replicas(store, partition)
+        }
         invariants = [
-            check_no_acked_write_lost(store, acked),
+            *check(log, acked_ids, live),
             check_replica_convergence(store),
             check_merge_liveness(store),
             check_delivery_skew(store),
@@ -248,7 +260,7 @@ class CampaignRunner:
             self._check_liveness(world, plan, clients),
         ]
         metrics = self._collect_metrics(world, store, clients, acked)
-        passed = all(check.passed for check in invariants)
+        passed = all(invariant.passed for invariant in invariants)
         observability: Optional[Dict[str, object]] = None
         if not passed:
             # Attach the evidence to the violation report: full metric
@@ -283,15 +295,8 @@ class CampaignRunner:
             )
             if ops <= 0:
                 stalled.append(partition)
-        if stalled:
-            return InvariantResult(
-                "post-fault-liveness",
-                False,
-                f"no acked ops after {window_start:g}s in: {', '.join(stalled)}",
-            )
-        return InvariantResult(
-            "post-fault-liveness", True, f"all partitions live after {window_start:g}s"
-        )
+        failures = [f"no acked ops after {window_start:g}s in: {', '.join(stalled)}"] if stalled else []
+        return verdict("post-fault-liveness", failures, f"all partitions live after {window_start:g}s")
 
     def _collect_metrics(
         self,

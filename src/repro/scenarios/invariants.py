@@ -1,12 +1,10 @@
-"""Global invariant checks run after every chaos scenario.
+"""Replica-state invariant checks run after every chaos scenario.
 
-The campaign runner evaluates these against the quiesced deployment at the
-end of each run:
+The ordering and durability properties (total order, integrity, acyclic
+cross-group order, no acked write lost) are judged from a delivery log by
+:mod:`repro.verify`.  The campaign runner evaluates these, which read replica
+state instead, against the quiesced deployment at the end of each run:
 
-* **no-acked-write-lost** -- every live replica has executed at least as many
-  updates as its partition's clients got acknowledgements for (an ack may
-  only follow execution; duplicates from client retries can push execution
-  counts higher, never lower);
 * **replica-convergence** -- all live replicas of a partition hold identical
   state digests (same keys, sizes and versions);
 * **merge-liveness** -- every live replica delivered from every ring it
@@ -23,8 +21,9 @@ end of each run:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
+
+from repro.verify import InvariantResult, verdict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.services.mrpstore import MRPStore
@@ -33,26 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "InvariantResult",
     "replica_digest",
-    "executed_updates",
     "live_replicas",
-    "check_no_acked_write_lost",
     "check_replica_convergence",
     "check_merge_liveness",
     "check_delivery_skew",
     "check_recovery_complete",
 ]
-
-
-@dataclass(frozen=True)
-class InvariantResult:
-    """Outcome of one invariant check."""
-
-    name: str
-    passed: bool
-    detail: str
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def replica_digest(replica: "Replica") -> str:
@@ -65,12 +50,6 @@ def replica_digest(replica: "Replica") -> str:
     return hashlib.sha1(repr(items).encode()).hexdigest()[:16]
 
 
-def executed_updates(replica: "Replica") -> int:
-    """Updates executed by the replica: version increments above the loaded 1."""
-    machine = replica.state_machine
-    return sum(max(0, (machine.version_of(key) or 1) - 1) for key in machine.keys())
-
-
 def live_replicas(store: "MRPStore", partition: str) -> List["Replica"]:
     """The partition's replicas that are up and not mid-recovery."""
     result = []
@@ -81,25 +60,6 @@ def live_replicas(store: "MRPStore", partition: str) -> List["Replica"]:
             continue
         result.append(replica)
     return result
-
-
-def check_no_acked_write_lost(
-    store: "MRPStore", acked_by_partition: Dict[str, int]
-) -> InvariantResult:
-    failures = []
-    for partition, acked in sorted(acked_by_partition.items()):
-        for replica in live_replicas(store, partition):
-            executed = executed_updates(replica)
-            if executed < acked:
-                failures.append(
-                    f"{replica.name}: executed {executed} updates < {acked} acked"
-                )
-    if failures:
-        return InvariantResult("no-acked-write-lost", False, "; ".join(failures))
-    total = sum(acked_by_partition.values())
-    return InvariantResult(
-        "no-acked-write-lost", True, f"{total} acked updates all executed"
-    )
 
 
 def check_replica_convergence(store: "MRPStore") -> InvariantResult:
@@ -126,11 +86,7 @@ def check_merge_liveness(store: "MRPStore") -> InvariantResult:
                 failures.append(f"{replica.name}: nothing delivered from {stalled}")
             if replica.merge.paused:
                 failures.append(f"{replica.name}: merge still paused")
-    if failures:
-        return InvariantResult("merge-liveness", False, "; ".join(failures))
-    return InvariantResult(
-        "merge-liveness", True, "every live replica delivered from every ring"
-    )
+    return verdict("merge-liveness", failures, "every live replica delivered from every ring")
 
 
 def check_delivery_skew(store: "MRPStore", bound: Optional[int] = None) -> InvariantResult:
@@ -149,11 +105,7 @@ def check_delivery_skew(store: "MRPStore", bound: Optional[int] = None) -> Invar
                 failures.append(
                     f"{replica.name}: cross-ring cursor skew {skew} > {limit} ({cursor})"
                 )
-    if failures:
-        return InvariantResult("bounded-delivery-skew", False, "; ".join(failures))
-    return InvariantResult(
-        "bounded-delivery-skew", True, f"worst cross-ring skew {worst} <= {limit}"
-    )
+    return verdict("bounded-delivery-skew", failures, f"worst cross-ring skew {worst} <= {limit}")
 
 
 def check_recovery_complete(store: "MRPStore", expected_recoveries: int) -> InvariantResult:
@@ -163,16 +115,7 @@ def check_recovery_complete(store: "MRPStore", expected_recoveries: int) -> Inva
         for replica in store.all_replicas()
         if replica.alive and replica.recovery is not None and replica.recovery.recovering
     ]
-    if stuck:
-        return InvariantResult(
-            "recovery-complete", False, f"still recovering: {', '.join(stuck)}"
-        )
+    failures = [f"still recovering: {', '.join(stuck)}"] if stuck else []
     if completed < expected_recoveries:
-        return InvariantResult(
-            "recovery-complete",
-            False,
-            f"{completed} recoveries completed < {expected_recoveries} restarts",
-        )
-    return InvariantResult(
-        "recovery-complete", True, f"{completed} recoveries completed"
-    )
+        failures.append(f"{completed} recoveries completed < {expected_recoveries} restarts")
+    return verdict("recovery-complete", failures, f"{completed} recoveries completed")

@@ -76,7 +76,7 @@ def test_a_sim_ring_to_its_first_ack_loads_no_live_runtime_or_harness():
 def test_the_scenario_topologies_and_invariants_load_no_live_runtime_or_harness():
     # Nor the services, the SMR layer or the campaign runner that drives them.
     modules = _LIVE_OR_HARNESS + ("repro.services", "repro.smr", "repro.scenarios.campaign")
-    script = "import repro.scenarios.topologies, repro.scenarios.invariants"
+    script = "import repro.scenarios.topologies, repro.scenarios.invariants, repro.verify"
     assert _loaded_after(script, modules) == []
 
 

@@ -2,11 +2,12 @@
 
 One mixed single-/multi-group workload runs through
 :class:`~repro.AtomicMulticast`: three 3-member groups plus the global ring
-that orders every multi-group message.  The tests read that one run and
-check total order per group, that each destination delivers a message
-exactly once, that multi-group messages keep one relative order, and that
-the global ring reaches learners outside a message's destinations (the
-price Multi-Ring Paxos pays for not being genuine).
+that orders every multi-group message.  The safety oracle
+(:mod:`repro.verify`) judges that one run's delivery log: total order per
+group, that every subscriber delivers every message exactly once, and that
+the order across groups is acyclic.  The last test checks that the global
+ring reaches learners outside a message's destinations (the price Multi-Ring
+Paxos pays for not being genuine).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro import AtomicMulticast
 from repro.errors import MulticastError
 from repro.sim.topology import lan_topology
+from repro.verify import DeliveryLog, check
 
 GROUPS = ("gA", "gB", "gC")
 
@@ -27,13 +29,12 @@ def _members(group: str) -> List[str]:
 
 
 def _run_conformance_workload():
-    """Submit 30 messages, every third to two groups; record every delivery.
+    """Submit 30 messages, every third to two groups; log every delivery.
 
-    Returns ``(sequences, submissions, stray)``: ``sequences`` maps
-    ``(group, learner)`` to the payloads delivered at the learner that were
-    addressed to its home group, in order; ``submissions`` maps payload to
-    its destinations; ``stray`` counts deliveries at learners whose home
-    group was not a destination.
+    Returns ``(log, live, submissions, stray)``: the delivery log of every
+    learner (a value carries its payload as its id), each learner's delivery
+    cursor, each payload's destinations, and how many deliveries reached a
+    learner whose home group was not a destination.
     """
     am = AtomicMulticast(seed=5, topology=lan_topology())
     for group in GROUPS:
@@ -49,20 +50,15 @@ def _run_conformance_workload():
         multi_group_route=True,
     )
     submissions: Dict[int, Tuple[str, ...]] = {}
-    sequences: Dict[Tuple[str, str], List[int]] = {
-        (group, name): [] for group in GROUPS for name in _members(group)
-    }
+    log = DeliveryLog()
     stray = 0
 
     def hook(home: str, name: str) -> None:
         def on_delivery(delivery) -> None:
             nonlocal stray
-            dests = submissions[delivery.value.payload]
-            if home in dests:
-                sequences[(home, name)].append(delivery.value.payload)
-            else:
-                stray += 1
+            stray += home not in submissions[delivery.value.payload]
 
+        log.attach(am.node(name), carried=lambda value: (value.payload,))
         am.node(name).on_deliver(on_delivery)
 
     for group in GROUPS:
@@ -76,7 +72,8 @@ def _run_conformance_workload():
             submissions[i] = dests
             am.world.sim.call_at(0.05 + i * 0.002, am.multicast, dests, i, 128)
         am.run(until=1.5)
-    return sequences, submissions, stray
+        live = {name: am.node(name).delivery_cursor() for name in all_nodes}
+    return log, live, submissions, stray
 
 
 @pytest.fixture(scope="module")
@@ -84,42 +81,41 @@ def conformance_run():
     return _run_conformance_workload()
 
 
+def _oracle(run):
+    """The oracle's verdicts on the run, by property name."""
+    log, live, submissions, _ = run
+    return {result.name: result for result in check(log, submissions, live)}
+
+
 def test_total_order_per_group(conformance_run):
-    sequences, _, _ = conformance_run
+    log = conformance_run[0]
+    verdict = _oracle(conformance_run)["total-order"]
+    assert verdict.passed, verdict.detail
     for group in GROUPS:
-        learner_seqs = [seq for (g, _), seq in sequences.items() if g == group]
-        assert learner_seqs[0], f"{group}: no deliveries recorded"
-        for seq in learner_seqs[1:]:
-            assert seq == learner_seqs[0], (
-                f"{group}: learners disagree on the delivery order"
-            )
+        for name in _members(group):
+            assert log.sequences.get(name), f"{name}: no deliveries"
 
 
 def test_validity_every_destination_delivers_exactly_once(conformance_run):
-    sequences, submissions, _ = conformance_run
-    for group in GROUPS:
-        witness_seq = sequences[(group, f"{group}-0")]
-        expected = [payload for payload, dests in submissions.items() if group in dests]
-        assert sorted(witness_seq) == sorted(expected), (
-            f"{group}: delivered set != addressed set"
-        )
-        assert len(witness_seq) == len(set(witness_seq)), f"{group}: duplicate delivery"
+    verdicts = _oracle(conformance_run)
+    for name in ("integrity", "no-acked-write-lost"):
+        assert verdicts[name].passed, verdicts[name].detail
+    assert verdicts["no-acked-write-lost"].detail.startswith("30 acked ids")
 
 
 def test_multi_group_messages_keep_a_consistent_relative_order(conformance_run):
-    sequences, submissions, _ = conformance_run
-    for first, second in (("gA", "gB"), ("gB", "gC"), ("gA", "gC")):
-        shared = {p for p, dests in submissions.items() if first in dests and second in dests}
-        order_first = [p for p in sequences[(first, f"{first}-0")] if p in shared]
-        order_second = [p for p in sequences[(second, f"{second}-0")] if p in shared]
-        assert order_first == order_second, (
-            f"{first} and {second} disagree on multi-group order"
-        )
+    log = conformance_run[0]
+    verdict = _oracle(conformance_run)["acyclic-order"]
+    assert verdict.passed, verdict.detail
+    # Every learner delivered from the global ring, beside its own group.
+    for name, entries in log.sequences.items():
+        groups = {group for group, *_ in entries}
+        assert "global" in groups and groups <= {name.split("-")[0], "global"}, groups
 
 
 def test_the_global_ring_delivers_outside_the_destination_set(conformance_run):
     """Multi-Ring Paxos is not genuine: its global ring reaches every subscriber."""
-    _, _, stray = conformance_run
+    stray = conformance_run[3]
     assert stray > 0
 
 

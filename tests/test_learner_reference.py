@@ -5,7 +5,9 @@ any order -- ranges, duplicates, sub-ranges -- beside acceptor
 retransmissions, checkpoint fast-forwards and crash-restarts.  Whatever the
 order, the node's deliveries since its last restart or fast-forward are a
 stretch of what the reference computes from the decided logs, and once every
-instance is in they run to the reference's end.
+instance is in they run to the reference's end.  The safety oracle judges
+the node's delivery log beside the reference's, as two nodes, and finds
+nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.ringpaxos.messages import Decision
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.types import Value, ValueBatch, skip_value, unpack_value
+from repro.verify import DeliveryLog, check
 
 LENGTH = 24
 LEARNER = "L"
@@ -29,7 +32,7 @@ def reference_merge(logs, m):
     naive way: rounds of M instances from each ring in identifier order,
     until a ring has no instance left; skips are dropped, batches unpacked.
 
-    Returns ``(deliveries, marks)``: ``(group, instance, payload)`` in order,
+    Returns ``(deliveries, marks)``: ``(group, instance, value)`` in order,
     and for each ``k`` the cursor after ``k`` instances and how many
     deliveries precede it.
     """
@@ -45,7 +48,7 @@ def reference_merge(logs, m):
                     return deliveries, marks
                 value = logs[group][instance]
                 if not value.is_skip:
-                    deliveries += [(group, instance, inner.payload) for inner in unpack_value(value)]
+                    deliveries += [(group, instance, inner) for inner in unpack_value(value)]
                 cursor[group] += 1
                 marks.append((dict(cursor), len(deliveries)))
 
@@ -93,7 +96,11 @@ class LearnerAgainstReference(RuleBasedStateMachine):
             group: [value for _, count, value in chunks for _ in range(count)]
             for group, chunks in self.chunks.items()
         }
-        self.reference, self.marks = reference_merge(self.logs, m)
+        deliveries, self.marks = reference_merge(self.logs, m)
+        self.reference = [(group, instance, value.payload) for group, instance, value in deliveries]
+        self.oracle = DeliveryLog()
+        for group, instance, value in deliveries:
+            self.oracle.record("reference", group, instance, value.uid)
         world = World(topology=lan_topology(), seed=1)
         deployment = Deployment(world, MultiRingConfig.datacenter(m=m, rate_leveling=False, delta=3600.0))
         for group in self.groups:
@@ -109,6 +116,7 @@ class LearnerAgainstReference(RuleBasedStateMachine):
             )
         self.node = deployment.node(LEARNER)
         self.node.on_deliver(self._delivered)
+        self.oracle.attach(self.node)
         self.seen = []
         self.start = 0
 
@@ -166,6 +174,11 @@ class LearnerAgainstReference(RuleBasedStateMachine):
         round_, slot = divmod(here, self.m * len(self.groups))
         position = (merge.current_round, merge._round_index, merge._delivered_in_round)
         assert position == (round_, *divmod(slot, self.m))
+
+    @invariant()
+    def the_oracle_finds_nothing(self):
+        failed = [result for result in check(self.oracle) if not result.passed]
+        assert failed == []
 
     def teardown(self):
         if not hasattr(self, "node"):

@@ -26,10 +26,11 @@ from repro.runtime.live import (
     LiveNodeRuntime,
 )
 from repro.live import run_live_dlog
-from repro.scenarios.invariants import check_no_acked_write_lost, check_replica_convergence
+from repro.scenarios.invariants import check_replica_convergence
 from repro.services.dlog import DLog
 from repro.services.mrpstore import MRPStore
 from repro.smr.client import ClosedLoopClient
+from repro.verify import DeliveryLog, acks_of, check
 from repro.workloads.engine import PhaseSchedule
 from repro.workloads.simple import AppendWorkload
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
@@ -451,11 +452,15 @@ def test_live_dlog_smoke_zero_lost_acked_writes():
     result = _run(run_live_dlog(nodes=3, values=60, window=16, timeout=20.0), timeout=60.0)
     assert result["passed"], result["report"]
     metrics = result["metrics"]
-    assert metrics["lost_acked_writes"] == 0
+    oracle = {entry["name"]: entry["passed"] for entry in metrics["oracle"]}
+    assert oracle == dict.fromkeys(
+        ["total-order", "integrity", "acyclic-order", "no-acked-write-lost"], True
+    )
     # The client stops itself at the 60th ack; the up to 15 appends still in
     # flight are executed by the replicas but never acked.
     assert metrics["acked"] == 60
-    assert metrics["sequences_identical"] and metrics["state_identical"]
+    judged = metrics["deliveries_judged"]
+    assert len(judged) == 3 and min(judged.values()) >= 60
     # Every protocol hop crossed a real socket: client -> front-end, the
     # Phase2 / Decision circulation over six ring members, replica -> client.
     assert metrics["wire_frames"] > 60
@@ -574,7 +579,7 @@ def test_coordinator_packs_what_reached_it_in_one_turn():
     nodes = ("n0", "n1", "n2")
     am = AtomicMulticast(backend="live", config=MultiRingConfig.datacenter(rate_leveling=False))
     am.ring("g", list(nodes), coordinator="n0")
-    sequences = {name: [] for name in nodes}
+    log = DeliveryLog()
     total, depth = 1500, 32
     tags = itertools.count()
     acked = []
@@ -594,10 +599,7 @@ def test_coordinator_packs_what_reached_it_in_one_turn():
 
     with am:
         for name in nodes:
-            am.node(name).on_deliver(
-                lambda delivery, seq=sequences[name]: seq.append(delivery.value.payload[1]),
-                group="g",
-            )
+            log.attach(am.node(name), carried=lambda value: (value.payload[1],))
         for _ in range(depth):
             submit()
         assert done.wait(30.0), f"only {len(acked)} of {total} appends acked"
@@ -606,8 +608,9 @@ def test_coordinator_packs_what_reached_it_in_one_turn():
         frames = sum(live.runtime.network.frames_sent for live in am._cluster.nodes.values())
     assert batcher.batches_flushed < batcher.values_offered == total
     assert frames / total < 2
-    assert sequences["n0"] == sequences["n1"] == sequences["n2"]
-    assert set(acked) <= set(sequences["n0"]) and len(set(acked)) == total
+    live = {name: am.node(name).delivery_cursor() for name in nodes}
+    assert all(result.passed for result in check(log, acked, live)), check(log, acked, live)
+    assert len(set(acked)) == total and min(log.counts().values()) >= total
 
 
 @pytest.fixture
@@ -775,16 +778,13 @@ def _assert_placed_on(cluster, replicas):
 class _Tally:
     """A workload wrapper counting what a client is handed to issue."""
 
-    def __init__(self, workload, store):
-        self.workload, self.store = workload, store
-        self.by_group, self.updates = {}, {}
+    def __init__(self, workload):
+        self.workload = workload
+        self.by_group = {}
 
     def next_request(self, rng):
         request = self.workload.next_request(rng)
         self.by_group[request.group] = self.by_group.get(request.group, 0) + 1
-        if request.operation[0] == "update":
-            partition = self.store.current_map.partition_of(request.operation[1])
-            self.updates[partition] = self.updates.get(partition, 0) + 1
         return request
 
 
@@ -842,11 +842,15 @@ def test_live_mrpstore_three_partitions_under_ycsb(mix):
         )
         store.load(500, value_size=128)
         ycsb = YCSBWorkload(store, YCSB_WORKLOADS[mix].scaled(500))
-        tally = _Tally(ycsb, store)
+        tally = _Tally(ycsb)
         client = ClosedLoopClient(
             cluster.runtime_of("client"), "client", tally, store.frontends_for_client(0),
             threads=8,
         )
+        acked = acks_of(client)
+        log = DeliveryLog()
+        for replica in store.all_replicas():
+            log.attach(replica)
         _assert_placed_on(cluster, store.all_replicas())
         assert len(cluster.nodes) == 19  # 3 x (3 acceptors + 3 replicas) + the client
 
@@ -866,8 +870,10 @@ def test_live_mrpstore_three_partitions_under_ycsb(mix):
             await _until(lambda: not client.alive)
             await _until(drained)
         assert check_replica_convergence(store).passed
-        # Every update handed to the client -- a superset of the acked ones.
-        assert check_no_acked_write_lost(store, tally.updates).passed
+        live = {replica.name: replica.delivery_cursor() for replica in store.all_replicas()}
+        results = check(log, acked, live)
+        assert all(result.passed for result in results), results
+        assert len(acked) >= 200 and min(log.counts().values()) > 0
         assert all(cluster.monitor.counter(f"executed/{name}") > 0 for name in store.partitions)
         assert len(cluster.monitor.latencies(ycsb.series)) == client.completed
         if mix == "E":

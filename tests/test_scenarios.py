@@ -17,7 +17,6 @@ from repro.scenarios.campaign import _owned_key_indices
 from repro.scenarios.invariants import (
     check_delivery_skew,
     check_merge_liveness,
-    check_no_acked_write_lost,
     check_replica_convergence,
     replica_digest,
 )
@@ -26,6 +25,7 @@ from repro.runtime.actor import Process
 from repro.sim.topology import matrix_topology
 from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient, Request
+from repro.verify import DeliveryLog, check
 
 
 class Recorder(Process):
@@ -452,6 +452,21 @@ class TestGapRepair:
         assert learner.deliveries_count == 5
 
 
+def _agreeing_log():
+    """Two learners of ``g`` in agreement: values 1 and 2 in instance 0, 3 in
+    instance 1, each carrying one command id."""
+    log = DeliveryLog()
+    for node in ("r0", "r1"):
+        for instance, uid in ((0, 1), (0, 2), (1, 3)):
+            log.record(node, "g", instance, uid, carried=(f"c{uid}",))
+    return log
+
+
+def _broken(log, acked=(), live=None):
+    """The names of the properties the oracle finds broken."""
+    return [result.name for result in check(log, acked, live) if not result.passed]
+
+
 class TestInvariantChecks:
     def _quiesced_store(self):
         plan = FaultPlan("noop").delay_spike(
@@ -492,12 +507,48 @@ class TestInvariantChecks:
         assert not result.passed
         assert "p0" in result.detail
 
+        # A tampered delivery log fails exactly the property it breaks.
+        assert _broken(_agreeing_log()) == []
+        swapped = _agreeing_log()
+        entries = swapped.sequences["r1"]
+        entries[1], entries[2] = entries[2], entries[1]
+        assert _broken(swapped) == ["total-order"]
+        repeated = _agreeing_log()
+        repeated.record("r0", "g", 2, 1)
+        assert _broken(repeated) == ["integrity"]
+        crossed = _agreeing_log()
+        for node, first, second in (("a", 10, 11), ("b", 11, 10)):
+            group = f"g{node}"  # two values addressed to both ga and gb
+            crossed.record(node, group, 0, first)
+            crossed.record(node, group, 1, second)
+        assert _broken(crossed) == ["acyclic-order"]
+
     def test_acked_write_loss_detected(self):
-        store = self._quiesced_store()
-        acked = {"p0": 0, "p1": 0}
-        assert check_no_acked_write_lost(store, acked).passed
-        acked["p0"] = 10_000  # more acks than any replica executed
-        assert not check_no_acked_write_lost(store, acked).passed
+        lagging = _agreeing_log()
+        del lagging.sequences["r1"][2]  # r1 never delivered value 3, carrying "c3"
+        behind = {"r0": {"g": 2}, "r1": {"g": 1}}
+        assert _broken(lagging, {"c1", "c2"}, behind) == []
+        assert _broken(lagging, {"c3"}, behind) == ["no-acked-write-lost"]
+        result = check(lagging, {"c3"}, behind)[-1]
+        assert result.detail == "c3 missing at r1"
+        # A replica restarted from a checkpoint past instance 1 never
+        # delivers value 3 again: its cursor answers for it.
+        assert _broken(lagging, {"c3"}, {"r0": {"g": 2}, "r1": {"g": 2}}) == []
+
+    def test_a_retry_decided_twice_does_not_mask_a_lost_ack(self):
+        """Both replicas of p0 executed A twice and never B: two executions
+        for two acks, so a count of executed updates sees nothing wrong."""
+        log = DeliveryLog()
+        for replica in ("p0-rep0", "p0-rep1"):
+            log.record(replica, "ring-p0", 0, 100, carried=("A",))
+            log.record(replica, "ring-p0", 1, 101, carried=("A",))  # the retry
+        acked = {"A", "B"}
+        executed = {node: sum(len(log.carried[uid]) for *_, uid, _t in entries)
+                    for node, entries in log.sequences.items()}
+        assert all(count >= len(acked) for count in executed.values())
+        result = {r.name: r for r in check(log, acked)}["no-acked-write-lost"]
+        assert not result.passed and result.detail == "B never delivered"
+        assert _broken(log, acked) == ["no-acked-write-lost"]
 
     def test_merge_liveness_and_skew_on_healthy_store(self):
         store = self._quiesced_store()

@@ -16,7 +16,9 @@ scaling claim):
 Reported: throughput in the windows before / during / after the transition,
 migration statistics, whether all replicas of each partition agree, and how
 many acknowledged writes were lost (must be zero), as judged by the safety
-oracle (:mod:`repro.verify`) and :func:`~repro.scenarios.invariants.check_replica_convergence`.
+oracle (:mod:`repro.verify`), :func:`~repro.scenarios.invariants.check_replica_convergence`
+and, for the keys a migration moved, their new owner's state
+(:func:`~repro.scenarios.invariants.keys_missing_at_owner`).
 """
 
 from __future__ import annotations
@@ -27,22 +29,23 @@ from typing import Dict, List
 from repro.bench.report import format_kv, format_table
 from repro.config import MultiRingConfig
 from repro.coordination.reconfig import ReconfigController
-from repro.reconfig.commands import ForwardedCommand
 from repro.reconfig.elastic import migrations_installed, scale_out
-from repro.scenarios.invariants import check_replica_convergence
+from repro.scenarios.invariants import check_replica_convergence, keys_missing_at_owner
 from repro.services.mrpstore import MRPStore
 from repro.sim.disk import StorageMode
 from repro.sim.topology import lan_topology
 from repro.sim.world import World
 from repro.smr.client import ClosedLoopClient, RequestClient
-from repro.verify import DeliveryLog, acks_of, check, lost_acks
+from repro.verify import DeliveryLog, check, lost_acks, verdict
 from repro.workloads.ycsb import YCSB_WORKLOADS, YCSBWorkload
 
 __all__ = ["run_reconfig"]
 
+_WRITER = "tracked-writer"
+
 
 class _TrackedWriter(RequestClient):
-    """Issues uniquely keyed inserts.
+    """Issues uniquely keyed inserts and records which were acknowledged.
 
     Unlike the closed-loop YCSB clients this writer never blocks: it fires at
     a fixed interval, so writes keep arriving throughout the reconfiguration
@@ -56,6 +59,7 @@ class _TrackedWriter(RequestClient):
         self.interval = interval
         self.value_size = value_size
         self._index = 0
+        self.acked: List[str] = []
 
     def on_start(self) -> None:
         self.set_periodic_timer(self.interval, self._tick)
@@ -66,19 +70,20 @@ class _TrackedWriter(RequestClient):
         # never generates them) while spreading them across every range.
         key = f"user{spread:012d}x{self._index:06d}"
         self._index += 1
-        self.submit(self.store.insert(key, self.value_size, series="tracked"), self.now)
+        self.submit(self.store.insert(key, self.value_size, series="tracked"), self.now, key)
+
+    def on_complete(self, key: str) -> None:
+        self.acked.append(key)
 
 
 def _log_deliveries(log: DeliveryLog, replicas) -> None:
-    """Log what each replica delivers, and the commands a migration forwards
-    to it, which reach it through ``on_control``."""
-    def forwarded(value) -> list:
-        payload = value.payload
-        return [payload.command.command_id] if isinstance(payload, ForwardedCommand) else []
-
+    """Log what each replica delivers; a value carries the keys the tracked
+    writer's commands in it insert, which the writer's acks name."""
     for replica in replicas:
-        log.attach(replica)
-        replica.on_control(log.recorder(replica, forwarded))
+        def keys(value, commands_of=replica._commands_of) -> list:
+            return [command.operation[1] for command in commands_of(value.payload) if command.client == _WRITER]
+
+        log.attach(replica, keys)
 
 
 def run_reconfig(
@@ -128,8 +133,7 @@ def run_reconfig(
                 series=series,
             )
         )
-    writer = _TrackedWriter(world, "tracked-writer", store, interval=writer_interval)
-    acked = acks_of(writer)
+    writer = _TrackedWriter(world, _WRITER, store, interval=writer_interval)
 
     # Clients learn about new rings the way the paper's clients learn about
     # partitioning changes: a watch on the registry's partition map.
@@ -166,16 +170,19 @@ def run_reconfig(
         "throughput during (ops/s)": monitor.throughput_ops(series, start=reconfig_at, end=during_end),
         "throughput after (ops/s)": monitor.throughput_ops(series, start=during_end, end=duration),
     }
-    live = {replica.name: replica.delivery_cursor() for replica in store.all_replicas()}
-    invariants = [*check(log, acked, live), check_replica_convergence(store)]
-    lost = lost_acks(log, acked, live)
-    consistent = all(result.passed for result in invariants if result.name != "no-acked-write-lost")
+    live = log.cursors(store.all_replicas())
+    missing = keys_missing_at_owner(store, writer.acked)
+    moved = verdict("acked-keys-at-owner", [f"{key} missing at its owner" for key in missing],
+                    "every acked key held by its owner's live replicas")
+    invariants = [*check(log, writer.acked, live), check_replica_convergence(store), moved]
+    lost = sorted({*lost_acks(log, writer.acked, live), *missing})
+    consistent = all(result.passed for result in invariants if result.name not in ("no-acked-write-lost", moved.name))
     events = {
         "migrations started": len(migration_ids),
         "migrations installed everywhere": migrations_installed(store, ["p2", "p3"]),
         "commands forwarded": monitor.counter("reconfig/commands_forwarded"),
         "partition-map version": store.current_map.version,
-        "acked tracked writes": len(acked),
+        "acked tracked writes": len(writer.acked),
         "lost tracked writes": len(lost),
         "replicas consistent": consistent,
     }
@@ -192,7 +199,7 @@ def run_reconfig(
         "events": events,
         "invariants": [result.as_dict() for result in invariants],
         "consistent": consistent,
-        "lost_writes": list(lost),
+        "lost_writes": lost,
         "migration_ids": migration_ids,
         "partitions": sorted(store.partitions),
         "report": report,

@@ -203,7 +203,7 @@ async def run_live_dlog(
                     ),
                 }
 
-    invariants = check(log, acked_ids, {replica.name: replica.delivery_cursor() for replica in replicas})
+    invariants = check(log, acked_ids, log.cursors(replicas))
     judged = {replica.name: log.counts().get(replica.name, 0) for replica in replicas}
     safe = all(result.passed for result in invariants) and all(judged.values())
     positions = {

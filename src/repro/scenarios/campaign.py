@@ -246,11 +246,9 @@ class CampaignRunner:
             client.crash()
         world.run(until=self.duration + self.settle)
 
-        live = {
-            replica.name: replica.delivery_cursor()
-            for partition in sorted(store.partitions)
-            for replica in live_replicas(store, partition)
-        }
+        live = log.cursors(
+            replica for partition in sorted(store.partitions) for replica in live_replicas(store, partition)
+        )
         invariants = [
             *check(log, acked_ids, live),
             check_replica_convergence(store),

@@ -16,12 +16,16 @@ state instead, against the quiesced deployment at the end of each run:
 * **recovery-complete** -- every replica crash/restart in the fault plan ran
   the Section 5 recovery protocol to completion, and nobody is left with a
   paused merge.
+
+The reconfiguration experiment also reads :func:`keys_missing_at_owner`: a
+key a migration moved reaches its new owner by state transfer or forwarding,
+which no delivery log of the old owner's ring shows.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, TYPE_CHECKING
+from typing import Iterable, List, Optional, TYPE_CHECKING
 
 from repro.verify import InvariantResult, verdict
 
@@ -34,6 +38,7 @@ __all__ = [
     "replica_digest",
     "live_replicas",
     "check_replica_convergence",
+    "keys_missing_at_owner",
     "check_merge_liveness",
     "check_delivery_skew",
     "check_recovery_complete",
@@ -76,6 +81,14 @@ def check_replica_convergence(store: "MRPStore") -> InvariantResult:
     )
 
 
+def keys_missing_at_owner(store: "MRPStore", keys: Iterable[str]) -> List[str]:
+    """The keys some live replica of the partition that now owns them lacks:
+    a write a migration failed to move or forward."""
+    owner = store.current_map.partition_of
+    return [key for key in keys
+            if not all(replica.state_machine.contains(key) for replica in live_replicas(store, owner(key)))]
+
+
 def check_merge_liveness(store: "MRPStore") -> InvariantResult:
     failures = []
     for partition in sorted(store.partitions):
@@ -116,6 +129,6 @@ def check_recovery_complete(store: "MRPStore", expected_recoveries: int) -> Inva
         if replica.alive and replica.recovery is not None and replica.recovery.recovering
     ]
     failures = [f"still recovering: {', '.join(stuck)}"] if stuck else []
-    if completed < expected_recoveries:
+    if completed < expected_recoveries and not stuck:
         failures.append(f"{completed} recoveries completed < {expected_recoveries} restarts")
     return verdict("recovery-complete", failures, f"{completed} recoveries completed")

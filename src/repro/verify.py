@@ -4,15 +4,16 @@ A :class:`DeliveryLog` records each node's deliveries in order, and the ids
 each value carries (what a client's ack names).  :func:`check` judges it:
 
 * **total-order** -- agreement and per-group total order: one value uid per
-  position ``(group, instance, index in instance)`` at all nodes, and a
-  node's positions in a group only grow;
+  position ``(group, instance, index in instance)`` at all nodes, and each
+  incarnation of a node delivers an unbroken stretch of a group's positions;
 * **integrity** -- no value uid twice in one incarnation of a node;
 * **acyclic-order** -- each group's order joined with every node's steps from
   one group to another has no cycle (Generic Multicast's per-conflict-relation
   acyclicity, arXiv 2410.01901, with every pair of values in conflict);
 * **no-acked-write-lost** -- every acked id is carried by a value that every
-  live subscriber of its group delivered, or that its delivery cursor passed
-  (a replica restarted from a checkpoint never re-delivers what it covers).
+  live subscriber of its group delivered, or that the checkpoint its current
+  incarnation started from covers: an instance below its first delivery from
+  the group since the restart, or below its cursor if it has delivered none.
 
 A client retry may get one command decided twice, in two values: integrity
 is judged per value uid, the ack check per command id.
@@ -21,7 +22,7 @@ is judged per value uid, the ack check per command id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from repro.types import GroupId, InstanceId
 
@@ -44,11 +45,8 @@ class InvariantResult:
 
 
 def verdict(name: str, failures: List[str], ok: str) -> InvariantResult:
-    """``name`` passed with ``ok`` as its detail, or failed with the first failures."""
-    if not failures:
-        return InvariantResult(name, True, ok)
-    more = f" (+{len(failures) - 5} more)" if len(failures) > 5 else ""
-    return InvariantResult(name, False, "; ".join(failures[:5]) + more)
+    """``name`` passed with ``ok`` as its detail, or failed with the failures."""
+    return InvariantResult(name, not failures, "; ".join(failures) or ok)
 
 
 class DeliveryLog:
@@ -65,10 +63,6 @@ class DeliveryLog:
     def attach(self, node, carried=None) -> None:
         """Log every value ``node`` delivers (one ``on_deliver`` callback);
         ``carried(value)`` names its ids, by default a replica's command ids."""
-        node.on_deliver(self.recorder(node, carried))
-
-    def recorder(self, node, carried=None):
-        """The callback :meth:`attach` registers, for a node's other delivery paths."""
         commands_of = getattr(node, "_commands_of", None)
         if carried is None and commands_of is not None:
             def carried(value):
@@ -78,13 +72,25 @@ class DeliveryLog:
 
         def record(delivery) -> None:
             if node.merge is not self._merges[name]:  # a crash rebuilt the merge
-                self._merges[name] = node.merge
-                self.restarts.setdefault(name, []).append(len(self.sequences.get(name, ())))
+                self.restart(node)
             value = delivery.value
             ids = carried(value) if carried else ()
             self.record(name, delivery.group, delivery.instance, value.uid, node.now, ids)
 
-        return record
+        node.on_deliver(record)
+
+    def restart(self, node) -> None:
+        """Begin ``node``'s next incarnation: what follows starts from a checkpoint."""
+        self._merges[node.name] = node.merge
+        self.restarts.setdefault(node.name, []).append(len(self.sequences.get(node.name, ())))
+
+    def cursors(self, nodes) -> Dict[str, Dict[GroupId, InstanceId]]:
+        """Each live node's delivery cursor, for :func:`check`; a node restarted
+        since its last delivery begins a new incarnation here."""
+        for node in nodes:
+            if self._merges.get(node.name, node.merge) is not node.merge:
+                self.restart(node)
+        return {node.name: node.delivery_cursor() for node in nodes}
 
     def record(self, node: str, group: GroupId, instance: InstanceId, uid: int,
                t: float = 0.0, carried: Iterable[Hashable] = ()) -> None:
@@ -122,9 +128,10 @@ def acks_of(client) -> Set[Hashable]:
 def _total_order(log: DeliveryLog):
     """The verdict, and the value uid at each position."""
     owners: Dict[Tuple[GroupId, InstanceId, int], Tuple[int, str]] = {}
-    failures = []
+    failures, stretches = [], []
     for node, run in log.runs():
         reached: Dict[GroupId, Tuple[InstanceId, int]] = {}
+        positions = []
         for group, instance, uid, _t in run:
             before = reached.get(group, (-1, 0))
             index = before[1] + 1 if before[0] == instance else 0
@@ -134,6 +141,17 @@ def _total_order(log: DeliveryLog):
             if before >= (instance, index):
                 failures.append(f"{node}: {group}[{instance}.{index}] after [{before[0]}.{before[1]}]")
             reached[group] = (instance, index)
+            positions.append((group, instance, index))
+        stretches.append((node, positions))
+    # An incarnation delivers every position of a group between its first and last.
+    rank = {position: n for n, position in enumerate(sorted(owners))}
+    for node, positions in stretches:
+        last: Dict[GroupId, int] = {}
+        for group, instance, index in positions:
+            here = rank[group, instance, index]
+            if here > last.get(group, here - 1) + 1:
+                failures.append(f"{node}: skipped a value before {group}[{instance}.{index}]")
+            last[group] = here
     ok = f"{len(owners)} positions, one value each, delivered in order"
     return verdict("total-order", failures, ok), {key: uid for key, (uid, _) in owners.items()}
 
@@ -176,14 +194,17 @@ def _acyclic(log: DeliveryLog, owners: Dict[Tuple, int]) -> InvariantResult:
     return verdict("acyclic-order", [], f"{ordered} values in one acyclic order")
 
 
-def lost_acks(log: DeliveryLog, acked: Iterable[Hashable], live: Optional[Cursors] = None) -> Dict[Hashable, List[str]]:
+def lost_acks(log: DeliveryLog, acked: Iterable[Hashable], live: Cursors) -> Dict[Hashable, List[str]]:
     """Each acked id no carrying value reached everywhere, with the live nodes
     that missed the carrier that reached most (none if no value carries it).
-    A node subscribes to the groups its cursor in ``live`` names; without
-    ``live`` every logged node is live and judged by its log alone."""
-    if live is None:
-        live = {node: dict.fromkeys({entry[0] for entry in entries}, 0) for node, entries in log.sequences.items()}
-    current = {node: {entry[2] for entry in run} for node, run in log.runs()}  # the last incarnation
+    A node subscribes to the groups its cursor in ``live`` names."""
+    current: Dict[str, Set[int]] = {}
+    covered: Dict[str, Dict[GroupId, InstanceId]] = {}  # what the checkpoint a node restarted from covers
+    for node, run in log.runs():  # the last incarnation wins
+        current[node] = {entry[2] for entry in run}
+        covered[node] = {}
+        for group, instance, _uid, _t in run:
+            covered[node].setdefault(group, instance)
     where: Dict[int, Tuple[GroupId, InstanceId]] = {}
     for entries in log.sequences.values():
         for group, instance, uid, _t in entries:
@@ -198,15 +219,17 @@ def lost_acks(log: DeliveryLog, acked: Iterable[Hashable], live: Optional[Cursor
         misses = []
         for uid in carriers.get(command_id, ()):
             group, instance = where[uid]
-            misses.append([node for node, cursor in sorted(live.items())
-                           if cursor.get(group, instance + 1) <= instance and uid not in current.get(node, ())])
+            misses.append([node for node, cursor in sorted(live.items()) if group in cursor
+                           and instance >= covered.get(node, {}).get(group, cursor[group])
+                           and uid not in current.get(node, ())])
         if not misses or min(map(len, misses)):
             lost[command_id] = min(misses, key=len, default=[])
     return lost
 
 
-def check(log: DeliveryLog, acked: Iterable[Hashable] = (), live: Optional[Cursors] = None) -> List[InvariantResult]:
-    """Judge ``log`` and the ``acked`` ids (``live`` as in :func:`lost_acks`)."""
+def check(log: DeliveryLog, acked: Iterable[Hashable], live: Cursors) -> List[InvariantResult]:
+    """Judge ``log`` and the ``acked`` ids; ``live`` is each live node's
+    delivery cursor (:meth:`DeliveryLog.cursors`)."""
     acked = set(acked)
     order, owners = _total_order(log)
     failures = [f"{command_id} missing at {', '.join(nodes)}" if nodes else f"{command_id} never delivered"

@@ -72,7 +72,7 @@ def _run_conformance_workload():
             submissions[i] = dests
             am.world.sim.call_at(0.05 + i * 0.002, am.multicast, dests, i, 128)
         am.run(until=1.5)
-        live = {name: am.node(name).delivery_cursor() for name in all_nodes}
+        live = log.cursors(am.node(name) for name in all_nodes)
     return log, live, submissions, stray
 
 
@@ -97,10 +97,20 @@ def test_total_order_per_group(conformance_run):
 
 
 def test_validity_every_destination_delivers_exactly_once(conformance_run):
+    log, _, submissions, _ = conformance_run
     verdicts = _oracle(conformance_run)
     for name in ("integrity", "no-acked-write-lost"):
         assert verdicts[name].passed, verdicts[name].detail
     assert verdicts["no-acked-write-lost"].detail.startswith("30 acked ids")
+    # The oracle knows no destinations: each learner's home-group deliveries
+    # are exactly the payloads addressed to that group.
+    for group in GROUPS:
+        expected = [payload for payload, dests in submissions.items() if group in dests]
+        for name in _members(group):
+            delivered = [log.carried[uid][0] for *_, uid, _t in log.sequences[name]]
+            addressed = [payload for payload in delivered if group in submissions[payload]]
+            assert sorted(addressed) == expected, f"{name}: delivered set != addressed set"
+            assert len(addressed) == len(set(addressed)), f"{name}: duplicate delivery"
 
 
 def test_multi_group_messages_keep_a_consistent_relative_order(conformance_run):

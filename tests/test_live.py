@@ -608,7 +608,7 @@ def test_coordinator_packs_what_reached_it_in_one_turn():
         frames = sum(live.runtime.network.frames_sent for live in am._cluster.nodes.values())
     assert batcher.batches_flushed < batcher.values_offered == total
     assert frames / total < 2
-    live = {name: am.node(name).delivery_cursor() for name in nodes}
+    live = log.cursors(am.node(name) for name in nodes)
     assert all(result.passed for result in check(log, acked, live)), check(log, acked, live)
     assert len(set(acked)) == total and min(log.counts().values()) >= total
 
@@ -870,7 +870,7 @@ def test_live_mrpstore_three_partitions_under_ycsb(mix):
             await _until(lambda: not client.alive)
             await _until(drained)
         assert check_replica_convergence(store).passed
-        live = {replica.name: replica.delivery_cursor() for replica in store.all_replicas()}
+        live = log.cursors(store.all_replicas())
         results = check(log, acked, live)
         assert all(result.passed for result in results), results
         assert len(acked) >= 200 and min(log.counts().values()) > 0

@@ -392,31 +392,3 @@ class TestAcceptanceScenario:
         assert result["phases"]["throughput before (ops/s)"] > 0
         assert result["phases"]["throughput during (ops/s)"] > 0
         assert result["phases"]["throughput after (ops/s)"] > 0
-
-
-def test_the_reconfig_oracle_logs_the_commands_a_migration_forwards():
-    """A migrated command reaches its new partition through ``on_control``,
-    not ``on_deliver``: the reconfig experiment logs that path too, so the
-    command's ack is found delivered there."""
-    from types import SimpleNamespace
-
-    from repro.bench.reconfig import _log_deliveries
-    from repro.multiring.merge import Delivery
-    from repro.reconfig.commands import ForwardedCommand
-    from repro.verify import DeliveryLog, lost_acks
-
-    command = Command.create("tracked-writer", ("insert", "user1", 64), 64, 0.0)
-    delivered, controlled = [], []
-    replica = SimpleNamespace(
-        name="p2-rep0", merge=object(), now=1.0,
-        on_deliver=delivered.append, on_control=controlled.append,
-        _commands_of=lambda payload: [payload] if isinstance(payload, Command) else [],
-    )
-    log = DeliveryLog()
-    _log_deliveries(log, [replica])
-    assert lost_acks(log, {command.command_id}) == {command.command_id: []}
-    forwarded = Value.create(ForwardedCommand(migration_id=1, dest="p2", command=command), 64)
-    for callback in controlled:
-        callback(Delivery("ring-g1", 0, forwarded))
-    assert log.sequences == {"p2-rep0": [("ring-g1", 0, forwarded.uid, 1.0)]}
-    assert lost_acks(log, {command.command_id}) == {}

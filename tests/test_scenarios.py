@@ -1,6 +1,7 @@
 """Tests for the chaos scenario engine: fault primitives, plans, campaigns."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -464,6 +465,7 @@ def _agreeing_log():
 
 def _broken(log, acked=(), live=None):
     """The names of the properties the oracle finds broken."""
+    live = {"r0": {"g": 2}, "r1": {"g": 2}} if live is None else live
     return [result.name for result in check(log, acked, live) if not result.passed]
 
 
@@ -522,6 +524,10 @@ class TestInvariantChecks:
             crossed.record(node, group, 0, first)
             crossed.record(node, group, 1, second)
         assert _broken(crossed) == ["acyclic-order"]
+        skipped = _agreeing_log()
+        del skipped.sequences["r1"][1]  # value 2, in the middle; r1's cursor is past it
+        assert _broken(skipped) == ["total-order"]
+        assert _broken(skipped, {"c2"}) == ["total-order", "no-acked-write-lost"]
 
     def test_acked_write_loss_detected(self):
         lagging = _agreeing_log()
@@ -531,9 +537,23 @@ class TestInvariantChecks:
         assert _broken(lagging, {"c3"}, behind) == ["no-acked-write-lost"]
         result = check(lagging, {"c3"}, behind)[-1]
         assert result.detail == "c3 missing at r1"
+        # A cursor past value 3 does not answer for it while r1 has run since
+        # before instance 1: only its log does.
+        assert _broken(lagging, {"c3"}) == ["no-acked-write-lost"]
         # A replica restarted from a checkpoint past instance 1 never
         # delivers value 3 again: its cursor answers for it.
-        assert _broken(lagging, {"c3"}, {"r0": {"g": 2}, "r1": {"g": 2}}) == []
+        lagging.restarts["r1"] = [2]
+        assert _broken(lagging, {"c3"}) == []
+
+    def test_a_restart_with_nothing_delivered_since_is_judged_by_its_cursor(self):
+        log = _agreeing_log()
+        del log.sequences["r1"][2]
+        node = SimpleNamespace(name="r1", merge=object(), now=0.0, on_deliver=lambda callback: None,
+                               delivery_cursor=lambda: {"g": 2})
+        log.attach(node, carried=lambda value: ())
+        assert _broken(log, {"c3"}, {"r0": {"g": 2}, **log.cursors([node])}) == ["no-acked-write-lost"]
+        node.merge = object()  # a crash rebuilt it; recovery installed a checkpoint past instance 1
+        assert _broken(log, {"c3"}, {"r0": {"g": 2}, **log.cursors([node])}) == []
 
     def test_a_retry_decided_twice_does_not_mask_a_lost_ack(self):
         """Both replicas of p0 executed A twice and never B: two executions
@@ -546,9 +566,10 @@ class TestInvariantChecks:
         executed = {node: sum(len(log.carried[uid]) for *_, uid, _t in entries)
                     for node, entries in log.sequences.items()}
         assert all(count >= len(acked) for count in executed.values())
-        result = {r.name: r for r in check(log, acked)}["no-acked-write-lost"]
+        live = dict.fromkeys(log.sequences, {"ring-p0": 2})
+        result = {r.name: r for r in check(log, acked, live)}["no-acked-write-lost"]
         assert not result.passed and result.detail == "B never delivered"
-        assert _broken(log, acked) == ["no-acked-write-lost"]
+        assert _broken(log, acked, live) == ["no-acked-write-lost"]
 
     def test_merge_liveness_and_skew_on_healthy_store(self):
         store = self._quiesced_store()
